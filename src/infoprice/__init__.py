@@ -56,7 +56,6 @@ from .simulate import (  # noqa: F401
 from .pricing import (  # noqa: F401
     Conditioning,
     InfoValueReport,
-    NOT_AVAILABLE,
     PriceEstimate,
     alpha_coef,
     beta_coef,

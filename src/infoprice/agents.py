@@ -8,8 +8,9 @@ Four agents are supported.
   wealth w.
 * ``timing`` -- learns, immediately after each jump, the exact time of the
   next one. Between jumps it invests the diffusion-only fraction and consumes
-  at rate f(T_next - t)^(-1/R), where f solves a renewal fixed point; at a
-  jump it holds fraction a_star.
+  at rate f(T_next - t)^(-1/R); at a jump it holds fraction a_star. f(0) is
+  the root of a renewal equation whose Exp(lam) average of f is a Gauss
+  hypergeometric function (DLMF 15.6.1), and every solution has gamma_M > 0.
 * ``signal`` -- observes eta = xi + eps, a noisy read of the next jump's
   size. Its value scale h(eta) and average A3 solve a coupled system on an
   eta grid; exposure q_bar(eta) maximizes the jump-adjusted objective
@@ -23,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
+from scipy.special import hyp2f1
 
 from .errors import (
     BoundaryOptimumError,
@@ -36,7 +37,7 @@ from .errors import (
     IllPosedError,
 )
 from .model import ModelParams, require_valid_params
-from .optimize import fixed_point_scalar, maximize_bounded
+from .optimize import maximize_bounded
 from .quadrature import QuadratureRule, g_of_q, phi2
 
 __all__ = [
@@ -77,11 +78,6 @@ class UninformedSolution:
     A1: float              # value scale: u(x) = A1 U(x)
     alpha: float           # drift of e^{rt} * deflator conditional on no jump
     g1_at_opt: float       # g1(q_bar1)
-
-
-def uninformed_consumption_rate(sol: UninformedSolution, p: ModelParams) -> float:
-    """Optimal proportional consumption rate A1^(-1/R)."""
-    return sol.A1 ** (-1.0 / p.R)
 
 
 def g1_of_q(q: float, p: ModelParams, rule: QuadratureRule) -> float:
@@ -180,11 +176,14 @@ class TimingInsiderSolution:
 
         f(t)^(1/R) = (1 - btilde e^(-gamma_M t)) / gamma_M,
         btilde = 1 - gamma_M f0^(1/R).
+
+    gamma_M > 0 for every solution solve_timing_insider returns, so f stays
+    bounded and the formulas below need no other branch.
     """
 
     a_star: float          # exposure at the jump instant
     gamma_M: float
-    f0: float              # f(0), fixed point of the renewal map
+    f0: float              # f(0), root of the renewal equation
     A2: float              # value scale: E[f(T1)] under Exp(lam)
     g_at_a_star: float
     R: float = field(repr=False)
@@ -201,26 +200,17 @@ class TimingInsiderSolution:
     def f_root(self, t):
         """f(t)^(1/R), vectorized; stable for arbitrarily large t."""
         t = np.asarray(t, dtype=float)
-        g = self.gamma_M
-        if abs(g) < 1e-14:
-            return t + self.c0
-        if g > 0.0:
-            return (1.0 - self.btilde * np.exp(-g * t)) / g
-        return -np.expm1(-g * t) / g + np.exp(-g * t) * self.c0
+        return (1.0 - self.btilde * np.exp(-self.gamma_M * t)) / self.gamma_M
 
     def f(self, t):
         """Renewal value function f(t) = f_root(t)^R."""
         return self.f_root(t) ** self.R
 
     def log_f(self, t):
-        """log f(t), stable for large t when gamma_M > 0."""
+        """log f(t), stable for large t."""
         t = np.asarray(t, dtype=float)
-        g = self.gamma_M
-        if abs(g) < 1e-14:
-            return self.R * np.log(t + self.c0)
-        if g > 0.0:
-            return self.R * (np.log1p(-self.btilde * np.exp(-g * t)) - math.log(g))
-        return self.R * np.log(self.f_root(t))
+        return self.R * (np.log1p(-self.btilde * np.exp(-self.gamma_M * t))
+                         - math.log(self.gamma_M))
 
     def consumption_integral(self, t_next, a, b):
         """Integral of f(t_next - u)^(-1/R) du over u in [a, b], closed form.
@@ -231,77 +221,23 @@ class TimingInsiderSolution:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         g = self.gamma_M
-        if abs(g) < 1e-14:
-            return np.log((t_next - a + self.c0) / (t_next - b + self.c0))
         s_hi = t_next - a
         s_lo = t_next - b
-        if g > 0.0:
-            # log((e^{g s_hi} - btilde)/(e^{g s_lo} - btilde)) without overflow
-            return (g * (b - a)
-                    + np.log1p(-self.btilde * np.exp(-g * s_hi))
-                    - np.log1p(-self.btilde * np.exp(-g * s_lo)))
-        num = np.exp(g * s_hi) - self.btilde
-        den = np.exp(g * s_lo) - self.btilde
-        return np.log(np.abs(num)) - np.log(np.abs(den))
-
-    def f_average_under_exp(self, lam: float) -> float:
-        """E[f(T)] for T ~ Exp(lam), by the same quadrature used for A2."""
-        return _exp_average_of_f(self.gamma_M, self.c0, self.R, lam)
-
-
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                      tol: float, max_depth: int = 60) -> float:
-    """Standard recursive adaptive Simpson with Richardson correction."""
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, fa, m, fm, b, fb, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, fa, lm, flm, m, fm, left, 0.5 * tol, depth - 1)
-                + recurse(m, fm, rm, frm, b, fb, right, 0.5 * tol, depth - 1))
-
-    return recurse(a, fa, m, fm, b, fb, whole, tol, max_depth)
+        # log((e^{g s_hi} - btilde)/(e^{g s_lo} - btilde)) without overflow
+        return (g * (b - a)
+                + np.log1p(-self.btilde * np.exp(-g * s_hi))
+                - np.log1p(-self.btilde * np.exp(-g * s_lo)))
 
 
 def _exp_average_of_f(gamma: float, c0: float, R: float, lam: float) -> float:
-    """integral_0^inf lam e^(-lam s) f(s) ds with f(s)^(1/R) affine in e^(-gamma s).
+    """integral_0^inf lam e^(-lam s) f(s) ds with f(s)^(1/R) = (1 - btilde
+    e^(-gamma s))/gamma and gamma > 0.
 
-    Mapped to [0, 1] by u = e^(-lam s); the integrand is normalized by
-    gamma^(-R) so a fixed absolute tolerance is a relative one.
+    Substituting u = e^(-gamma s) turns it into Euler's integral (DLMF
+    15.6.1): gamma^(-R) 2F1(-R, c; c + 1; btilde) with c = lam/gamma.
     """
-    if lam == 0.0:
-        if gamma <= 0.0:
-            raise IllPosedError("lam = 0 with gamma_M <= 0: long-run value diverges")
-        return gamma ** (-R)
-    if gamma > 0.0:
-        btilde = 1.0 - gamma * c0
-        c = gamma / lam
-        scale = gamma ** (-R)
-
-        def integrand(u):
-            return (1.0 - btilde * u**c) ** R
-
-        return scale * _adaptive_simpson(integrand, 0.0, 1.0, tol=1e-13)
-    # gamma <= 0: f grows; transform anyway and let the guard catch blowups
-    def integrand(u):
-        if u <= 0.0:
-            raise IllPosedError("gamma_M <= 0: tail of f is not integrable")
-        s = -math.log(u) / lam
-        if abs(gamma) < 1e-14:
-            root = s + c0
-        else:
-            root = -math.expm1(-gamma * s) / gamma + math.exp(-gamma * s) * c0
-        return root ** R
-
-    return _adaptive_simpson(integrand, 1e-12, 1.0, tol=1e-13)
+    c = lam / gamma
+    return gamma ** (-R) * float(hyp2f1(-R, c, c + 1.0, 1.0 - gamma * c0))
 
 
 def solve_timing_insider(p: ModelParams, rule: QuadratureRule) -> TimingInsiderSolution:
@@ -314,6 +250,12 @@ def solve_timing_insider(p: ModelParams, rule: QuadratureRule) -> TimingInsiderS
     rejected because the first-order condition fails there and the deflator
     renewal would be inconsistent. For R < 1 the problem is ill-posed when
     lam g(a_star)/(lam + R gamma_M) >= 1.
+
+    gamma_M > 0 on every return: R > 1 gives gamma_M > rho/R, and for R < 1
+    the gate above fails whenever gamma_M <= 0 because g(a_star) >= g(0) = 1.
+    f0 is the root of x = g(a_star) E[f(T)](x), T ~ Exp(lam), found by brentq
+    on a bracket grown from the Merton A_M; a bracket that cannot be found
+    raises ConvergenceError.
     """
     require_valid_params(p)
     sign = 1.0 - p.R
@@ -336,22 +278,29 @@ def solve_timing_insider(p: ModelParams, rule: QuadratureRule) -> TimingInsiderS
             "the renewal construction requires a* < 1")
 
     if p.lam == 0.0:
-        if gamma_m <= 0.0:
-            raise IllPosedError("lam = 0 with gamma_M <= 0: value diverges")
         f0 = gamma_m ** (-p.R)
         return TimingInsiderSolution(a_star=a_star, gamma_M=gamma_m, f0=f0,
                                      A2=f0, g_at_a_star=g_star, R=p.R)
 
-    def renewal_map(x: float) -> float:
-        return g_star * _exp_average_of_f(gamma_m, x ** (1.0 / p.R), p.R, p.lam)
+    def residual(x: float) -> float:
+        return g_star * _exp_average_of_f(gamma_m, x ** (1.0 / p.R), p.R, p.lam) - x
 
-    x0 = solve_merton(p).A_M
-    try:
-        fp = fixed_point_scalar(renewal_map, x0=x0, tol=2e-11, max_iter=800)
-    except ConvergenceError:
-        fp = fixed_point_scalar(renewal_map, x0=x0, tol=2e-11, max_iter=2000,
-                                damping=0.5)
-    f0 = fp.argument
+    # residual > 0 near x = 0 and < 0 for large x, with one sign change:
+    # E[f(T)] grows like lam/(lam + R gamma_M) x < x/g(a*)
+    lo = hi = solve_merton(p).A_M
+    for _ in range(200):
+        if residual(lo) > 0.0:
+            break
+        lo *= 0.5
+    else:
+        raise ConvergenceError(f"renewal root not bracketed below x={lo:.3g}")
+    for _ in range(200):
+        if residual(hi) < 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise ConvergenceError(f"renewal root not bracketed above x={hi:.3g}")
+    f0 = float(brentq(residual, lo, hi, xtol=1e-13, rtol=1e-15, maxiter=200))
     a2 = _exp_average_of_f(gamma_m, f0 ** (1.0 / p.R), p.R, p.lam)
     return TimingInsiderSolution(a_star=a_star, gamma_M=gamma_m, f0=f0, A2=a2,
                                  g_at_a_star=g_star, R=p.R)
@@ -439,7 +388,9 @@ class _SignalSystem:
         # phi2_scan[i, j] = phi2(q_j; posterior_i)
         one_r = 1.0 - p.R
         base = (1.0 + self.q_grid[None, :, None] * self.jump_rel[:, None, :])
-        self.phi2_scan = (base ** one_r) @ self.w_norm / one_r
+        # in place: base is 201 x 257 x 64 doubles (26 MB) at the default grid
+        np.power(base, one_r, out=base)
+        self.phi2_scan = base @ self.w_norm / one_r
         self.phi1_scan = self._phi1(self.q_grid)
 
     def _phi1(self, q):

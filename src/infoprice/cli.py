@@ -36,7 +36,6 @@ from .model import (
 )
 from .pricing import (
     Conditioning,
-    NotAvailable,
     closed_form_price,
     estimate_to_dict,
     info_value_report,
@@ -144,8 +143,6 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
 
 
 def _json_default(obj):
-    if isinstance(obj, NotAvailable):
-        return None
     if isinstance(obj, (np.floating, np.integer)):
         return float(obj)
     raise TypeError(f"not serializable: {obj!r}")
@@ -237,9 +234,9 @@ def cmd_price(args) -> int:
         cf = closed_form_price(stream, regime, p, sols, regime_cond, rule)
         entry = {
             "regime": regime,
-            "closed_form": None if isinstance(cf, NotAvailable) else cf,
+            "closed_form": cf,
         }
-        if not isinstance(cf, NotAvailable):
+        if cf is not None:
             rows.append(estimate_to_dict(args.stream, regime, "closed_form",
                                          cf, regime_cond))
         cfg = _sim_config(args, stream.kind, regime)

@@ -15,10 +15,12 @@ cross-checked against:
   Gaussian integrals of Psi against the jump and signal laws.
 
 For the two insiders the post-first-jump closed forms include the deflator
-renewal factor across T1 (A2/f(T1-to-jump-0) for the timing insider,
-A3/h(eta0) for the signal insider); these factors are exactly 1 whenever the
-jump exposure solves an interior first-order condition, and keep the closed
-form equal to the Monte Carlo value when the optimum is at the zero corner.
+renewal factor across T1: A2/f0 = 1/g(a_star) for the timing insider and
+A3/h(eta0) for the signal insider. Given T1, the timing insider's e^(rt) Y
+keeps mean 1 up to the jump (its drift integrates to log(f(T1)/f0), which
+the move of f from f(T1) to f0 cancels), so the timing price is
+e^(-t1) (A2/f0) times the double integral given T1 = t1 and
+lam/(lam + 1) (A2/f0) times it on average.
 """
 
 from __future__ import annotations
@@ -58,8 +60,6 @@ __all__ = [
     "PriceEstimate",
     "InfoValueReport",
     "PriceRow",
-    "NotAvailable",
-    "NOT_AVAILABLE",
     "price_mc",
     "closed_form_price",
     "alpha_coef",
@@ -79,26 +79,6 @@ def n_workers() -> int:
     if env:
         return max(1, int(env))
     return min(2, os.cpu_count() or 1)
-
-
-class NotAvailable:
-    """Sentinel: no closed form exists for this stream/regime combination."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NotAvailable"
-
-    def __bool__(self):
-        return False
-
-
-NOT_AVAILABLE = NotAvailable()
 
 
 @dataclass(frozen=True)
@@ -312,7 +292,7 @@ def closed_form_price(e: IncomeStream, regime: str, p: ModelParams,
                       sols: RegimeSolutions,
                       conditioning: Conditioning | None = None,
                       rule: QuadratureRule | None = None):
-    """Closed-form price where one exists, else the NOT_AVAILABLE sentinel.
+    """Closed-form price where one exists, else None.
 
     Raises DomainError when a formula exists but its convergence condition
     (lam - alpha > 0, lam + 1 - alpha > 0, the beta analogues) fails.
@@ -345,7 +325,7 @@ def closed_form_price(e: IncomeStream, regime: str, p: ModelParams,
             if cond.eta0 is not None:
                 return conditional(cond.eta0)
             return _p0_average(conditional, p, rule)
-        return NOT_AVAILABLE
+        return None
 
     if isinstance(e, PostFirstJumpSignalStream):
         if p.lam <= 0.0:
@@ -358,21 +338,12 @@ def closed_form_price(e: IncomeStream, regime: str, p: ModelParams,
             dbl = psi_double_integral(e.psi, sols.uninformed.q_bar1, p, rule)
             return p.lam / denom * dbl
         if regime == "timing":
-            if cond.t1 is None:
-                return NOT_AVAILABLE
+            # e^(-T1) averages to lam/(lam + 1) over T1 ~ Exp(lam)
             sol = sols.timing
-            t1 = cond.t1
-            pi_m = p.merton_fraction
-            ci = float(sol.consumption_integral(t1, 0.0, t1))
-            phi_t1 = p.r - p.rho + p.R * (
-                -p.r - pi_m * (p.mu - p.r) + ci / t1
-                + 0.5 * pi_m * pi_m * p.sigma**2 * (1.0 + p.R))
             dbl = psi_double_integral(e.psi, sol.a_star, p, rule)
-            f_t1 = float(sol.f(t1))
-            # A2/f(t1) carries the deflator renewal across T1; it equals
-            # f(0)/f(t1) exactly when the jump exposure satisfies an interior
-            # or zero-corner first-order condition
-            return math.exp(-t1) * (sol.A2 / f_t1) * math.exp(phi_t1 * t1) * dbl
+            weight = (math.exp(-cond.t1) if cond.t1 is not None
+                      else p.lam / (p.lam + 1.0))
+            return weight * (sol.A2 / sol.f0) * dbl
         if regime == "signal":
             def conditional(eta):
                 beta = beta_coef(eta, sols.signal, p, rule)
@@ -388,9 +359,9 @@ def closed_form_price(e: IncomeStream, regime: str, p: ModelParams,
             if cond.eta0 is not None:
                 return conditional(cond.eta0)
             return _p0_average(conditional, p, rule)
-        return NOT_AVAILABLE
+        return None
 
-    return NOT_AVAILABLE
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +459,8 @@ def info_value_report(e: IncomeStream, p: ModelParams, cfg: SimConfig,
         try:
             cf = closed_form_price(e, regime, p, sols, cond, rule)
         except GateError:
-            cf = NOT_AVAILABLE
-        cf_val = None if isinstance(cf, NotAvailable) else float(cf)
+            cf = None
+        cf_val = None if cf is None else float(cf)
         mc = None
         if with_mc:
             try:

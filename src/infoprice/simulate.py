@@ -246,9 +246,6 @@ def apply_jump(w: float, pi_at_jump: float, xi: float) -> float:
     return w * (1.0 + pi_at_jump * math.expm1(xi))
 
 
-AgentSolution = (UninformedSolution | TimingInsiderSolution
-                 | SignalInsiderSolution | MertonSolution)
-
 _EXPECTED_SOLUTION = {
     "uninformed": UninformedSolution,
     "timing": TimingInsiderSolution,
@@ -441,10 +438,6 @@ def _run_chunk(p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray,
     def fraction_drift(pi):
         return p.r + pi * (p.mu - p.r) - 0.5 * pi * pi * sigma**2
 
-    gamma = getattr(sol, "gamma_M", 0.0)
-    btilde = getattr(sol, "btilde", 0.0)
-    log_gamma = math.log(gamma) if timing and gamma > 0.0 else 0.0
-    timing_fast = timing and gamma > 0.0
     log_norm0 = np.zeros(P)
     log_h_cur = None
     if regime == "uninformed":
@@ -466,6 +459,9 @@ def _run_chunk(p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray,
         cons = None
         pij = np.full(P, sol.a_star)
         log_norm0 = np.asarray(sol.log_f(t1_arr), dtype=float)
+        gamma = sol.gamma_M
+        btilde = sol.btilde
+        log_gamma = math.log(gamma)
     else:
         q0 = np.asarray(sol.q_bar_at(eta_cur), dtype=float)
         drift = fraction_drift(q0)
@@ -506,12 +502,11 @@ def _run_chunk(p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray,
 
     n_steps = len(nodes) - 1
     steps_dt = np.diff(nodes)
-    uniform = bool(np.all(np.abs(steps_dt - steps_dt[0]) < 1e-12))
     pool = _RngPool()
 
-    # timing fast path: u = exp(-gamma (t_next - t)) maintained multiplicatively;
+    # timing: u = exp(-gamma (t_next - t)) maintained multiplicatively;
     # L = log1p(-btilde u) feeds both the consumption integral and the deflator
-    if timing_fast:
+    if timing:
         u_vec = np.exp(-gamma * np.maximum(t_next, 0.0))
         L_cur = np.log1p(-btilde * u_vec)
         L_new = np.empty(P)
@@ -603,7 +598,7 @@ def _run_chunk(p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray,
         if touched is not None:
             saved_x = x[touched].copy()
             saved_ip = i_prev[touched].copy()
-        if timing_fast:
+        if timing:
             np.multiply(u_vec, math.exp(gamma * dt_k), out=u_vec)
             if touched is not None:
                 u_vec[touched] = np.exp(-gamma * (t_next[touched] - t_hi))
@@ -617,9 +612,6 @@ def _run_chunk(p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray,
             buf_t -= L_cur
             x += buf_t
             L_cur, L_new = L_new, L_cur
-        elif timing:
-            cint = sol.consumption_integral(t_next, np.full(P, t_lo), t_hi)
-            x += drift * dt_k - cint + volc * (sqdt_k * zcol)
         elif signal:
             np.multiply(zcol, volc, out=buf_t)
             buf_t *= sqdt_k
@@ -642,13 +634,10 @@ def _run_chunk(p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray,
         # deflator and trapezoid at the node
         np.multiply(x, -R, out=buf_ly)
         buf_ly -= rho * t_hi
-        if timing_fast:
+        if timing:
             np.multiply(L_cur, R, out=buf_t)
             buf_ly += buf_t
             buf_ly -= R * log_gamma
-            buf_ly -= log_norm0
-        elif timing:
-            buf_ly += sol.log_f(t_next - t_hi)
             buf_ly -= log_norm0
         elif signal:
             buf_ly += log_h_cur

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from infoprice.agents import (
+    _exp_average_of_f,
     posterior_of_jump,
     q_bar_signal,
     signal_deflator,
@@ -148,13 +149,28 @@ class TestTimingInsider:
         root = bisection_root(lambda x: x - phi(x), 50.0, 400.0, tol=1e-10)
         assert abs(root - sol_timing.f0) < 1e-7 * sol_timing.f0
 
-    def test_a2_identity_and_laguerre_oracle(self, canon, sol_timing):
-        # f0 = g(a*) A2 exactly at the fixed point
-        assert abs(sol_timing.f0 - sol_timing.g_at_a_star * sol_timing.A2) \
-            < 1e-9 * sol_timing.f0
-        want = gauss_laguerre_exp_average(
-            lambda s: float(sol_timing.f(s)), canon.lam)
-        assert abs(sol_timing.A2 - want) < 1e-10 * abs(want)
+    @pytest.mark.parametrize("fields", [
+        {}, INTERIOR_TIMING, dict(lam=2.0, m=0.0), dict(lam=4.0, m=0.0),
+    ], ids=["canon", "interior", "dense", "lam4"])
+    def test_a2_identity_and_laguerre_oracle(self, canon, rule64, fields):
+        p = with_fields(canon, **fields)
+        sol = solve_timing_insider(p, rule64)
+        # f0 = g(a*) A2 exactly at the root of the renewal equation
+        assert abs(sol.f0 - sol.g_at_a_star * sol.A2) < 1e-9 * sol.f0
+        want = gauss_laguerre_exp_average(lambda s: float(sol.f(s)), p.lam)
+        assert abs(sol.A2 - want) < 1e-10 * abs(want)
+
+    def test_exp_average_matches_simpson(self):
+        # 2F1 at a non-integer R and btilde < -1 against Simpson on Euler's
+        # integral, gamma^(-R) int_0^1 c u^(c-1) (1 - btilde u)^R du
+        from .oracles import adaptive_simpson
+        gamma, lam, R = 0.07, 0.9, 2.7
+        c0 = 40.0                       # btilde = 1 - gamma c0 = -1.8
+        btilde, c = 1.0 - gamma * c0, lam / gamma
+        want = gamma ** (-R) * adaptive_simpson(
+            lambda u: c * u ** (c - 1.0) * (1.0 - btilde * u) ** R, 0.0, 1.0)
+        got = _exp_average_of_f(gamma, c0, R, lam)
+        assert abs(got - want) < 1e-10 * want
 
     def test_interior_optimum_fixture(self, canon, rule64):
         p = with_fields(canon, **INTERIOR_TIMING)

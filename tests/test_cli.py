@@ -114,6 +114,15 @@ class TestCompare:
         assert timing_row["closed_form"] == pytest.approx(2.0)
         assert len(payload["signal_conditional_values"]) == 3
 
+    def test_post_jump_signal_closed_forms(self, cfg_path):
+        code, out, err = run_cli("compare", "--config", cfg_path,
+                                 "--stream", "post_jump_signal:tanh", *FAST)
+        assert code == 0, err
+        payload = json.loads(out)
+        timing_row = next(r for r in payload["rows"] if r["regime"] == "timing")
+        assert timing_row["closed_form"] is not None
+        assert timing_row["mc_mean"] is None
+
 
 class TestValidate:
     def test_validate_passes(self, cfg_path):

@@ -20,7 +20,6 @@ from infoprice.model import (
     PostFirstJumpSignalStream,
 )
 from infoprice.pricing import (
-    NOT_AVAILABLE,
     Conditioning,
     alpha_coef,
     beta_coef,
@@ -149,13 +148,17 @@ class TestClosedForms:
         assert closed_form_price(E3, "uninformed", canon, sols) == \
             pytest.approx(want, rel=1e-12)
 
-    def test_not_available_cases(self, canon, sols):
+    def test_not_available_cases(self, canon, rule64, sols):
         custom = CustomStream(payoff=lambda t, ctx: 1.0, growth_const=1.0,
                               growth_rate=0.0)
-        assert closed_form_price(custom, "uninformed", canon, sols) is NOT_AVAILABLE
-        assert closed_form_price(E3, "timing", canon, sols) is NOT_AVAILABLE
-        assert closed_form_price(E2, "merton", canon, sols) is NOT_AVAILABLE
-        assert closed_form_price(E3, "merton", canon, sols) is NOT_AVAILABLE
+        assert closed_form_price(custom, "uninformed", canon, sols) is None
+        # the unconditional timing post-jump price has a closed form
+        dbl = psi_double_integral(np.tanh, sols.timing.a_star, canon, rule64)
+        assert closed_form_price(E3, "timing", canon, sols) == pytest.approx(
+            canon.lam / (canon.lam + 1.0) * dbl / sols.timing.g_at_a_star,
+            rel=1e-9)
+        assert closed_form_price(E2, "merton", canon, sols) is None
+        assert closed_form_price(E3, "merton", canon, sols) is None
 
     def test_conditioning_validation(self, canon, sols):
         with pytest.raises(ValueError):
@@ -188,6 +191,13 @@ class TestPriceMc:
         cfg = SimConfig(horizon=4.0, dt=0.05, n_paths=100, seed=3, regime="merton")
         with pytest.raises(GateError):
             price_mc(E2, sols.merton, canon, cfg, sols=sols)
+
+    def test_post_jump_timing_unconditional(self, canon, sols):
+        cfg = SimConfig(horizon=22.0, dt=0.05, n_paths=40_000, seed=29,
+                        regime="timing")
+        est = price_mc(E3, sols.timing, canon, cfg, sols=sols)
+        want = closed_form_price(E3, "timing", canon, sols)
+        assert abs(est.mean - want) <= est.tolerance(3.0)
 
     def test_quick_example2_uninformed(self, canon, sols):
         cfg = SimConfig(horizon=22.0, dt=0.02, n_paths=20_000, seed=17,
