@@ -14,7 +14,11 @@ Four agents are supported.
 * ``signal`` -- observes eta = xi + eps, a noisy read of the next jump's
   size. Its value scale h(eta) and average A3 solve a coupled system on an
   eta grid; exposure q_bar(eta) maximizes the jump-adjusted objective
-  pointwise in the signal.
+  pointwise in the signal. That objective is strictly concave in q (R > 1),
+  so q_bar sits at 0 or 1 where its q-derivative has one sign on [0, 1] and
+  is the derivative's Newton root otherwise. By the envelope theorem the
+  h-equation's slope is phi1(q_bar) - h^(-1/R) (times 1 - 1/R), so all grid
+  signals are solved together by one batched Newton iteration in h.
 * ``merton`` -- the jump-free diffusion benchmark with closed-form constants.
 
 Each solved object is immutable; evaluation helpers are pure functions.
@@ -38,7 +42,7 @@ from .errors import (
 )
 from .model import ModelParams, require_valid_params
 from .optimize import maximize_bounded
-from .quadrature import QuadratureRule, g_of_q, phi2
+from .quadrature import QuadratureRule, g_of_q
 
 __all__ = [
     "UninformedSolution",
@@ -362,112 +366,115 @@ class SignalInsiderSolution:
         return np.clip(self._q_interp(eta), 0.0, 1.0)
 
 
+# Step cap of the batched Newton solves of the signal system.
+_NEWTON_STEPS = 100
+
+
+def _exposure_slope(q, h, lam_a3, jump_rel, w, p):
+    """F(q) and F'(q), the first and second q-derivatives of
+    h phi1(q) + lam_a3 phi2(q; row), one per row of jump_rel
+    (x_k = e^(xi_k) - 1 at the posterior nodes)."""
+    base = 1.0 + q[:, None] * jump_rel
+    xu = jump_rel * base ** -p.R
+    curv = p.sigma**2 * p.R
+    f = h * ((p.mu - p.r) - curv * q) + lam_a3 * (xu @ w)
+    fp = -h * curv - lam_a3 * p.R * ((xu * jump_rel / base) @ w)
+    return f, fp
+
+
+def _argmax_exposure(h, lam_a3, jump_rel, w, p, q_start):
+    """Maximizer over q in [0, 1] of h phi1(q) + lam_a3 phi2(q; row), per row.
+
+    Corners by the sign of F at 0 and 1 (see _SignalSystem); elsewhere
+    Newton on F(q) = 0 from q_start, where each step shrinks a bracket of
+    the root and a step that leaves the bracket is replaced by its midpoint.
+    Stops each row at a step below 1e-14; raises ConvergenceError if some
+    row needs more than _NEWTON_STEPS steps.
+    """
+    n = len(h)
+    f0 = _exposure_slope(np.zeros(n), h, lam_a3, jump_rel, w, p)[0]
+    f1 = _exposure_slope(np.ones(n), h, lam_a3, jump_rel, w, p)[0]
+    q = np.where(f0 <= 0.0, 0.0,
+                 np.where(f1 >= 0.0, 1.0, np.clip(q_start, 0.0, 1.0)))
+    rows = np.flatnonzero((f0 > 0.0) & (f1 < 0.0))
+    lo, hi = np.zeros(rows.size), np.ones(rows.size)
+    for _ in range(_NEWTON_STEPS):
+        qa = q[rows]
+        f, fp = _exposure_slope(qa, h[rows], lam_a3, jump_rel[rows], w, p)
+        lo = np.where(f > 0.0, qa, lo)          # F decreases: root above qa
+        hi = np.where(f > 0.0, hi, qa)
+        q_new = qa - f / fp                     # fp <= -h sigma^2 R < 0
+        q[rows] = np.where((q_new >= lo) & (q_new <= hi), q_new, 0.5 * (lo + hi))
+        keep = np.abs(q[rows] - qa) > 1e-14
+        rows, lo, hi = rows[keep], lo[keep], hi[keep]
+        if not rows.size:
+            return q
+    raise ConvergenceError(f"exposure Newton not converged in {_NEWTON_STEPS}"
+                           f" steps at {rows.size} grid signals")
+
+
 class _SignalSystem:
     """Workspace for the (h, A3) system on a fixed eta grid.
 
-    Precomputes, per grid signal, the posterior jump factors at quadrature
-    nodes and the utility-moment matrix on a coarse exposure scan; the
-    pointwise solve for h is a bracketed root-find of a convex residual, and
-    the outer unknown A3 is driven to its fixed point.
+    At grid signal i, h_i > 0 solves h^(1-1/R)/(1-1/R) = V_i(h) with
+    V_i(h) = max over q in [0, 1] of h phi1(q) + lam A3 phi2(q; posterior_i).
+    For R > 1 the objective is strictly concave in q, so its q-derivative F
+    is strictly decreasing: the exposure q* is 0 where F(0) <= 0, 1 where
+    F(1) >= 0, and the root of F otherwise. By the envelope theorem
+    V_i'(h) = phi1(q*), so r(h) = (1-1/R) V_i(h) - h^(1-1/R) has slope
+    (1-1/R)(phi1(q*) - h^(-1/R)). r is convex, negative near 0 and positive
+    for large h, so one batched Newton solve over the grid, started from the
+    previous outer iterate, finds every h_i. The caller drives the outer
+    unknown A3 to its fixed point.
     """
-
-    Q_SCAN = 257
 
     def __init__(self, p: ModelParams, rule: QuadratureRule, eta_grid: np.ndarray):
         self.p = p
         self.rule = rule
         self.eta_grid = eta_grid
-        self.q_grid = np.linspace(0.0, 1.0, self.Q_SCAN)
-        means, var = _posterior_many(eta_grid, p)
-        self.post_means = means
-        self.post_var = var
+        means, var = posterior_of_jump(eta_grid, p)
         # jump_rel[i, k] = e^{x_k} - 1 at posterior nodes for grid signal i
         self.jump_rel = np.expm1(
             means[:, None] + math.sqrt(2.0 * var) * rule.nodes[None, :])
         self.w_norm = rule.weights / _SQRT_PI
-        # phi2_scan[i, j] = phi2(q_j; posterior_i)
-        one_r = 1.0 - p.R
-        base = (1.0 + self.q_grid[None, :, None] * self.jump_rel[:, None, :])
-        # in place: base is 201 x 257 x 64 doubles (26 MB) at the default grid
-        np.power(base, one_r, out=base)
-        self.phi2_scan = base @ self.w_norm / one_r
-        self.phi1_scan = self._phi1(self.q_grid)
 
     def _phi1(self, q):
         p = self.p
         return (p.r + q * (p.mu - p.r) - 0.5 * p.sigma**2 * q * q * p.R
                 - (p.rho + p.lam) / (1.0 - p.R))
 
-    def phi2_exact(self, i: int, q: float) -> float:
+    def sup_values(self, h: np.ndarray, a3: float, q_start: np.ndarray,
+                   rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """V(h) and its maximizer q* at the grid signals `rows`."""
         one_r = 1.0 - self.p.R
-        return float(((1.0 + q * self.jump_rel[i]) ** one_r) @ self.w_norm) / one_r
-
-    def sup_objective(self, i: int, h: float, a3: float,
-                      tol: float = 1e-9) -> tuple[float, float]:
-        """max over q in [0,1] of h phi1(q) + lam A3 phi2(q; posterior_i).
-
-        The objective is strictly concave in q, so a scan bracket plus golden
-        refinement is exact to tolerance. Returns (value, argmax).
-        """
         lam_a3 = self.p.lam * a3
-        scan = h * self.phi1_scan + lam_a3 * self.phi2_scan[i]
-        j = int(np.argmax(scan))
-        lo = self.q_grid[max(j - 1, 0)]
-        hi = self.q_grid[min(j + 1, self.Q_SCAN - 1)]
+        jump_rel = self.jump_rel[rows]
+        q = _argmax_exposure(h, lam_a3, jump_rel, self.w_norm, self.p, q_start)
+        phi2 = ((1.0 + q[:, None] * jump_rel) ** one_r) @ self.w_norm / one_r
+        return h * self._phi1(q) + lam_a3 * phi2, q
 
-        def obj(q):
-            return h * float(self._phi1(q)) + lam_a3 * self.phi2_exact(i, q)
-
-        invphi = _INVPHI
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = obj(c), obj(d)
-        while b - a > tol:
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = obj(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = obj(d)
-        q_star = 0.5 * (a + b)
-        val = obj(q_star)
-        if scan[j] > val:
-            val, q_star = float(scan[j]), float(self.q_grid[j])
-        return val, q_star
-
-    def solve_h_at(self, i: int, a3: float, h_guess: float) -> float:
-        """Solve h^(1-1/R)/(1-1/R) = sup_q(...) for h > 0 at one grid signal."""
+    def solve_grid(self, a3: float, h_start: np.ndarray, q_start: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """h at every grid signal by batched Newton from h_start, each signal
+        stopping at a relative step below 1e-13; returns (h, q*) with q* the
+        exposures of the last Newton step."""
         one_m = 1.0 - 1.0 / self.p.R          # in (0, 1) for R > 1
-
-        def resid(h):
-            val, _ = self.sup_objective(i, h, a3)
-            return one_m * val - h ** one_m
-
-        lo = max(h_guess, 1e-12)
-        hi = lo
-        # expand to bracket the root of the convex residual
-        for _ in range(200):
-            if resid(lo) < 0.0:
-                break
-            lo *= 0.25
-            if lo < 1e-300:
-                raise ConvergenceError("h bracket collapsed toward zero")
-        for _ in range(200):
-            if resid(hi) > 0.0:
-                break
-            hi *= 4.0
-            if hi > 1e300:
-                raise ConvergenceError("h bracket exploded")
-        return float(brentq(resid, lo, hi, xtol=1e-13, rtol=1e-15, maxiter=200))
-
-    def solve_grid(self, a3: float, h_start: np.ndarray) -> np.ndarray:
-        h = np.empty_like(h_start)
-        for i in range(len(self.eta_grid)):
-            h[i] = self.solve_h_at(i, a3, h_start[i])
-        return h
+        h, q = np.array(h_start, dtype=float), np.array(q_start, dtype=float)
+        rows = np.arange(len(h))
+        for _ in range(_NEWTON_STEPS):
+            hr = h[rows]
+            val, q[rows] = self.sup_values(hr, a3, q[rows], rows)
+            slope = one_m * (self._phi1(q[rows]) - hr ** (-1.0 / self.p.R))
+            if not np.all(slope > 0.0):
+                raise ConvergenceError("h Newton slope is not positive")
+            h[rows] = hr - (one_m * val - hr ** one_m) / slope
+            if not np.all(np.isfinite(h[rows]) & (h[rows] > 0.0)):
+                raise ConvergenceError("h Newton iterate left (0, inf)")
+            rows = rows[np.abs(h[rows] - hr) > 1e-13 * hr]
+            if not rows.size:
+                return h, q
+        raise ConvergenceError(f"h Newton not converged in {_NEWTON_STEPS} "
+                               f"steps at {rows.size} grid signals")
 
     def average_h(self, h_values: np.ndarray) -> float:
         """A3 candidate: E[h(eta)] under eta ~ N(m, v + v_eps)."""
@@ -476,15 +483,6 @@ class _SignalSystem:
         pts = p.m + math.sqrt(2.0 * (p.v + p.v_eps)) * self.rule.nodes
         pts = np.clip(pts, self.eta_grid[0], self.eta_grid[-1])
         return float(self.w_norm @ interp(pts))
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _posterior_many(eta: np.ndarray, p: ModelParams) -> tuple[np.ndarray, float]:
-    denom = p.v + p.v_eps
-    return (p.v * np.asarray(eta, dtype=float) + p.v_eps * p.m) / denom, \
-        p.v * p.v_eps / denom
 
 
 def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
@@ -517,17 +515,15 @@ def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
     system = _SignalSystem(p, rule, eta_grid)
 
     h = np.full(grid_size, a1)
+    q = np.full(grid_size, uninformed.q_bar1)
     a3 = a1
     trace: list[float] = [a3]
-
-    def step(a3_val: float, h_start: np.ndarray) -> tuple[float, np.ndarray]:
-        h_new = system.solve_grid(a3_val, h_start)
-        return system.average_h(h_new), h_new
 
     a3_prev, g_prev = None, None
     converged = False
     for outer in range(max_outer):
-        a3_new, h_new = step(a3, h)
+        h_new, q = system.solve_grid(a3, h, q)
+        a3_new = system.average_h(h_new)
         gap = a3_new - a3
         h_change = float(np.max(np.abs(h_new - h)))
         h = h_new
@@ -557,7 +553,7 @@ def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
             f"(last A3 gap {gap:.3g})")
 
     # Final pass at the converged A3, then store the recomputed average.
-    h = system.solve_grid(a3, h)
+    h, q = system.solve_grid(a3, h, q)
     a3_final = system.average_h(h)
     if a3_final > a1 * (1.0 + 1e-8):
         raise ConvergenceError(
@@ -565,12 +561,8 @@ def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
             "maximal-solution selection failed")
 
     one_m = 1.0 - 1.0 / p.R
-    residuals = np.empty(grid_size)
-    q_bar_values = np.empty(grid_size)
-    for i in range(grid_size):
-        val, q_star = system.sup_objective(i, h[i], a3_final, tol=1e-10)
-        residuals[i] = abs(h[i] ** one_m / one_m - val)
-        q_bar_values[i] = q_star
+    val, q_bar_values = system.sup_values(h, a3_final, q)
+    residuals = np.abs(h ** one_m / one_m - val)
 
     return SignalInsiderSolution(
         eta_grid=eta_grid,
@@ -589,18 +581,16 @@ def q_bar_signal(sol: SignalInsiderSolution, p: ModelParams, eta: float,
                  rule: QuadratureRule) -> float:
     """Exposure maximizing h(eta) phi1(q) + lam A3 phi2(q; posterior(eta)).
 
-    Solves the maximization afresh with the interpolated h(eta); the grid
-    interpolant sol.q_bar_at is the fast path used in simulation.
+    Solves the maximization afresh with the interpolated h(eta), by the
+    same corner rule and guarded Newton root as the grid solve, started from
+    the grid interpolant sol.q_bar_at (the fast path used in simulation).
     """
-    h_eta = float(sol.h_at(eta))
     m_post, v_post = posterior_of_jump(eta, p)
-
-    def objective(q):
-        phi1 = (p.r + q * (p.mu - p.r) - 0.5 * p.sigma**2 * q * q * p.R
-                - (p.rho + p.lam) / (1.0 - p.R))
-        return h_eta * phi1 + p.lam * sol.A3 * phi2(q, m_post, v_post, p, rule)
-
-    return maximize_bounded(objective, 0.0, 1.0, tol=1e-10).argument
+    jump_rel = np.expm1(m_post + math.sqrt(2.0 * v_post) * rule.nodes)
+    q = _argmax_exposure(np.array([float(sol.h_at(eta))]), p.lam * sol.A3,
+                         jump_rel[None, :], rule.weights / _SQRT_PI, p,
+                         sol.q_bar_at(eta))
+    return float(q[0])
 
 
 def signal_deflator(sol: SignalInsiderSolution, p: ModelParams, t: float,

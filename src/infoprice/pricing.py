@@ -125,19 +125,20 @@ def _check_conditioning(regime: str, conditioning: Conditioning | None) -> Condi
 def alpha_coef(sol: UninformedSolution, p: ModelParams) -> float:
     """Exponential growth rate of the pre-first-jump pricing factor for the
     uninformed agent: r - rho + R(-r - q (mu-r) + A1^(-1/R) + (R+1) sigma^2 q^2 / 2)."""
-    q = sol.q_bar1
-    return p.r - p.rho + p.R * (
-        -p.r - q * (p.mu - p.r) + sol.A1 ** (-1.0 / p.R)
-        + 0.5 * (p.R + 1.0) * p.sigma**2 * q * q)
+    return _pre_jump_rate(sol.q_bar1, sol.A1, p)
 
 
 def beta_coef(eta0: float, sol: SignalInsiderSolution, p: ModelParams,
               rule: QuadratureRule) -> float:
     """Signal-conditional analogue of alpha, with h(eta0) and q_bar(eta0)."""
-    q = q_bar_signal(sol, p, eta0, rule)
-    h = float(sol.h_at(eta0))
+    return _pre_jump_rate(q_bar_signal(sol, p, eta0, rule),
+                          float(sol.h_at(eta0)), p)
+
+
+def _pre_jump_rate(q: float, scale: float, p: ModelParams) -> float:
+    """alpha/beta at exposure q and value scale A1 or h(eta0)."""
     return p.r - p.rho + p.R * (
-        -p.r - q * (p.mu - p.r) + h ** (-1.0 / p.R)
+        -p.r - q * (p.mu - p.r) + scale ** (-1.0 / p.R)
         + 0.5 * (p.R + 1.0) * p.sigma**2 * q * q)
 
 
@@ -346,13 +347,12 @@ def closed_form_price(e: IncomeStream, regime: str, p: ModelParams,
             return weight * (sol.A2 / sol.f0) * dbl
         if regime == "signal":
             def conditional(eta):
-                beta = beta_coef(eta, sols.signal, p, rule)
-                denom = p.lam + 1.0 - beta
+                q = q_bar_signal(sols.signal, p, eta, rule)
+                h = float(sols.signal.h_at(eta))
+                denom = p.lam + 1.0 - _pre_jump_rate(q, h, p)
                 if denom <= 0.0:
                     raise DomainError(
                         f"lam + 1 - beta({eta:.4g}) = {denom:.6g} <= 0: value diverges")
-                q = q_bar_signal(sols.signal, p, eta, rule)
-                h = float(sols.signal.h_at(eta))
                 post = _posterior_mean_factor(eta, q, p, rule)
                 psi_val = float(e.psi(eta))
                 return psi_val * (sols.signal.A3 / h) * p.lam / denom * post

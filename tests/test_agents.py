@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infoprice.agents import (
     _exp_average_of_f,
@@ -18,7 +20,12 @@ from infoprice.agents import (
     timing_deflator,
     uninformed_deflator,
 )
-from infoprice.errors import BoundaryOptimumError, GateError, IllPosedError
+from infoprice.errors import (
+    BoundaryOptimumError,
+    DomainError,
+    GateError,
+    IllPosedError,
+)
 from infoprice.quadrature import g_of_q, g_of_q_many, phi2_many
 
 from .oracles import (
@@ -389,6 +396,56 @@ class TestSignalInsider:
         assert max(defects) < 1e-7
         assert corner, "expected an upper-corner region at these parameters"
         assert max(corner) < 0.1   # slack is small but nonzero there
+
+    @pytest.mark.parametrize("fields", [
+        {}, INTERIOR_TIMING, dict(lam=2.0, m=0.0),
+    ], ids=["canon", "interior", "dense"])
+    def test_batched_exposure_matches_grid_oracle(self, canon, rule64, fields):
+        p = with_fields(canon, **fields)
+        sol = solve_signal_insider(p, rule64)
+        q = sol.q_bar_values
+        inner = np.flatnonzero((q > 0.0) & (q < 1.0))
+        nodes = [int(np.flatnonzero(q == 0.0)[0]), int(np.flatnonzero(q == 1.0)[0]),
+                 *inner[[0, inner.size // 2, -1]]]
+        for i in nodes:
+            eta = float(sol.eta_grid[i])
+            h_eta = float(sol.h_values[i])
+            m_post, v_post = posterior_of_jump(eta, p)
+
+            def objective(qs):
+                phi1 = (p.r + qs * (p.mu - p.r) - 0.5 * p.sigma**2 * qs * qs * p.R
+                        - (p.rho + p.lam) / (1.0 - p.R))
+                return h_eta * phi1 + p.lam * sol.A3 * phi2_many(
+                    qs, m_post, v_post, p, rule64)
+
+            brute = grid_argmax(objective, 0.0, 1.0, n=200_001, chunk=20_000)
+            assert abs(q[i] - brute) < 1e-5
+            assert abs(q_bar_signal(sol, p, eta, rule64) - q[i]) < 1e-9
+        assert float(sol.residuals.max()) < 1e-8
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(mu=st.floats(0.06, 0.14), sigma=st.floats(0.15, 0.3),
+           lam=st.floats(0.1, 4.0), m=st.floats(-0.1, 0.05),
+           v=st.floats(0.005, 0.09), v_eps=st.floats(0.005, 1.0),
+           R=st.floats(1.5, 6.0))
+    def test_solve_converges_or_raises_domain_error(self, canon, rule64, mu,
+                                                     sigma, lam, m, v, v_eps, R):
+        """Property over the box mu in [0.06, 0.14], sigma in [0.15, 0.3],
+        lam in [0.1, 4], m in [-0.1, 0.05], v in [0.005, 0.09],
+        v_eps in [0.005, 1], R in [1.5, 6] (r and rho as in canon), on an
+        81-node grid: the solve returns finite h, q_bar in [0, 1], grid
+        residuals below 1e-8 and A3 <= A1 (1 + 1e-8), or raises a
+        DomainError subclass."""
+        p = with_fields(canon, mu=mu, sigma=sigma, lam=lam, m=m, v=v,
+                        v_eps=v_eps, R=R)
+        try:
+            sol = solve_signal_insider(p, rule64, grid_size=81)
+        except DomainError:
+            return
+        assert np.all(np.isfinite(sol.h_values)) and np.all(sol.h_values > 0.0)
+        assert np.all((sol.q_bar_values >= 0.0) & (sol.q_bar_values <= 1.0))
+        assert float(sol.residuals.max()) < 1e-8
+        assert sol.A3 <= sol.a1 * (1 + 1e-8)
 
 
 # ---------------------------------------------------------------------------
