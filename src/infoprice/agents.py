@@ -9,8 +9,9 @@ Four agents are supported.
 * ``timing`` -- learns, immediately after each jump, the exact time of the
   next one. Between jumps it invests the diffusion-only fraction and consumes
   at rate f(T_next - t)^(-1/R); at a jump it holds fraction a_star. f(0) is
-  the root of a renewal equation whose Exp(lam) average of f is a Gauss
-  hypergeometric function (DLMF 15.6.1), and every solution has gamma_M > 0.
+  the root, found by bisection, of a renewal equation whose Exp(lam) average
+  of f is a Gauss hypergeometric function (DLMF 15.6.1; scipy's hyp2f1,
+  imported on first use), and every solution has gamma_M > 0.
 * ``signal`` -- observes eta = xi + eps, a noisy read of the next jump's
   size. Its value scale h(eta) and average A3 solve a coupled system on an
   eta grid; exposure q_bar(eta) maximizes the jump-adjusted objective
@@ -18,7 +19,9 @@ Four agents are supported.
   so q_bar sits at 0 or 1 where its q-derivative has one sign on [0, 1] and
   is the derivative's Newton root otherwise. By the envelope theorem the
   h-equation's slope is phi1(q_bar) - h^(-1/R) (times 1 - 1/R), so all grid
-  signals are solved together by one batched Newton iteration in h.
+  signals are solved together by one batched Newton iteration in h. h and
+  q_bar between grid signals come from _MonotoneCubic, a PCHIP interpolant
+  (Fritsch-Butland slopes) on the evenly spaced grid.
 * ``merton`` -- the jump-free diffusion benchmark with closed-form constants.
 
 Each solved object is immutable; evaluation helpers are pure functions.
@@ -30,9 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
-from scipy.special import hyp2f1
 
 from .errors import (
     BoundaryOptimumError,
@@ -114,11 +114,17 @@ def solve_uninformed(p: ModelParams, rule: QuadratureRule) -> UninformedSolution
         raise IllPosedError(
             f"rho + (R-1) g1(q_bar1) = {denom:.6g} <= 0: value function undefined")
     a1 = (p.R / denom) ** p.R
-    alpha = p.r - p.rho + p.R * (
-        -p.r - q_bar * (p.mu - p.r) + a1 ** (-1.0 / p.R)
-        + 0.5 * (p.R + 1.0) * p.sigma**2 * q_bar**2
-    )
-    return UninformedSolution(q_bar1=q_bar, A1=a1, alpha=alpha, g1_at_opt=g1_opt)
+    return UninformedSolution(q_bar1=q_bar, A1=a1, alpha=_pre_jump_rate(q_bar, a1, p),
+                              g1_at_opt=g1_opt)
+
+
+def _pre_jump_rate(q: float, scale: float, p: ModelParams) -> float:
+    """Drift of e^(rt) times the deflator between jumps at exposure q and
+    value scale A1 (the uninformed alpha) or h(eta0) (the signal beta):
+    r - rho + R(-r - q (mu-r) + scale^(-1/R) + (R+1) sigma^2 q^2 / 2)."""
+    return p.r - p.rho + p.R * (
+        -p.r - q * (p.mu - p.r) + scale ** (-1.0 / p.R)
+        + 0.5 * (p.R + 1.0) * p.sigma**2 * q * q)
 
 
 def uninformed_deflator(sol: UninformedSolution, p: ModelParams,
@@ -240,6 +246,9 @@ def _exp_average_of_f(gamma: float, c0: float, R: float, lam: float) -> float:
     Substituting u = e^(-gamma s) turns it into Euler's integral (DLMF
     15.6.1): gamma^(-R) 2F1(-R, c; c + 1; btilde) with c = lam/gamma.
     """
+    # imported here so that only timing solves pay for loading scipy
+    from scipy.special import hyp2f1
+
     c = lam / gamma
     return gamma ** (-R) * float(hyp2f1(-R, c, c + 1.0, 1.0 - gamma * c0))
 
@@ -257,9 +266,9 @@ def solve_timing_insider(p: ModelParams, rule: QuadratureRule) -> TimingInsiderS
 
     gamma_M > 0 on every return: R > 1 gives gamma_M > rho/R, and for R < 1
     the gate above fails whenever gamma_M <= 0 because g(a_star) >= g(0) = 1.
-    f0 is the root of x = g(a_star) E[f(T)](x), T ~ Exp(lam), found by brentq
-    on a bracket grown from the Merton A_M; a bracket that cannot be found
-    raises ConvergenceError.
+    f0 is the root of x = g(a_star) E[f(T)](x), T ~ Exp(lam), found by
+    bisection to a relative width of 1e-15 on a bracket grown from the Merton
+    A_M; a bracket that cannot be found raises ConvergenceError.
     """
     require_valid_params(p)
     sign = 1.0 - p.R
@@ -304,7 +313,17 @@ def solve_timing_insider(p: ModelParams, rule: QuadratureRule) -> TimingInsiderS
         hi *= 2.0
     else:
         raise ConvergenceError(f"renewal root not bracketed above x={hi:.3g}")
-    f0 = float(brentq(residual, lo, hi, xtol=1e-13, rtol=1e-15, maxiter=200))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if residual(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * hi:
+            break
+    else:
+        raise ConvergenceError(f"renewal bisection not converged on [{lo:.6g}, {hi:.6g}]")
+    f0 = 0.5 * (lo + hi)
     a2 = _exp_average_of_f(gamma_m, f0 ** (1.0 / p.R), p.R, p.lam)
     return TimingInsiderSolution(a_star=a_star, gamma_M=gamma_m, f0=f0, A2=a2,
                                  g_at_a_star=g_star, R=p.R)
@@ -336,6 +355,46 @@ def posterior_of_jump(eta: float, p: ModelParams) -> tuple[float, float]:
     return ((p.v * eta + p.v_eps * p.m) / denom, p.v * p.v_eps / denom)
 
 
+class _MonotoneCubic:
+    """Piecewise-cubic Hermite interpolant with PCHIP slopes: the
+    Fritsch-Butland weighted harmonic mean of the neighbouring secants inside
+    (0 at a local extremum or flat secant) and shape-preserving three-point
+    ends, as in scipy.interpolate.PchipInterpolator. The knots x must be
+    evenly spaced (a linspace), so a point's interval is one floor; it
+    evaluates only on [x[0], x[-1]], and callers clip."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        if len(x) < 2:
+            raise ValueError("the signal grid needs at least 2 points")
+        hk = np.diff(x)
+        mk = np.diff(y) / hk
+        d = np.full(len(y), mk[0])              # two points: the secant line
+        if len(y) > 2:
+            flat = ((np.sign(mk[1:]) != np.sign(mk[:-1]))
+                    | (mk[1:] == 0.0) | (mk[:-1] == 0.0))
+            w1, w2 = 2.0 * hk[1:] + hk[:-1], hk[1:] + 2.0 * hk[:-1]
+            ml, mr = np.where(flat, 1.0, mk[:-1]), np.where(flat, 1.0, mk[1:])
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / ml + w2 / mr) / (w1 + w2)))
+            # three-point end slopes, set to 0 or 3 m0 where they break shape
+            h0, h1, m0, m1 = hk[[0, -1]], hk[[1, -2]], mk[[0, -1]], mk[[1, -2]]
+            e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            wild = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
+            d[[0, -1]] = np.where(np.sign(e) != np.sign(m0), 0.0,
+                                  np.where(wild, 3.0 * m0, e))
+        t = (d[:-1] + d[1:] - 2.0 * mk) / hk
+        self.knots = x[:-1]
+        self.x0, self.inv_step = x[0], (len(x) - 1) / (x[-1] - x[0])
+        # column i: the cubic in s = x - x[i] on [x[i], x[i+1]], highest
+        # power first, so one take gathers all four coefficients
+        self.coef = np.stack([t / hk, (mk - d[:-1]) / hk - t, d[:-1], y[:-1]])
+
+    def __call__(self, xp):
+        i = ((xp - self.x0) * self.inv_step).astype(np.intp)
+        c = self.coef.take(i, axis=1, mode="clip")    # x[-1]: last interval
+        s = xp - self.knots.take(i, mode="clip")
+        return ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
+
+
 @dataclass(frozen=True)
 class SignalInsiderSolution:
     """Grid solution (h, A3) of the signal regime plus exposure q_bar(eta).
@@ -352,8 +411,8 @@ class SignalInsiderSolution:
     a1: float                       # uninformed A1 used as the upper anchor
     residuals: np.ndarray = field(repr=False)
     outer_trace: tuple = field(repr=False)
-    _h_interp: PchipInterpolator = field(repr=False)
-    _q_interp: PchipInterpolator = field(repr=False)
+    _h_interp: _MonotoneCubic = field(repr=False)
+    _q_interp: _MonotoneCubic = field(repr=False)
 
     def h_at(self, eta):
         """Interpolated h with flat extrapolation."""
@@ -479,7 +538,7 @@ class _SignalSystem:
     def average_h(self, h_values: np.ndarray) -> float:
         """A3 candidate: E[h(eta)] under eta ~ N(m, v + v_eps)."""
         p = self.p
-        interp = PchipInterpolator(self.eta_grid, h_values, extrapolate=False)
+        interp = _MonotoneCubic(self.eta_grid, h_values)
         pts = p.m + math.sqrt(2.0 * (p.v + p.v_eps)) * self.rule.nodes
         pts = np.clip(pts, self.eta_grid[0], self.eta_grid[-1])
         return float(self.w_norm @ interp(pts))
@@ -572,8 +631,8 @@ def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
         a1=a1,
         residuals=residuals,
         outer_trace=tuple(trace),
-        _h_interp=PchipInterpolator(eta_grid, h, extrapolate=False),
-        _q_interp=PchipInterpolator(eta_grid, q_bar_values, extrapolate=False),
+        _h_interp=_MonotoneCubic(eta_grid, h),
+        _q_interp=_MonotoneCubic(eta_grid, q_bar_values),
     )
 
 

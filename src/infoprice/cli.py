@@ -23,8 +23,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .agents import RegimeSolutions, solve_all
-from .errors import ConfigError, DomainError
+from .agents import (
+    RegimeSolutions,
+    solve_merton,
+    solve_signal_insider,
+    solve_timing_insider,
+    solve_uninformed,
+)
+from .errors import ConfigError, DomainError, GateError
 from .model import (
     ConstantStream,
     ExpUntilFirstJumpStream,
@@ -156,11 +162,28 @@ def _sim_config(args, stream_kind: str | None, regime: str) -> SimConfig:
                      seed=args.seed, regime=regime)
 
 
-def _solve(p: ModelParams, args) -> RegimeSolutions:
+REGIMES = ("merton", "uninformed", "timing", "signal")
+
+
+def _solve(p: ModelParams, args, regimes=REGIMES) -> RegimeSolutions:
+    """Solve `regimes` in `solve_all`'s order (the signal solve needs the
+    uninformed one too) and leave the others None; a gated signal regime is
+    None as well."""
     rule = gauss_hermite(args.rule_order)
-    return solve_all(p, rule, grid_size=args.grid_size,
-                     grid_halfwidth_sd=args.grid_halfwidth,
-                     signal_required=False)
+    uninformed = (solve_uninformed(p, rule)
+                  if {"uninformed", "signal"} & set(regimes) else None)
+    timing = solve_timing_insider(p, rule) if "timing" in regimes else None
+    merton = solve_merton(p) if "merton" in regimes else None
+    signal = None
+    if "signal" in regimes:
+        try:
+            signal = solve_signal_insider(p, rule, grid_size=args.grid_size,
+                                          grid_halfwidth_sd=args.grid_halfwidth,
+                                          uninformed=uninformed)
+        except GateError:
+            pass
+    return RegimeSolutions(uninformed=uninformed, timing=timing,
+                           signal=signal, merton=merton)
 
 
 def _conditioning(args) -> Conditioning | None:
@@ -221,10 +244,9 @@ def cmd_solve(args) -> int:
 def cmd_price(args) -> int:
     p = read_params_file(args.config)
     stream = parse_stream(args.stream)
-    sols = _solve(p, args)
+    regimes = REGIMES if args.regime == "all" else (args.regime,)
+    sols = _solve(p, args, regimes)
     cond = _conditioning(args)
-    regimes = (["merton", "uninformed", "timing", "signal"]
-               if args.regime == "all" else [args.regime])
     rule = gauss_hermite(args.rule_order)
     results = []
     rows = []
@@ -389,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("price", help="price one stream under one or all regimes")
     common(sp, with_stream=True)
     sp.add_argument("--regime", default="uninformed",
-                    choices=("uninformed", "timing", "signal", "merton", "all"))
+                    choices=(*REGIMES, "all"))
     sp.add_argument("--eta0", type=float, default=None,
                     help="condition the signal insider on this initial signal")
     sp.add_argument("--t1", type=float, default=None,

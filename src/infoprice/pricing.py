@@ -39,6 +39,7 @@ from .agents import (
     SignalInsiderSolution,
     TimingInsiderSolution,
     UninformedSolution,
+    _pre_jump_rate,
     posterior_of_jump,
     q_bar_signal,
 )
@@ -133,13 +134,6 @@ def beta_coef(eta0: float, sol: SignalInsiderSolution, p: ModelParams,
     """Signal-conditional analogue of alpha, with h(eta0) and q_bar(eta0)."""
     return _pre_jump_rate(q_bar_signal(sol, p, eta0, rule),
                           float(sol.h_at(eta0)), p)
-
-
-def _pre_jump_rate(q: float, scale: float, p: ModelParams) -> float:
-    """alpha/beta at exposure q and value scale A1 or h(eta0)."""
-    return p.r - p.rho + p.R * (
-        -p.r - q * (p.mu - p.r) + scale ** (-1.0 / p.R)
-        + 0.5 * (p.R + 1.0) * p.sigma**2 * q * q)
 
 
 def _posterior_mean_factor(eta0: float, q: float, p: ModelParams,

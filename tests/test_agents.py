@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoprice.agents import (
+    _MonotoneCubic,
     _exp_average_of_f,
     posterior_of_jump,
     q_bar_signal,
@@ -166,6 +167,27 @@ class TestTimingInsider:
         assert abs(sol.f0 - sol.g_at_a_star * sol.A2) < 1e-9 * sol.f0
         want = gauss_laguerre_exp_average(lambda s: float(sol.f(s)), p.lam)
         assert abs(sol.A2 - want) < 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("fields", [
+        {}, INTERIOR_TIMING, dict(lam=2.0, m=0.0), dict(lam=4.0, m=0.0),
+    ], ids=["canon", "interior", "dense", "lam4"])
+    def test_bisection_matches_brentq(self, canon, rule64, fields):
+        from scipy.optimize import brentq
+        p = with_fields(canon, **fields)
+        sol = solve_timing_insider(p, rule64)
+
+        def residual(x):
+            return sol.g_at_a_star * _exp_average_of_f(
+                sol.gamma_M, x ** (1.0 / p.R), p.R, p.lam) - x
+
+        # the solver's bracket: halve and double from the Merton A_M
+        lo = hi = solve_merton(p).A_M
+        while residual(lo) <= 0.0:
+            lo *= 0.5
+        while residual(hi) >= 0.0:
+            hi *= 2.0
+        want = brentq(residual, lo, hi, xtol=1e-13, rtol=1e-15, maxiter=200)
+        assert abs(sol.f0 - want) <= 1e-14 * want
 
     def test_exp_average_matches_simpson(self):
         # 2F1 at a non-integer R and btilde < -1 against Simpson on Euler's
@@ -422,6 +444,37 @@ class TestSignalInsider:
             assert abs(q[i] - brute) < 1e-5
             assert abs(q_bar_signal(sol, p, eta, rule64) - q[i]) < 1e-9
         assert float(sol.residuals.max()) < 1e-8
+
+    @pytest.mark.parametrize("fields", [
+        {}, INTERIOR_TIMING, dict(lam=2.0, m=0.0),
+    ], ids=["canon", "interior", "dense"])
+    def test_interpolant_matches_scipy_pchip(self, canon, rule64, fields):
+        from scipy.interpolate import PchipInterpolator
+        sol = solve_signal_insider(with_fields(canon, **fields), rule64)
+        x = sol.eta_grid
+        pts = np.concatenate([x, np.linspace(x[0], x[-1], 10_007)])
+        # q_bar's corner runs give the interpolant zero secants
+        assert np.any(np.diff(sol.q_bar_values) == 0.0)
+        for y in (sol.h_values, sol.q_bar_values):
+            want = PchipInterpolator(x, y, extrapolate=False)(pts)
+            np.testing.assert_allclose(_MonotoneCubic(x, y)(pts), want,
+                                       rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(sol.h_at(pts), _MonotoneCubic(x, sol.h_values)(pts))
+
+    def test_interpolant_end_slopes_match_scipy_pchip(self):
+        from scipy.interpolate import PchipInterpolator
+        # left end: secants 1 then 4, so the three-point slope -1/2 has the
+        # wrong sign and becomes 0; right end: secants -6 then 1, so the
+        # slope 9/2 exceeds three secants and becomes 3
+        x = np.linspace(0.0, 5.0, 6)
+        y = np.array([0.0, 1.0, 5.0, 3.0, -3.0, -2.0])
+        want = PchipInterpolator(x, y, extrapolate=False)
+        slope = want.derivative()
+        assert slope(x[0]) == 0.0
+        assert slope(x[-1]) == pytest.approx(3.0, rel=1e-12)
+        pts = np.linspace(x[0], x[-1], 1001)
+        np.testing.assert_allclose(_MonotoneCubic(x, y)(pts), want(pts),
+                                   rtol=1e-14, atol=1e-14)
 
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(mu=st.floats(0.06, 0.14), sigma=st.floats(0.15, 0.3),

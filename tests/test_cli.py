@@ -2,6 +2,9 @@
 byte-level determinism."""
 
 import json
+import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -92,6 +95,24 @@ class TestPrice:
         assert out == ""
         assert json.loads(dest.read_text())["prices"][0]["closed_form"] == 20.0
 
+    def test_unpriced_regime_is_not_solved(self, tmp_path):
+        # at m = 0.05 the timing insider's jump exposure is a* = 1, which its
+        # solve rejects; pricing the uninformed agent must not solve it
+        cfg = tmp_path / "m005.cfg"
+        cfg.write_text(CANON_CFG.replace("m = -0.05", "m = 0.05"))
+        args = ("price", "--config", str(cfg), "--stream", "constant:1",
+                "--horizon", "60", *FAST)
+        code, out, err = run_cli(*args, "--regime", "uninformed")
+        assert code == 0, err
+        mc = json.loads(out)["prices"][0]["mc"]
+        target = -math.expm1(-0.05 * 60.0) / 0.05      # (1 - e^(-rH))/r
+        assert abs(mc["mean"] - target) <= 4 * mc["std_error"]
+        for regime in ("timing", "all"):
+            code, _, err = run_cli(*args, "--regime", regime)
+            assert code == 1
+            assert err == ("domain error: jump exposure a*=1 is at the upper "
+                           "boundary; the renewal construction requires a* < 1\n")
+
     def test_psi_table_stream(self, cfg_path, tmp_path):
         table = tmp_path / "psi.tsv"
         table.write_text("-1.0 0.0\n0.0 0.5\n1.0 1.0\n")
@@ -131,6 +152,45 @@ class TestValidate:
         assert code == 0, out + err
         assert "PASS\toverall" in out
         assert "FAIL" not in out
+
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+PROBE = """
+import json, os, sys
+from infoprice import cli
+code = {call}
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def scipy_modules_after(call):
+    """Exit code of `call` in a fresh interpreter and the scipy modules it
+    left loaded."""
+    proc = subprocess.run([sys.executable, "-c", PROBE.format(call=call)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    """scipy is loaded only by the timing insider's solve."""
+
+    def test_import_loads_no_scipy(self):
+        assert scipy_modules_after("0") == [0, []]
+
+    def test_price_uninformed_loads_no_scipy(self, cfg_path):
+        call = (f'cli.main(["price", "--stream", "constant:1", "--regime", '
+                f'"uninformed", "--paths", "64", "--horizon", "5", "--dt", '
+                f'"0.1", "--config", {cfg_path!r}, "--out", os.devnull])')
+        assert scipy_modules_after(call) == [0, []]
+
+    def test_solve_loads_scipy_special(self, cfg_path):
+        call = (f'cli.main(["solve", "--config", {cfg_path!r}, '
+                f'"--out", os.devnull])')
+        code, modules = scipy_modules_after(call)
+        assert code == 0
+        assert "scipy.special" in modules
 
 
 class TestErrorPaths:
