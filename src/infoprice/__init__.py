@@ -5,15 +5,12 @@ __version__ = "0.1.0"
 
 from .model import (  # noqa: F401
     ConstantStream,
-    CustomStream,
     ExpUntilFirstJumpStream,
     IncomeStream,
     ModelParams,
-    PathContext,
     PostFirstJumpSignalStream,
     ValidationReport,
     read_params_file,
-    stream_growth_guard,
     validate_params,
 )
 from .quadrature import (  # noqa: F401
@@ -46,12 +43,10 @@ from .agents import (  # noqa: F401
 from .simulate import (  # noqa: F401
     PathRecord,
     SimConfig,
-    apply_jump,
     deflator_at_times,
     draw_scenario,
     path_integrals,
     simulate_path,
-    wealth_step_exact,
 )
 from .pricing import (  # noqa: F401
     Conditioning,

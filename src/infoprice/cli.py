@@ -58,7 +58,7 @@ DEFAULTS = {
     "rule_order": 64,       # Gauss-Hermite points
     "grid_size": 201,       # signal-insider eta grid
     "grid_halfwidth_sd": 6.0,
-    "horizon": {            # per stream kind, years (tail bound < 1e-4)
+    "horizon": {            # per --stream prefix, years (tail bound < 1e-4)
         "constant": 200.0,
         "exp_until_jump": 25.0,
         "post_jump_signal": 22.0,
@@ -154,10 +154,10 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {obj!r}")
 
 
-def _sim_config(args, stream_kind: str | None, regime: str) -> SimConfig:
+def _sim_config(args, regime: str) -> SimConfig:
     horizon = args.horizon
     if horizon is None:
-        horizon = DEFAULTS["horizon"].get(stream_kind or "constant", 25.0)
+        horizon = DEFAULTS["horizon"][args.stream.partition(":")[0]]
     return SimConfig(horizon=horizon, dt=args.dt, n_paths=args.paths,
                      seed=args.seed, regime=regime)
 
@@ -251,26 +251,31 @@ def cmd_price(args) -> int:
     results = []
     rows = []
     for regime in regimes:
-        sol = sols.for_regime(regime)
         regime_cond = cond if regime in ("timing", "signal") else None
-        cf = closed_form_price(stream, regime, p, sols, regime_cond, rule)
-        entry = {
-            "regime": regime,
-            "closed_form": cf,
-        }
+        try:
+            sol = sols.for_regime(regime)
+            cf = closed_form_price(stream, regime, p, sols, regime_cond, rule)
+            est = price_mc(stream, sol, p, _sim_config(args, regime),
+                           regime_cond, sols=sols, rule=rule)
+        except GateError:
+            # --regime all prices the regimes that apply, as compare does
+            if args.regime != "all":
+                raise
+            continue
         if cf is not None:
             rows.append(estimate_to_dict(args.stream, regime, "closed_form",
                                          cf, regime_cond))
-        cfg = _sim_config(args, stream.kind, regime)
-        est = price_mc(stream, sol, p, cfg, regime_cond, sols=sols, rule=rule)
-        entry["mc"] = {
-            "mean": est.mean, "std_error": est.std_error,
-            "n_paths": est.n_paths, "horizon": est.horizon,
-            "truncation_bound": est.truncation_bound,
-        }
         rows.append(estimate_to_dict(args.stream, regime, "mc", est.mean,
                                      regime_cond, est))
-        results.append(entry)
+        results.append({
+            "regime": regime,
+            "closed_form": cf,
+            "mc": {
+                "mean": est.mean, "std_error": est.std_error,
+                "n_paths": est.n_paths, "horizon": est.horizon,
+                "truncation_bound": est.truncation_bound,
+            },
+        })
     payload = {
         "version": __version__,
         "stream": args.stream,
@@ -289,7 +294,7 @@ def cmd_compare(args) -> int:
     stream = parse_stream(args.stream)
     sols = _solve(p, args)
     rule = gauss_hermite(args.rule_order)
-    cfg = _sim_config(args, stream.kind, "uninformed")
+    cfg = _sim_config(args, "uninformed")
     report = info_value_report(stream, p, cfg, sols=sols, rule=rule,
                                with_mc=args.with_mc)
     rows = []

@@ -37,7 +37,7 @@ class ConvergenceError(DomainError):
 
 
 class StreamGuardError(DomainError):
-    """An income stream fails the integrability growth guard."""
+    """An income stream's payoff scale is not a finite constant."""
 
 
 class SimulationError(DomainError):

@@ -7,6 +7,13 @@ N(m, v). The investor has power utility with relative risk aversion ``R``
 and discounts consumption at rate ``rho``. A noisy observer sees
 ``eta = xi + eps`` with ``eps ~ N(0, v_eps)`` independent of everything else.
 
+Three income streams make up the stream API: ConstantStream,
+ExpUntilFirstJumpStream and PostFirstJumpSignalStream. The simulation engine
+and the pricing layer dispatch on their types, and each has a closed form and
+an analytic truncation bound. Their constructors reject a payoff scale that
+is not finite; the pricing entry points reject parameters that fail a hard
+check of validate_params with ParameterError.
+
 All rates are per year and time is measured in years. Every object here is
 immutable after construction and safe to share across workers.
 """
@@ -14,7 +21,7 @@ immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigError, ParameterError, StreamGuardError
@@ -29,9 +36,6 @@ __all__ = [
     "ConstantStream",
     "ExpUntilFirstJumpStream",
     "PostFirstJumpSignalStream",
-    "CustomStream",
-    "PathContext",
-    "stream_growth_guard",
     "read_params_file",
     "CONFIG_KEYS",
 ]
@@ -146,21 +150,10 @@ def require_valid_params(p: ModelParams) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PathContext:
-    """State exposed to custom stream payoffs at one evaluation time."""
-
-    t: float
-    jump_times: tuple[float, ...]   # jumps realized up to and including t
-    jump_sizes: tuple[float, ...]
-    signal: float                   # current signal about the next jump
-
-
-@dataclass(frozen=True)
 class ConstantStream:
     """e_t = level, a deterministic perpetual payment rate."""
 
     level: float
-    kind: str = field(default="constant", init=False)
 
     def __post_init__(self):
         if not math.isfinite(self.level):
@@ -171,12 +164,10 @@ class ConstantStream:
 class ExpUntilFirstJumpStream:
     """e_t = exp(r t) on [0, T1), zero afterwards.
 
-    Sits exactly on the growth-guard boundary (C = 1, r' = r); admitted
-    because it terminates at the first jump and the closed forms for it
-    require lam - alpha > 0, which the pricing layer checks.
+    It grows as fast as the bank account, so it has a finite price only
+    because it stops at the first jump; the pricing layer checks the decay
+    rate that this requires (lam - alpha > 0 and its analogues).
     """
-
-    kind: str = field(default="exp_until_jump", init=False)
 
 
 @dataclass(frozen=True)
@@ -190,54 +181,13 @@ class PostFirstJumpSignalStream:
     psi: Callable[[float], float]
     psi_bound: float
     psi_name: str = "psi"
-    kind: str = field(default="post_jump_signal", init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.psi_bound) and self.psi_bound >= 0.0):
             raise StreamGuardError("psi_bound must be a finite nonnegative constant")
 
 
-@dataclass(frozen=True)
-class CustomStream:
-    """Arbitrary path functional with a declared growth bound.
-
-    The payoff must satisfy |payoff(t, ctx)| <= growth_const * exp(growth_rate * t)
-    with growth_rate < r, which is what makes the pricing integral finite.
-    """
-
-    payoff: Callable[[float, PathContext], float]
-    growth_const: float
-    growth_rate: float
-    name: str = "custom"
-    kind: str = field(default="custom", init=False)
-
-
-IncomeStream = (
-    ConstantStream | ExpUntilFirstJumpStream | PostFirstJumpSignalStream | CustomStream
-)
-
-
-def stream_growth_guard(e: IncomeStream, p: ModelParams) -> bool:
-    """True iff the stream's declared exponential bound makes it priceable.
-
-    Constant: C = |level|, r' = 0. ExpUntilFirstJump: boundary case r' = r,
-    accepted (see class docstring). PostFirstJumpSignal: C = psi_bound,
-    r' = r - 1 < r. Custom: the declared (growth_const, growth_rate) with
-    growth_rate < r.
-    """
-    if isinstance(e, ConstantStream):
-        return math.isfinite(e.level)
-    if isinstance(e, ExpUntilFirstJumpStream):
-        return p.r > 0.0
-    if isinstance(e, PostFirstJumpSignalStream):
-        return math.isfinite(e.psi_bound)
-    if isinstance(e, CustomStream):
-        return (
-            math.isfinite(e.growth_const)
-            and e.growth_const >= 0.0
-            and e.growth_rate < p.r
-        )
-    raise TypeError(f"not an income stream: {e!r}")
+IncomeStream = ConstantStream | ExpUntilFirstJumpStream | PostFirstJumpSignalStream
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ cross-checked against:
 * the post-first-jump stream exp((r-1) t) 1[t >= T1] Psi(eta0) reduces to
   Gaussian integrals of Psi against the jump and signal laws.
 
+These three streams are the whole stream API (see `model`). The pre-jump
+stream's closed form and its truncation bound are one tail integral of the
+deflated stream, taken from 0 and from the horizon. Every pricing entry point
+raises ParameterError when the parameters fail a hard check.
+
 For the two insiders the post-first-jump closed forms include the deflator
 renewal factor across T1: A2/f0 = 1/g(a_star) for the timing insider and
 A3/h(eta0) for the signal insider. Given T1, the timing insider's e^(rt) Y
@@ -43,15 +48,14 @@ from .agents import (
     posterior_of_jump,
     q_bar_signal,
 )
-from .errors import DomainError, GateError, StreamGuardError
+from .errors import DomainError, GateError
 from .model import (
     ConstantStream,
-    CustomStream,
     ExpUntilFirstJumpStream,
     IncomeStream,
     ModelParams,
     PostFirstJumpSignalStream,
-    stream_growth_guard,
+    require_valid_params,
 )
 from .quadrature import QuadratureRule, default_rule, psi_double_integral
 from .simulate import SimConfig, path_integrals
@@ -152,6 +156,45 @@ def _p0_average(f, p: ModelParams, rule: QuadratureRule) -> float:
     return float(rule.weights @ vals) / math.sqrt(math.pi)
 
 
+_NO_JUMP_KEY = "the merton benchmark has no jump to key this stream on"
+
+
+def _pre_jump_tail(regime: str, p: ModelParams, sols: RegimeSolutions,
+                   cond: Conditioning, rule: QuadratureRule,
+                   horizon: float) -> float:
+    """Price mass of the pre-first-jump stream exp(r t) 1[t < T1] beyond
+    `horizon`: its closed form at horizon 0, its truncation bound otherwise.
+
+    With E[e^{rt} Y_t] = 1 the deflated stream decays at lam - alpha for the
+    uninformed agent, at lam - beta(eta0) for the signal insider given eta0,
+    and at lam for the timing insider (a pinned T1 leaves the gap T1 - H).
+    Raises DomainError where the rate is not positive (the value diverges)
+    and GateError under the merton benchmark, which has no jump.
+    """
+    if regime == "uninformed":
+        rate = p.lam - alpha_coef(sols.uninformed, p)
+        if rate <= 0.0:
+            raise DomainError(f"lam - alpha = {rate:.6g} <= 0: value diverges")
+        return math.exp(-rate * horizon) / rate
+    if regime == "timing":
+        if cond.t1 is not None:
+            return max(0.0, cond.t1 - horizon)
+        if p.lam <= 0.0:
+            raise DomainError("lam = 0: the pre-jump stream never terminates")
+        return math.exp(-p.lam * horizon) / p.lam
+    if regime == "signal":
+        def conditional(eta):
+            rate = p.lam - beta_coef(eta, sols.signal, p, rule)
+            if rate <= 0.0:
+                raise DomainError(
+                    f"lam - beta({eta:.4g}) = {rate:.6g} <= 0: value diverges")
+            return math.exp(-rate * horizon) / rate
+        if cond.eta0 is not None:
+            return conditional(cond.eta0)
+        return _p0_average(conditional, p, rule)
+    raise GateError(_NO_JUMP_KEY)
+
+
 def truncation_bound(e: IncomeStream, regime: str, p: ModelParams,
                      sols: RegimeSolutions, horizon: float,
                      conditioning: Conditioning | None = None,
@@ -164,41 +207,14 @@ def truncation_bound(e: IncomeStream, regime: str, p: ModelParams,
     """
     rule = rule or default_rule()
     cond = _check_conditioning(regime, conditioning)
+    require_valid_params(p)
     if isinstance(e, ConstantStream):
         return abs(e.level) * math.exp(-p.r * horizon) / p.r
-    if isinstance(e, CustomStream):
-        gap = p.r - e.growth_rate
-        if gap <= 0.0:
-            raise StreamGuardError("custom stream growth rate must stay below r")
-        return e.growth_const * math.exp(-gap * horizon) / gap
     if isinstance(e, ExpUntilFirstJumpStream):
-        if regime == "uninformed":
-            rate = p.lam - alpha_coef(sols.uninformed, p)
-            if rate <= 0.0:
-                raise DomainError(
-                    f"lam - alpha = {rate:.6g} <= 0: the pre-jump stream has "
-                    "infinite value for the uninformed agent")
-            return math.exp(-rate * horizon) / rate
-        if regime == "timing":
-            if cond.t1 is not None:
-                return max(0.0, cond.t1 - horizon)
-            if p.lam <= 0.0:
-                raise DomainError("lam = 0: the pre-jump stream never terminates")
-            return math.exp(-p.lam * horizon) / p.lam
-        if regime == "signal":
-            def tail(eta):
-                rate = p.lam - beta_coef(eta, sols.signal, p, rule)
-                if rate <= 0.0:
-                    raise DomainError(
-                        f"lam - beta({eta:.4g}) <= 0: infinite conditional value")
-                return math.exp(-rate * horizon) / rate
-            if cond.eta0 is not None:
-                return tail(cond.eta0)
-            return _p0_average(tail, p, rule)
-        raise GateError("the merton benchmark has no jump to key this stream on")
+        return _pre_jump_tail(regime, p, sols, cond, rule, horizon)
     if isinstance(e, PostFirstJumpSignalStream):
         if regime == "merton":
-            raise GateError("the merton benchmark has no jump to key this stream on")
+            raise GateError(_NO_JUMP_KEY)
         return e.psi_bound * math.exp(-horizon)
     raise TypeError(f"not an income stream: {e!r}")
 
@@ -230,19 +246,12 @@ def price_mc(e: IncomeStream, sol, p: ModelParams, cfg: SimConfig,
     """
     regime = cfg.regime
     cond = _check_conditioning(regime, conditioning)
-    if not stream_growth_guard(e, p):
-        raise StreamGuardError("stream fails its declared growth guard")
-    if regime == "merton" and isinstance(
-            e, (ExpUntilFirstJumpStream, PostFirstJumpSignalStream)):
-        raise GateError("the merton benchmark has no jump to key this stream on")
-
     if sols is None:
-        sols = _solutions_for_bound(e, regime, sol, p, rule)
+        sols = _solutions_for_bound(sol)
+    # also the parameter, stream-type and merton-gate checks
     bound = truncation_bound(e, regime, p, sols, cfg.horizon, cond, rule)
 
     workers = n_workers() if workers is None else max(1, int(workers))
-    if isinstance(e, CustomStream):
-        workers = 1       # python payoff callbacks are not worth shipping
     vals = np.empty(cfg.n_paths)
     if workers == 1 or cfg.n_paths < 4096:
         vals[:] = path_integrals(p, sol, cfg, e, pin_t1=cond.t1, pin_eta0=cond.eta0)
@@ -269,7 +278,7 @@ def price_mc(e: IncomeStream, sol, p: ModelParams, cfg: SimConfig,
                          regime=regime, conditioning=None if cond.empty else cond)
 
 
-def _solutions_for_bound(e, regime, sol, p, rule) -> RegimeSolutions:
+def _solutions_for_bound(sol) -> RegimeSolutions:
     """Wrap a single regime solution so truncation_bound can read it."""
     return RegimeSolutions(
         uninformed=sol if isinstance(sol, UninformedSolution) else None,
@@ -287,40 +296,25 @@ def closed_form_price(e: IncomeStream, regime: str, p: ModelParams,
                       sols: RegimeSolutions,
                       conditioning: Conditioning | None = None,
                       rule: QuadratureRule | None = None):
-    """Closed-form price where one exists, else None.
+    """Closed-form price, or None under the merton benchmark for the two
+    jump-keyed streams.
 
-    Raises DomainError when a formula exists but its convergence condition
-    (lam - alpha > 0, lam + 1 - alpha > 0, the beta analogues) fails.
+    Raises DomainError when the formula's convergence condition
+    (lam - alpha > 0, lam + 1 - alpha > 0, the beta analogues) fails,
+    ParameterError when p fails a hard check, and TypeError for anything
+    that is not one of the three streams.
     """
     rule = rule or default_rule()
     cond = _check_conditioning(regime, conditioning)
+    require_valid_params(p)
 
     if isinstance(e, ConstantStream):
         return e.level / p.r
 
     if isinstance(e, ExpUntilFirstJumpStream):
-        if regime == "uninformed":
-            rate = p.lam - alpha_coef(sols.uninformed, p)
-            if rate <= 0.0:
-                raise DomainError(f"lam - alpha = {rate:.6g} <= 0: value diverges")
-            return 1.0 / rate
-        if regime == "timing":
-            if cond.t1 is not None:
-                return float(cond.t1)
-            if p.lam <= 0.0:
-                raise DomainError("lam = 0: the pre-jump stream never terminates")
-            return 1.0 / p.lam
-        if regime == "signal":
-            def conditional(eta):
-                rate = p.lam - beta_coef(eta, sols.signal, p, rule)
-                if rate <= 0.0:
-                    raise DomainError(
-                        f"lam - beta({eta:.4g}) = {rate:.6g} <= 0: value diverges")
-                return 1.0 / rate
-            if cond.eta0 is not None:
-                return conditional(cond.eta0)
-            return _p0_average(conditional, p, rule)
-        return None
+        if regime == "merton":
+            return None
+        return _pre_jump_tail(regime, p, sols, cond, rule, 0.0)
 
     if isinstance(e, PostFirstJumpSignalStream):
         if p.lam <= 0.0:
@@ -355,7 +349,7 @@ def closed_form_price(e: IncomeStream, regime: str, p: ModelParams,
             return _p0_average(conditional, p, rule)
         return None
 
-    return None
+    raise TypeError(f"not an income stream: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +414,7 @@ def _stream_label(e: IncomeStream) -> str:
         return f"constant:{e.level:g}"
     if isinstance(e, ExpUntilFirstJumpStream):
         return "exp_until_jump"
-    if isinstance(e, PostFirstJumpSignalStream):
-        return f"post_jump_signal:{e.psi_name}"
-    return f"custom:{e.name}"
+    return f"post_jump_signal:{e.psi_name}"
 
 
 def info_value_report(e: IncomeStream, p: ModelParams, cfg: SimConfig,

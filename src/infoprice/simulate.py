@@ -5,7 +5,9 @@ a constant (or, for the timing insider, deterministically time-varying)
 proportional consumption rate, so each step is advanced by the exact strong
 solution; the only discretization in the whole engine is the trapezoid used
 by the pricing integral. Jump times are explicit integration nodes, so
-integrands that jump are captured with left/right limits.
+integrands that jump are captured with left/right limits. The integrand is
+the deflator times one of the three income streams of `model`, evaluated for
+all paths of a chunk at once by dispatching on the stream's type.
 
 Randomness is counter-based and keyed per path: path `i` of a run with seed
 `s` draws from four independent Philox streams keyed by (s, 4 i + purpose),
@@ -38,9 +40,10 @@ from .agents import (
 )
 from .errors import SimulationError
 from .model import (
+    ConstantStream,
+    ExpUntilFirstJumpStream,
     IncomeStream,
     ModelParams,
-    PathContext,
     PostFirstJumpSignalStream,
 )
 
@@ -49,12 +52,9 @@ __all__ = [
     "PathRecord",
     "path_rng",
     "draw_scenario",
-    "wealth_step_exact",
-    "apply_jump",
     "simulate_path",
     "path_integrals",
     "deflator_at_times",
-    "write_path_dump",
     "initial_wealth",
 ]
 
@@ -155,14 +155,11 @@ class _RngPool:
         }
         return gen
 
-    def get(self, seed: int, path_index: int, purpose: int) -> np.random.Generator:
-        return self._set(purpose, _philox_key(seed, path_index, purpose),
-                         self._counter.copy())
-
     def get_block(self, seed: int, path_index: int, purpose: int,
                   block: int) -> np.random.Generator:
         """Stream segment at counter word 2 = block: disjoint 2^128-draw
-        segments of the same keyed stream, one per step block."""
+        segments of the same keyed stream, one per step block. Block 0 is
+        the start of the stream, which path_rng draws from."""
         counter = self._counter.copy()
         counter[2] = np.uint64(block)
         return self._set(purpose, _philox_key(seed, path_index, purpose), counter)
@@ -218,34 +215,6 @@ def draw_scenario(p: ModelParams, cfg: SimConfig, path_index: int,
         pin_t1, pin_eta0)
 
 
-def wealth_step_exact(w: float, pi: float, consumption_rate_integral: float,
-                      dt_step: float, dW: float, p: ModelParams) -> float:
-    """Exact between-jump wealth update under constant fraction pi.
-
-    The proportional-consumption SDE is log-linear between jumps, so the
-    strong solution over the step is
-
-        w * exp((r + pi (mu - r) - pi^2 sigma^2 / 2) dt - int(gamma) + pi sigma dW)
-
-    with int(gamma) the integrated proportional consumption rate.
-    """
-    if not w > 0.0:
-        raise ValueError(f"wealth must be > 0, got {w}")
-    drift = p.r + pi * (p.mu - p.r) - 0.5 * pi * pi * p.sigma**2
-    return w * math.exp(drift * dt_step - consumption_rate_integral
-                        + pi * p.sigma * dW)
-
-
-def apply_jump(w: float, pi_at_jump: float, xi: float) -> float:
-    """Wealth across a jump of size xi with fraction pi invested; stays
-    positive for pi in [0, 1] because 1 + pi (e^xi - 1) > 0."""
-    if not w > 0.0:
-        raise ValueError(f"wealth must be > 0, got {w}")
-    if not 0.0 <= pi_at_jump <= 1.0:
-        raise ValueError(f"jump exposure must be in [0, 1], got {pi_at_jump}")
-    return w * (1.0 + pi_at_jump * math.expm1(xi))
-
-
 _EXPECTED_SOLUTION = {
     "uninformed": UninformedSolution,
     "timing": TimingInsiderSolution,
@@ -294,15 +263,15 @@ def _prepare_chunk(p: ModelParams, cfg: SimConfig, path_ids: np.ndarray,
         else:
             t, s, g = _draw_scenario_impl(
                 p, cfg.horizon,
-                pool.get(cfg.seed, pid, _PURPOSE_GAPS),
-                pool.get(cfg.seed, pid, _PURPOSE_MARKS),
+                pool.get_block(cfg.seed, pid, _PURPOSE_GAPS, 0),
+                pool.get_block(cfg.seed, pid, _PURPOSE_MARKS, 0),
                 pin_t1, pin_eta0)
         times_l.append(t)
         sizes_l.append(s if s.size else np.zeros_like(t))
         sig_l.append(g if g.size else np.full_like(t, p.m))
         n_within = int(np.searchsorted(t, cfg.horizon, side="right"))
         jn_l.append(
-            pool.get(cfg.seed, pid, _PURPOSE_JUMPNORM).standard_normal(n_within)
+            pool.get_block(cfg.seed, pid, _PURPOSE_JUMPNORM, 0).standard_normal(n_within)
             if n_within else np.empty(0))
     counts = np.array([len(t) for t in times_l], dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
@@ -347,13 +316,11 @@ def _jump_events(jt_flat, offsets, jn_list, nodes, horizon):
 
 
 class _StreamEval:
-    """Integrand stream values; vectorizes the canonical kinds."""
+    """Values of one of the three income streams, vectorized over paths."""
 
-    def __init__(self, stream, p: ModelParams, eta0: np.ndarray, scen):
+    def __init__(self, stream: IncomeStream, p: ModelParams, eta0: np.ndarray):
         self.stream = stream
         self.p = p
-        self.scen = scen
-        self.kind = None if stream is None else stream.kind
         if isinstance(stream, PostFirstJumpSignalStream):
             psi0 = np.asarray(stream.psi(eta0), dtype=float)
             if psi0.shape != eta0.shape:
@@ -361,38 +328,20 @@ class _StreamEval:
             if np.any(np.abs(psi0) > stream.psi_bound * (1.0 + 1e-12)):
                 raise SimulationError("psi exceeded its declared bound")
             self.psi0 = psi0
-        else:
-            self.psi0 = None
+        elif not isinstance(stream, (ConstantStream, ExpUntilFirstJumpStream)):
+            raise TypeError(f"not an income stream: {stream!r}")
 
-    def values(self, t, jcount, idx, eta_cur):
+    def values(self, t, jcount, idx):
         """e_t for subset idx (None = all paths); t scalar or per-path vector."""
-        kind = self.kind
-        if kind is None:
-            return None
-        if kind == "constant":
+        if isinstance(self.stream, ConstantStream):
             return self.stream.level
         jc = jcount if idx is None else jcount[idx]
-        if kind == "exp_until_jump":
+        if isinstance(self.stream, ExpUntilFirstJumpStream):
             return np.where(jc == 0, np.exp(self.p.r * np.asarray(t, dtype=float)), 0.0)
-        if kind == "post_jump_signal":
-            psi = self.psi0 if idx is None else self.psi0[idx]
-            return np.where(jc >= 1,
-                            psi * np.exp((self.p.r - 1.0) * np.asarray(t, dtype=float)),
-                            0.0)
-        # custom: per-path python evaluation
-        jt_flat, js_flat, _, offsets = self.scen
-        which = np.arange(len(jcount)) if idx is None else np.atleast_1d(idx)
-        t_vec = np.broadcast_to(np.asarray(t, dtype=float), (len(which),))
-        out = np.empty(len(which))
-        for row, i in enumerate(which):
-            n = int(jcount[i])
-            lo = offsets[i]
-            ctx = PathContext(t=float(t_vec[row]),
-                              jump_times=tuple(jt_flat[lo:lo + n]),
-                              jump_sizes=tuple(js_flat[lo:lo + n]),
-                              signal=float(eta_cur[i]))
-            out[row] = self.stream.payoff(float(t_vec[row]), ctx)
-        return out
+        psi = self.psi0 if idx is None else self.psi0[idx]
+        return np.where(jc >= 1,
+                        psi * np.exp((self.p.r - 1.0) * np.asarray(t, dtype=float)),
+                        0.0)
 
 
 def _run_chunk(p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray,
@@ -424,7 +373,7 @@ def _run_chunk(p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray,
     else:
         ev_ptr, ev = _jump_events(jt_flat, offsets, jn_list, nodes, cfg.horizon)
     ev_row, ev_flat, ev_time, ev_z = ev
-    scen = (jt_flat, js_flat, sg_flat, offsets)
+    scen = (jt_flat, js_flat, sg_flat)
 
     x = np.zeros(P)
     acc = np.zeros(P)
@@ -471,9 +420,8 @@ def _run_chunk(p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray,
         pij = q0
         log_norm0 = log_h_cur.copy()
 
-    streams = _StreamEval(stream, p, eta0, scen)
-    kind = streams.kind
-    level = streams.stream.level if kind == "constant" else 0.0
+    streams = None if stream is None else _StreamEval(stream, p, eta0)
+    level = stream.level if isinstance(stream, ConstantStream) else None
 
     def deflator_subset(t, idx, s_to_jump=None):
         logy = -rho * np.asarray(t, dtype=float) - R * x[idx]
@@ -490,10 +438,10 @@ def _run_chunk(p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray,
 
     y0 = deflator_subset(0.0, slice(None))
     zero_vec = np.zeros(P)
-    if kind is None:
+    if streams is None:
         i_prev = zero_vec
     else:
-        i_prev = np.asarray(y0 * streams.values(0.0, jcount, None, eta_cur),
+        i_prev = np.asarray(y0 * streams.values(0.0, jcount, None),
                             dtype=float) * np.ones(P)
     if record:
         records_out.append((0.0, False, float(x[0]), float(y0[0])))
@@ -566,8 +514,8 @@ def _run_chunk(p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray,
                 x[idx] += drift[idx] * d - cint + volc[idx] * np.sqrt(d) * z
                 y_left = (deflator_subset(tau, idx, s_to_jump=0.0) if timing
                           else deflator_subset(tau, idx))
-                if kind is not None:
-                    e_left = streams.values(tau, jcount, idx, eta_cur)
+                if streams is not None:
+                    e_left = streams.values(tau, jcount, idx)
                     acc[idx] += 0.5 * (i_prev[idx] + y_left * e_left) * d
                 # the jump itself, with exposure keyed to this jump's signal
                 xi = js_flat[flat]
@@ -585,8 +533,8 @@ def _run_chunk(p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray,
                     volc[idx] = q_new * sigma
                     pij[idx] = q_new
                 y_right = deflator_subset(tau, idx)
-                if kind is not None:
-                    e_right = streams.values(tau, jcount, idx, eta_cur)
+                if streams is not None:
+                    e_right = streams.values(tau, jcount, idx)
                     i_prev[idx] = y_right * e_right
                 cur_t[pos] = tau
                 if record:
@@ -644,15 +592,15 @@ def _run_chunk(p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray,
             buf_ly -= log_norm0
         np.exp(buf_ly, out=buf_y)
         y = buf_y
-        if kind is None:
+        if streams is None:
             i_new = zero_vec
-        elif kind == "constant":
+        elif level is not None:
             # alternate output buffers so i_prev survives into the next step
             i_buf = buf_i_a if (k & 1) == 0 else buf_i_b
             np.multiply(y, level, out=i_buf)
             i_new = i_buf
         else:
-            i_new = y * streams.values(t_hi, jcount, None, eta_cur)
+            i_new = y * streams.values(t_hi, jcount, None)
         np.add(i_prev, i_new, out=buf_s)
         buf_s *= 0.5 * dt_k
         acc += buf_s
@@ -741,7 +689,7 @@ def simulate_path(p: ModelParams, sol, cfg: SimConfig, path_index: int,
     ids = np.array([path_index])
     _, _, records, scen, state = _run_chunk(p, sol, cfg, nodes, ids, None,
                                             pin_t1, pin_eta0, None, True)
-    jt_flat, js_flat, sg_flat, _ = scen
+    jt_flat, js_flat, sg_flat = scen
     w0 = initial_wealth(cfg.regime, sol, p, t1=float(state["t1"][0]),
                         eta0=float(state["eta0"][0])) * wealth_scale
     grid = np.array([row[0] for row in records])
@@ -760,15 +708,3 @@ def simulate_path(p: ModelParams, sol, cfg: SimConfig, path_index: int,
         jump_sizes=js_flat,
         signals=sg_flat,
     )
-
-
-def write_path_dump(path: str, p: ModelParams, sol, cfg: SimConfig,
-                    max_paths: int | None = None) -> None:
-    """Tab-delimited dump: one row per grid node per path."""
-    n = cfg.n_paths if max_paths is None else min(max_paths, cfg.n_paths)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("path_index\tt\twealth\tdeflator\tis_jump\n")
-        for i in range(n):
-            rec = simulate_path(p, sol, cfg, i)
-            for t, w, y, j in zip(rec.grid, rec.wealth, rec.deflator, rec.is_jump):
-                fh.write(f"{i}\t{t!r}\t{w!r}\t{y!r}\t{int(j)}\n")

@@ -5,7 +5,8 @@ own quadrature/optimizer code paths, so a test comparing the two is a real
 cross-check: adaptive Simpson for one-dimensional integrals, a tensor
 Simpson grid for the bivariate payoff integral, Newton's method on the
 Hermite three-term recurrence for quadrature nodes, a discretized Bayes rule
-for the signal posterior, and brute-force grids for argmax checks.
+for the signal posterior, brute-force grids for argmax checks, and the
+scalar wealth step and jump update that the hand replay of a path composes.
 """
 
 from __future__ import annotations
@@ -155,3 +156,32 @@ def bisection_root(f, lo: float, hi: float, tol: float = 1e-12,
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def wealth_step_exact(w: float, pi: float, consumption_rate_integral: float,
+                      dt_step: float, dW: float, p) -> float:
+    """Exact between-jump wealth update under constant fraction pi.
+
+    The proportional-consumption SDE is log-linear between jumps, so the
+    strong solution over the step is
+
+        w * exp((r + pi (mu - r) - pi^2 sigma^2 / 2) dt - int(gamma) + pi sigma dW)
+
+    with int(gamma) the integrated proportional consumption rate. The hand
+    replay composes whole paths from this and apply_jump.
+    """
+    if not w > 0.0:
+        raise ValueError(f"wealth must be > 0, got {w}")
+    drift = p.r + pi * (p.mu - p.r) - 0.5 * pi * pi * p.sigma**2
+    return w * math.exp(drift * dt_step - consumption_rate_integral
+                        + pi * p.sigma * dW)
+
+
+def apply_jump(w: float, pi_at_jump: float, xi: float) -> float:
+    """Wealth across a jump of size xi with fraction pi invested; stays
+    positive for pi in [0, 1] because 1 + pi (e^xi - 1) > 0."""
+    if not w > 0.0:
+        raise ValueError(f"wealth must be > 0, got {w}")
+    if not 0.0 <= pi_at_jump <= 1.0:
+        raise ValueError(f"jump exposure must be in [0, 1], got {pi_at_jump}")
+    return w * (1.0 + pi_at_jump * math.expm1(xi))

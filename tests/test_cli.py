@@ -113,6 +113,23 @@ class TestPrice:
             assert err == ("domain error: jump exposure a*=1 is at the upper "
                            "boundary; the renewal construction requires a* < 1\n")
 
+    def test_all_skips_gated_regimes(self, cfg_path):
+        # merton has no jump to key exp_until_jump on; --regime all prices
+        # the other regimes, while --regime merton alone still fails
+        args = ("price", "--config", cfg_path, "--stream", "exp_until_jump",
+                "--horizon", "3", *FAST)
+        code, out, err = run_cli(*args, "--regime", "all")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert [e["regime"] for e in payload["prices"]] == [
+            "uninformed", "timing", "signal"]
+        assert {r["regime"] for r in payload["records"]} == {
+            "uninformed", "timing", "signal"}
+        code, out, err = run_cli(*args, "--regime", "merton")
+        assert (code, out) == (1, "")
+        assert err == ("domain error: the merton benchmark has no jump to key "
+                       "this stream on\n")
+
     def test_psi_table_stream(self, cfg_path, tmp_path):
         table = tmp_path / "psi.tsv"
         table.write_text("-1.0 0.0\n0.0 0.5\n1.0 1.0\n")

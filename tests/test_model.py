@@ -1,4 +1,4 @@
-"""Parameter validation, stream guards, and the config-file interface."""
+"""Parameter validation, stream constructors, and the config-file interface."""
 
 import dataclasses
 import math
@@ -8,11 +8,8 @@ import pytest
 from infoprice.errors import ConfigError, StreamGuardError
 from infoprice.model import (
     ConstantStream,
-    CustomStream,
-    ExpUntilFirstJumpStream,
     PostFirstJumpSignalStream,
     read_params_file,
-    stream_growth_guard,
     validate_params,
     write_params_file,
 )
@@ -59,21 +56,6 @@ class TestValidateParams:
 
 
 class TestStreamGuard:
-    def test_constant_passes(self, canon):
-        assert stream_growth_guard(ConstantStream(1.0), canon)
-
-    def test_custom_above_r_fails(self, canon):
-        e = CustomStream(payoff=lambda t, ctx: math.exp(0.06 * t),
-                         growth_const=1.0, growth_rate=0.06)
-        assert not stream_growth_guard(e, canon)   # r = 0.05 < 0.06
-
-    def test_post_jump_signal_tanh_passes(self, canon):
-        e = PostFirstJumpSignalStream(psi=math.tanh, psi_bound=1.0)
-        assert stream_growth_guard(e, canon)
-
-    def test_exp_until_jump_boundary_accepted(self, canon):
-        assert stream_growth_guard(ExpUntilFirstJumpStream(), canon)
-
     def test_constant_rejects_non_finite_level(self):
         with pytest.raises(StreamGuardError):
             ConstantStream(math.inf)

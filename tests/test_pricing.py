@@ -12,10 +12,9 @@ from infoprice.agents import (
     solve_signal_insider,
     solve_uninformed,
 )
-from infoprice.errors import DomainError, GateError
+from infoprice.errors import DomainError, GateError, ParameterError
 from infoprice.model import (
     ConstantStream,
-    CustomStream,
     ExpUntilFirstJumpStream,
     PostFirstJumpSignalStream,
 )
@@ -149,9 +148,6 @@ class TestClosedForms:
             pytest.approx(want, rel=1e-12)
 
     def test_not_available_cases(self, canon, rule64, sols):
-        custom = CustomStream(payoff=lambda t, ctx: 1.0, growth_const=1.0,
-                              growth_rate=0.0)
-        assert closed_form_price(custom, "uninformed", canon, sols) is None
         # the unconditional timing post-jump price has a closed form
         dbl = psi_double_integral(np.tanh, sols.timing.a_star, canon, rule64)
         assert closed_form_price(E3, "timing", canon, sols) == pytest.approx(
@@ -217,15 +213,31 @@ class TestPriceMc:
         beta = {e: beta_coef(e, sols.signal, canon, rule64) for e in (lo, hi)}
         assert (est[hi] > est[lo]) == (beta[hi] > beta[lo])
 
-    def test_custom_stream_priced_by_engine(self, canon, sols):
-        # a custom clone of the constant stream must agree exactly
-        clone = CustomStream(payoff=lambda t, ctx: 1.0, growth_const=1.0,
-                             growth_rate=0.0, name="one")
-        cfg = SimConfig(horizon=3.0, dt=0.25, n_paths=300, seed=9,
+
+class TestInvalidInputs:
+    @pytest.mark.parametrize("regime", ["merton", "uninformed", "timing", "signal"])
+    def test_zero_rate_raises_parameter_error(self, canon, sols, regime):
+        # level / r and the e^(-rH) / r tail would divide by zero
+        p = with_fields(canon, r=0.0)
+        e = ConstantStream(1.0)
+        cfg = SimConfig(horizon=2.0, dt=0.5, n_paths=10, seed=1, regime=regime)
+        with pytest.raises(ParameterError, match="r_positive"):
+            price_mc(e, sols.for_regime(regime), p, cfg, sols=sols)
+        with pytest.raises(ParameterError, match="r_positive"):
+            closed_form_price(e, regime, p, sols)
+        with pytest.raises(ParameterError, match="r_positive"):
+            truncation_bound(e, regime, p, sols, 10.0)
+
+    def test_non_stream_raises_type_error(self, canon, sols):
+        cfg = SimConfig(horizon=2.0, dt=0.5, n_paths=10, seed=1,
                         regime="uninformed")
-        a = price_mc(clone, sols.uninformed, canon, cfg, sols=sols)
-        b = price_mc(ConstantStream(1.0), sols.uninformed, canon, cfg, sols=sols)
-        assert a.mean == pytest.approx(b.mean, rel=1e-12)
+        for e in (None, 1.0, "constant:1"):
+            with pytest.raises(TypeError):
+                closed_form_price(e, "uninformed", canon, sols)
+            with pytest.raises(TypeError):
+                truncation_bound(e, "uninformed", canon, sols, 10.0)
+            with pytest.raises(TypeError):
+                price_mc(e, sols.uninformed, canon, cfg, sols=sols)
 
 
 class TestTruncationBounds:
