@@ -15,14 +15,18 @@ Four agents are supported.
 * ``signal`` -- observes eta = xi + eps, a noisy read of the next jump's
   size. Its value scale h(eta) and average A3 solve a coupled system on an
   eta grid; exposure q_bar(eta) maximizes the jump-adjusted objective
-  pointwise in the signal. That objective is strictly concave in q (R > 1),
-  so q_bar sits at 0 or 1 where its q-derivative has one sign on [0, 1] and
-  is the derivative's Newton root otherwise. By the envelope theorem the
-  h-equation's slope is phi1(q_bar) - h^(-1/R) (times 1 - 1/R), so all grid
-  signals are solved together by one batched Newton iteration in h. h and
-  q_bar between grid signals come from _MonotoneCubic, a PCHIP interpolant
-  (Fritsch-Butland slopes) on the evenly spaced grid.
+  pointwise in the signal. By the envelope theorem the h-equation's slope is
+  phi1(q_bar) - h^(-1/R) (times 1 - 1/R), so all grid signals are solved
+  together by one batched Newton iteration in h. h and q_bar between grid
+  signals come from _MonotoneCubic, a PCHIP interpolant (Fritsch-Butland
+  slopes) on the evenly spaced grid.
 * ``merton`` -- the jump-free diffusion benchmark with closed-form constants.
+
+Every exposure maximizes h phi1(q) + lam_a3 phi2(q; row) over [0, 1]: q_bar
+with h(eta), lam A3 and the posterior given eta; q_bar1 with h = 1, lam and
+the prior N(m, v) (g1 up to a constant); a_star with h = 0, 1 and the prior
+(g(a)/(1 - R)). CRRA utility makes this objective concave in q for every
+R > 0, so one kernel, _argmax_exposure, solves all three.
 
 Each solved object is immutable; evaluation helpers are pure functions.
 """
@@ -41,7 +45,6 @@ from .errors import (
     IllPosedError,
 )
 from .model import ModelParams, require_valid_params
-from .optimize import maximize_bounded
 from .quadrature import QuadratureRule, g_of_q
 
 __all__ = [
@@ -102,13 +105,12 @@ def solve_uninformed(p: ModelParams, rule: QuadratureRule) -> UninformedSolution
     IllPosedError if rho + (R-1) g1(q_bar1) <= 0.
     """
     require_valid_params(p)
-    res = maximize_bounded(lambda q: g1_of_q(q, p, rule), 0.0, 1.0, tol=1e-12)
-    q_bar = res.argument
+    q_bar = _prior_exposure(1.0, p.lam, p, rule)
     if q_bar < INTERIOR_TOL or q_bar > 1.0 - INTERIOR_TOL:
         raise BoundaryOptimumError(
             f"optimal exposure q_bar1={q_bar:.3g} is on the boundary of [0, 1]; "
             "the no-information construction requires an interior maximizer")
-    g1_opt = res.value
+    g1_opt = g1_of_q(q_bar, p, rule)
     denom = p.rho + (p.R - 1.0) * g1_opt
     if denom <= 0.0:
         raise IllPosedError(
@@ -271,9 +273,7 @@ def solve_timing_insider(p: ModelParams, rule: QuadratureRule) -> TimingInsiderS
     A_M; a bracket that cannot be found raises ConvergenceError.
     """
     require_valid_params(p)
-    sign = 1.0 - p.R
-    res = maximize_bounded(lambda a: g_of_q(a, p, rule) / sign, 0.0, 1.0, tol=1e-12)
-    a_star = res.argument
+    a_star = _prior_exposure(0.0, 1.0, p, rule)
     if a_star < INTERIOR_TOL:
         a_star = 0.0
     g_star = g_of_q(a_star, p, rule)
@@ -444,11 +444,12 @@ def _exposure_slope(q, h, lam_a3, jump_rel, w, p):
 def _argmax_exposure(h, lam_a3, jump_rel, w, p, q_start):
     """Maximizer over q in [0, 1] of h phi1(q) + lam_a3 phi2(q; row), per row.
 
-    Corners by the sign of F at 0 and 1 (see _SignalSystem); elsewhere
-    Newton on F(q) = 0 from q_start, where each step shrinks a bracket of
-    the root and a step that leaves the bracket is replaced by its midpoint.
-    Stops each row at a step below 1e-14; raises ConvergenceError if some
-    row needs more than _NEWTON_STEPS steps.
+    F, the objective's q-derivative, decreases (see the module docstring):
+    q = 0 where F(0) <= 0, q = 1 where F(1) >= 0, and elsewhere Newton on
+    F(q) = 0 from q_start, where each step shrinks a bracket of the root and
+    a step that leaves the bracket is replaced by its midpoint. Stops each
+    row at a step below 1e-14; raises ConvergenceError if some row needs
+    more than _NEWTON_STEPS steps.
     """
     n = len(h)
     f0 = _exposure_slope(np.zeros(n), h, lam_a3, jump_rel, w, p)[0]
@@ -462,7 +463,7 @@ def _argmax_exposure(h, lam_a3, jump_rel, w, p, q_start):
         f, fp = _exposure_slope(qa, h[rows], lam_a3, jump_rel[rows], w, p)
         lo = np.where(f > 0.0, qa, lo)          # F decreases: root above qa
         hi = np.where(f > 0.0, hi, qa)
-        q_new = qa - f / fp                     # fp <= -h sigma^2 R < 0
+        q_new = qa - f / fp                     # fp < 0 by concavity
         q[rows] = np.where((q_new >= lo) & (q_new <= hi), q_new, 0.5 * (lo + hi))
         keep = np.abs(q[rows] - qa) > 1e-14
         rows, lo, hi = rows[keep], lo[keep], hi[keep]
@@ -472,14 +473,20 @@ def _argmax_exposure(h, lam_a3, jump_rel, w, p, q_start):
                            f" steps at {rows.size} grid signals")
 
 
+def _prior_exposure(h: float, lam_a3: float, p: ModelParams,
+                    rule: QuadratureRule) -> float:
+    """_argmax_exposure on the one row of the prior N(m, v)."""
+    jump_rel = np.expm1(p.m + math.sqrt(2.0 * p.v) * rule.nodes)[None, :]
+    return float(_argmax_exposure(np.array([h]), lam_a3, jump_rel,
+                                  rule.weights / _SQRT_PI, p, np.full(1, 0.5))[0])
+
+
 class _SignalSystem:
     """Workspace for the (h, A3) system on a fixed eta grid.
 
     At grid signal i, h_i > 0 solves h^(1-1/R)/(1-1/R) = V_i(h) with
-    V_i(h) = max over q in [0, 1] of h phi1(q) + lam A3 phi2(q; posterior_i).
-    For R > 1 the objective is strictly concave in q, so its q-derivative F
-    is strictly decreasing: the exposure q* is 0 where F(0) <= 0, 1 where
-    F(1) >= 0, and the root of F otherwise. By the envelope theorem
+    V_i(h) = max over q in [0, 1] of h phi1(q) + lam A3 phi2(q; posterior_i),
+    attained at the exposure q* of _argmax_exposure. By the envelope theorem
     V_i'(h) = phi1(q*), so r(h) = (1-1/R) V_i(h) - h^(1-1/R) has slope
     (1-1/R)(phi1(q*) - h^(-1/R)). r is convex, negative near 0 and positive
     for large h, so one batched Newton solve over the grid, started from the
@@ -636,6 +643,19 @@ def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
     )
 
 
+def _signal_exposures(sol: SignalInsiderSolution, p: ModelParams,
+                      eta: np.ndarray, rule: QuadratureRule
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(q*, h) at an array of signals, q* from one _argmax_exposure call
+    started from the grid interpolant sol.q_bar_at."""
+    m_post, v_post = posterior_of_jump(eta, p)
+    jump_rel = np.expm1(m_post[:, None] + math.sqrt(2.0 * v_post) * rule.nodes)
+    h = sol.h_at(eta)
+    q = _argmax_exposure(h, p.lam * sol.A3, jump_rel, rule.weights / _SQRT_PI,
+                         p, sol.q_bar_at(eta))
+    return q, h
+
+
 def q_bar_signal(sol: SignalInsiderSolution, p: ModelParams, eta: float,
                  rule: QuadratureRule) -> float:
     """Exposure maximizing h(eta) phi1(q) + lam A3 phi2(q; posterior(eta)).
@@ -644,12 +664,7 @@ def q_bar_signal(sol: SignalInsiderSolution, p: ModelParams, eta: float,
     same corner rule and guarded Newton root as the grid solve, started from
     the grid interpolant sol.q_bar_at (the fast path used in simulation).
     """
-    m_post, v_post = posterior_of_jump(eta, p)
-    jump_rel = np.expm1(m_post + math.sqrt(2.0 * v_post) * rule.nodes)
-    q = _argmax_exposure(np.array([float(sol.h_at(eta))]), p.lam * sol.A3,
-                         jump_rel[None, :], rule.weights / _SQRT_PI, p,
-                         sol.q_bar_at(eta))
-    return float(q[0])
+    return float(_signal_exposures(sol, p, np.array([float(eta)]), rule)[0][0])
 
 
 def signal_deflator(sol: SignalInsiderSolution, p: ModelParams, t: float,

@@ -1,9 +1,9 @@
 """Deterministic scalar maximization and fixed-point iteration.
 
-Every optimization in the model is one-dimensional over a closed interval
-(an exposure fraction in [0, 1]) and every implicit constant is the fixed
-point of a smooth scalar map, so these two primitives carry all the solver
-weight. Both are pure functions: identical inputs give bit-identical output.
+No solver calls these: the exposures come from the concave kernel in
+`agents` and the implicit constants from bracketed roots there. The tests
+use maximize_bounded as a reference for that kernel. Both are pure
+functions: identical inputs give bit-identical output.
 """
 
 from __future__ import annotations

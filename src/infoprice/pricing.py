@@ -21,11 +21,17 @@ raises ParameterError when the parameters fail a hard check.
 
 For the two insiders the post-first-jump closed forms include the deflator
 renewal factor across T1: A2/f0 = 1/g(a_star) for the timing insider and
-A3/h(eta0) for the signal insider. Given T1, the timing insider's e^(rt) Y
+M_1/h(eta0) for the signal insider. Given T1, the timing insider's e^(rt) Y
 keeps mean 1 up to the jump (its drift integrates to log(f(T1)/f0), which
 the move of f from f(T1) to f0 cancels), so the timing price is
 e^(-t1) (A2/f0) times the double integral given T1 = t1 and
-lam/(lam + 1) (A2/f0) times it on average.
+lam/(lam + 1) (A2/f0) times it on average. The signal insider's e^(rt) Y
+loses mean where the bound q* <= 1 binds, so M_1 is not A3 but the Laplace
+transform at rate 1 of E[e^(rt) Y_t] after a fresh signal:
+M_1 = E_p0[h/(1 + lam - beta)] / (1 - lam E_p0[kappa/(1 + lam - beta)]),
+with p0 the signal law N(m, v + v_eps) and kappa(eta) the posterior mean of
+(1 + q* (e^X - 1))^(-R). Every average over the signal law is one array
+pass over the Gauss-Hermite nodes of p0 (a pinned eta0 is the one-node case).
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from .agents import (
     TimingInsiderSolution,
     UninformedSolution,
     _pre_jump_rate,
+    _signal_exposures,
     posterior_of_jump,
     q_bar_signal,
 )
@@ -140,20 +147,35 @@ def beta_coef(eta0: float, sol: SignalInsiderSolution, p: ModelParams,
                           float(sol.h_at(eta0)), p)
 
 
-def _posterior_mean_factor(eta0: float, q: float, p: ModelParams,
-                           rule: QuadratureRule) -> float:
-    """E[(1 + q (e^X - 1))^(-R)] under the jump-size posterior given eta0."""
-    m_post, v_post = posterior_of_jump(eta0, p)
-    jump_rel = np.expm1(m_post + math.sqrt(2.0 * v_post) * rule.nodes)
-    vals = (1.0 + q * jump_rel) ** (-p.R)
-    return float(rule.weights @ vals) / math.sqrt(math.pi)
+def _posterior_mean_factor(eta: np.ndarray, q: np.ndarray, p: ModelParams,
+                           rule: QuadratureRule) -> np.ndarray:
+    """kappa = E[(1 + q (e^X - 1))^(-R)] under the jump-size posterior given
+    each signal eta, with q the exposure there."""
+    m_post, v_post = posterior_of_jump(eta, p)
+    jump_rel = np.expm1(m_post[:, None] + math.sqrt(2.0 * v_post) * rule.nodes)
+    return (1.0 + q[:, None] * jump_rel) ** (-p.R) @ rule.weights / math.sqrt(math.pi)
 
 
-def _p0_average(f, p: ModelParams, rule: QuadratureRule) -> float:
-    """Average of f(eta) under the signal law N(m, v + v_eps)."""
-    pts = p.m + math.sqrt(2.0 * (p.v + p.v_eps)) * rule.nodes
-    vals = np.array([f(float(e)) for e in pts])
-    return float(rule.weights @ vals) / math.sqrt(math.pi)
+def _signal_law(p: ModelParams, rule: QuadratureRule, cond: Conditioning):
+    """Signals and weights of an average over the first signal: the pinned
+    eta0 alone, else the rule's nodes of the signal law N(m, v + v_eps)."""
+    if cond.eta0 is not None:
+        return np.array([cond.eta0]), np.ones(1)
+    return (p.m + math.sqrt(2.0 * (p.v + p.v_eps)) * rule.nodes,
+            rule.weights / math.sqrt(math.pi))
+
+
+def _signal_rates(sol: SignalInsiderSolution, p: ModelParams, eta: np.ndarray,
+                  rule: QuadratureRule, s: float):
+    """(q*, h, s + lam - beta) at each signal; raises DomainError, naming the
+    first signal where s + lam - beta <= 0 (the value diverges)."""
+    q, h = _signal_exposures(sol, p, eta, rule)
+    rate = s + p.lam - _pre_jump_rate(q, h, p)
+    for x, r in zip(eta, rate):
+        if r <= 0.0:
+            raise DomainError(f"lam{' + 1' if s else ''} - beta({x:.4g}) = "
+                              f"{r:.6g} <= 0: value diverges")
+    return q, h, rate
 
 
 _NO_JUMP_KEY = "the merton benchmark has no jump to key this stream on"
@@ -183,16 +205,34 @@ def _pre_jump_tail(regime: str, p: ModelParams, sols: RegimeSolutions,
             raise DomainError("lam = 0: the pre-jump stream never terminates")
         return math.exp(-p.lam * horizon) / p.lam
     if regime == "signal":
-        def conditional(eta):
-            rate = p.lam - beta_coef(eta, sols.signal, p, rule)
-            if rate <= 0.0:
-                raise DomainError(
-                    f"lam - beta({eta:.4g}) = {rate:.6g} <= 0: value diverges")
-            return math.exp(-rate * horizon) / rate
-        if cond.eta0 is not None:
-            return conditional(cond.eta0)
-        return _p0_average(conditional, p, rule)
+        eta, w = _signal_law(p, rule, cond)
+        rate = _signal_rates(sols.signal, p, eta, rule, 0.0)[2]
+        return float(w @ (np.exp(-rate * horizon) / rate))
     raise GateError(_NO_JUMP_KEY)
+
+
+def _post_jump_signal(e: PostFirstJumpSignalStream, p: ModelParams,
+                      sol: SignalInsiderSolution, cond: Conditioning,
+                      rule: QuadratureRule) -> float:
+    """The signal insider's price of exp((r-1) t) 1[t >= T1] Psi(eta0):
+    Psi(eta0) (M_1/h(eta0)) lam kappa(eta0)/(lam + 1 - beta(eta0)) given
+    eta0, averaged over the signal law unless eta0 is pinned."""
+    eta0, w0 = _signal_law(p, rule, cond)
+    nodes, w = _signal_law(p, rule, Conditioning())
+    # a pinned eta0 goes first, so its divergence is the one reported
+    eta = nodes if cond.eta0 is None else np.append(eta0, nodes)
+    q, h, rate = _signal_rates(sol, p, eta, rule, 1.0)
+    kappa = _posterior_mean_factor(eta, q, p, rule)
+    resolvent = 1.0 - p.lam * float(w @ (kappa / rate)[-len(w):])
+    if resolvent <= 0.0:
+        raise DomainError(f"1 - lam E[kappa/(lam + 1 - beta)] = {resolvent:.6g}"
+                          " <= 0: value diverges")
+    m1 = float(w @ (h / rate)[-len(w):]) / resolvent
+    k = len(eta0)
+    psi = np.asarray(e.psi(eta0), dtype=float)
+    if psi.shape != eta0.shape:
+        psi = np.array([float(e.psi(x)) for x in eta0])
+    return float(w0 @ (psi * (m1 / h[:k]) * p.lam / rate[:k] * kappa[:k]))
 
 
 def truncation_bound(e: IncomeStream, regime: str, p: ModelParams,
@@ -300,9 +340,9 @@ def closed_form_price(e: IncomeStream, regime: str, p: ModelParams,
     jump-keyed streams.
 
     Raises DomainError when the formula's convergence condition
-    (lam - alpha > 0, lam + 1 - alpha > 0, the beta analogues) fails,
-    ParameterError when p fails a hard check, and TypeError for anything
-    that is not one of the three streams.
+    (lam - alpha > 0, lam + 1 - alpha > 0, the beta analogues, a positive
+    denominator of M_1) fails, ParameterError when p fails a hard check,
+    and TypeError for anything that is not one of the three streams.
     """
     rule = rule or default_rule()
     cond = _check_conditioning(regime, conditioning)
@@ -334,19 +374,7 @@ def closed_form_price(e: IncomeStream, regime: str, p: ModelParams,
                       else p.lam / (p.lam + 1.0))
             return weight * (sol.A2 / sol.f0) * dbl
         if regime == "signal":
-            def conditional(eta):
-                q = q_bar_signal(sols.signal, p, eta, rule)
-                h = float(sols.signal.h_at(eta))
-                denom = p.lam + 1.0 - _pre_jump_rate(q, h, p)
-                if denom <= 0.0:
-                    raise DomainError(
-                        f"lam + 1 - beta({eta:.4g}) = {denom:.6g} <= 0: value diverges")
-                post = _posterior_mean_factor(eta, q, p, rule)
-                psi_val = float(e.psi(eta))
-                return psi_val * (sols.signal.A3 / h) * p.lam / denom * post
-            if cond.eta0 is not None:
-                return conditional(cond.eta0)
-            return _p0_average(conditional, p, rule)
+            return _post_jump_signal(e, p, sols.signal, cond, rule)
         return None
 
     raise TypeError(f"not an income stream: {e!r}")

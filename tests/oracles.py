@@ -5,8 +5,10 @@ own quadrature/optimizer code paths, so a test comparing the two is a real
 cross-check: adaptive Simpson for one-dimensional integrals, a tensor
 Simpson grid for the bivariate payoff integral, Newton's method on the
 Hermite three-term recurrence for quadrature nodes, a discretized Bayes rule
-for the signal posterior, brute-force grids for argmax checks, and the
-scalar wealth step and jump update that the hand replay of a path composes.
+for the signal posterior, brute-force grids for argmax checks, the
+scalar wealth step and jump update that the hand replay of a path composes,
+and the one-signal-at-a-time loop that the batched signal-law averages of
+the closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -185,3 +187,11 @@ def apply_jump(w: float, pi_at_jump: float, xi: float) -> float:
     if not 0.0 <= pi_at_jump <= 1.0:
         raise ValueError(f"jump exposure must be in [0, 1], got {pi_at_jump}")
     return w * (1.0 + pi_at_jump * math.expm1(xi))
+
+
+def signal_law_average(f, p, rule) -> float:
+    """Average of the scalar function f(eta) under the signal law
+    N(m, v + v_eps): one call of f per node of the Gauss-Hermite rule."""
+    pts = p.m + math.sqrt(2.0 * (p.v + p.v_eps)) * rule.nodes
+    vals = np.array([f(float(e)) for e in pts])
+    return float(rule.weights @ vals) / math.sqrt(math.pi)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from infoprice.agents import (
     _MonotoneCubic,
     _exp_average_of_f,
+    g1_of_q,
     posterior_of_jump,
     q_bar_signal,
     signal_deflator,
@@ -27,6 +28,7 @@ from infoprice.errors import (
     GateError,
     IllPosedError,
 )
+from infoprice.optimize import maximize_bounded
 from infoprice.quadrature import g_of_q, g_of_q_many, phi2_many
 
 from .oracles import (
@@ -114,6 +116,11 @@ class TestUninformed:
         # mu = r with adverse jumps puts the maximizer at q = 0
         with pytest.raises(BoundaryOptimumError):
             solve_uninformed(with_fields(canon, mu=canon.r), rule64)
+
+    def test_adverse_dense_jumps_hit_boundary(self, canon, rule64):
+        # lam 2 with m -0.05 puts the maximizer at q = 0 as well
+        with pytest.raises(BoundaryOptimumError):
+            solve_uninformed(with_fields(canon, lam=2.0, m=-0.05), rule64)
 
     def test_deflator_normalization(self, canon, sol_uninformed):
         w0 = canon.R / (canon.rho + (canon.R - 1.0) * sol_uninformed.g1_at_opt)
@@ -326,6 +333,49 @@ class TestTimingInsider:
         sol = solve_timing_insider(p0, rule64)
         got = timing_deflator(sol, p0, 0.0, 1.0, 1e12)
         assert got == pytest.approx(sol.gamma_M ** (-p0.R), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The exposure kernel in the uninformed and timing solves
+# ---------------------------------------------------------------------------
+
+KERNEL_SETS = {"canon": {}, "interior": INTERIOR_TIMING,
+               "dense": dict(lam=2.0, m=0.0), "lam4": dict(lam=4.0, m=0.0),
+               "R5": dict(R=5.0)}
+
+
+class TestExposureKernel:
+    """q_bar1 and a* come from the corner rule and bracketed Newton of the
+    concave exposure kernel; the 257-point scan plus golden section of
+    optimize.maximize_bounded and a brute-force grid are the references."""
+
+    @pytest.mark.parametrize("fields", [*KERNEL_SETS.values(),
+                                        dict(R=0.5, sigma=0.3)],
+                             ids=[*KERNEL_SETS, "R0.5"])
+    def test_uninformed_matches_golden_section_and_grid(self, canon, rule64,
+                                                        fields):
+        p = with_fields(canon, **fields)
+        q = solve_uninformed(p, rule64).q_bar1
+        golden = maximize_bounded(lambda x: g1_of_q(x, p, rule64), 0.0, 1.0,
+                                  tol=1e-12)
+        assert abs(q - golden.argument) <= 1e-6
+
+        def g1_vec(qs):
+            return (p.r + qs * (p.mu - p.r) - 0.5 * p.sigma**2 * p.R * qs * qs
+                    + p.lam * (g_of_q_many(qs, p, rule64) - 1.0) / (1.0 - p.R))
+
+        assert abs(q - grid_argmax(g1_vec, 0.0, 1.0, n=200_001)) <= 1e-5
+
+    @pytest.mark.parametrize("fields", KERNEL_SETS.values(), ids=KERNEL_SETS)
+    def test_timing_matches_golden_section_and_grid(self, canon, rule64, fields):
+        p = with_fields(canon, **fields)
+        a = solve_timing_insider(p, rule64).a_star
+        golden = maximize_bounded(lambda x: g_of_q(x, p, rule64) / (1.0 - p.R),
+                                  0.0, 1.0, tol=1e-12)
+        assert abs(a - golden.argument) <= 1e-6
+        brute = grid_argmax(lambda xs: g_of_q_many(xs, p, rule64) / (1.0 - p.R),
+                            0.0, 1.0, n=200_001)
+        assert abs(a - brute) <= 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ import pytest
 from infoprice.agents import (
     RegimeSolutions,
     UninformedSolution,
+    _MonotoneCubic,
+    posterior_of_jump,
+    q_bar_signal,
+    solve_all,
     solve_signal_insider,
     solve_uninformed,
 )
@@ -30,6 +34,8 @@ from infoprice.pricing import (
 from infoprice.quadrature import psi_double_integral
 from infoprice.simulate import SimConfig
 
+from .oracles import signal_law_average
+
 
 def with_fields(p, **kw):
     return dataclasses.replace(p, **kw)
@@ -37,6 +43,10 @@ def with_fields(p, **kw):
 
 E2 = ExpUntilFirstJumpStream()
 E3 = PostFirstJumpSignalStream(psi=np.tanh, psi_bound=1.0, psi_name="tanh")
+
+# the parameter sets of the solver benchmark
+SETS = {"canon": {}, "interior": dict(m=0.02, v=0.04),
+        "dense": dict(lam=2.0, m=0.0, v=0.01)}
 
 
 class TestAlphaCoef:
@@ -156,6 +166,17 @@ class TestClosedForms:
         assert closed_form_price(E2, "merton", canon, sols) is None
         assert closed_form_price(E3, "merton", canon, sols) is None
 
+    def test_scalar_psi_matches_vectorized(self, canon, sols):
+        # a psi written for scalars reduces an array to one float, so the
+        # closed form must call it once per signal
+        scalar = PostFirstJumpSignalStream(
+            psi=lambda x: float(np.sum(np.tanh(x))), psi_bound=1.0,
+            psi_name="scalar_tanh")
+        for cond in (None, Conditioning(eta0=0.1)):
+            assert closed_form_price(scalar, "signal", canon, sols, cond) == \
+                pytest.approx(closed_form_price(E3, "signal", canon, sols, cond),
+                              rel=1e-15)
+
     def test_conditioning_validation(self, canon, sols):
         with pytest.raises(ValueError):
             closed_form_price(E2, "uninformed", canon, sols, Conditioning(t1=1.0))
@@ -194,6 +215,19 @@ class TestPriceMc:
         est = price_mc(E3, sols.timing, canon, cfg, sols=sols)
         want = closed_form_price(E3, "timing", canon, sols)
         assert abs(est.mean - want) <= est.tolerance(3.0)
+
+    def test_post_jump_signal_renewal_factor(self, canon, rule64):
+        # at dense the q* = 1 corner binds, e^{rt} Y is not a martingale and
+        # the renewal factor M_1 is 2.2% below A3: the closed form with A3
+        # sits 6-8 SE above the estimate at eta0 = 0.1
+        p = with_fields(canon, **SETS["dense"])
+        sols = solve_all(p, rule64)
+        cfg = SimConfig(horizon=25.0, dt=0.05, n_paths=16_384, seed=7,
+                        regime="signal")
+        for cond in (Conditioning(eta0=0.1), None):
+            est = price_mc(E3, sols.signal, p, cfg, cond, sols=sols)
+            want = closed_form_price(E3, "signal", p, sols, cond)
+            assert abs(est.mean - want) <= est.tolerance(3.0)
 
     def test_quick_example2_uninformed(self, canon, sols):
         cfg = SimConfig(horizon=22.0, dt=0.02, n_paths=20_000, seed=17,
@@ -291,3 +325,101 @@ class TestInfoValueReport:
             report.row("timing").closed_form - base
         assert report.signal_information_value == \
             report.row("signal").closed_form - base
+
+
+def _kappa(eta, q, p, rule):
+    """E[(1 + q (e^X - 1))^(-R)] under the posterior given one signal."""
+    m_post, v_post = posterior_of_jump(eta, p)
+    jump_rel = np.expm1(m_post + math.sqrt(2.0 * v_post) * rule.nodes)
+    return float(rule.weights @ (1.0 + q * jump_rel) ** (-p.R)) / math.sqrt(math.pi)
+
+
+def pre_jump_tail_loop(sol, p, rule, horizon, eta0=None):
+    """The signal insider's pre-jump tail one signal at a time."""
+    def conditional(eta):
+        rate = p.lam - beta_coef(eta, sol, p, rule)
+        if rate <= 0.0:
+            raise DomainError(
+                f"lam - beta({eta:.4g}) = {rate:.6g} <= 0: value diverges")
+        return math.exp(-rate * horizon) / rate
+    if eta0 is not None:
+        return conditional(eta0)
+    return signal_law_average(conditional, p, rule)
+
+
+def post_jump_loop(sol, p, rule, psi, eta0=None):
+    """The signal insider's post-jump price one signal at a time, with the
+    renewal factor M_1 from two signal-law averages."""
+    def parts(eta):
+        q = q_bar_signal(sol, p, eta, rule)
+        rate = p.lam + 1.0 - beta_coef(eta, sol, p, rule)
+        if rate <= 0.0:
+            raise DomainError(
+                f"lam + 1 - beta({eta:.4g}) = {rate:.6g} <= 0: value diverges")
+        return float(sol.h_at(eta)), rate, _kappa(eta, q, p, rule)
+
+    def h_over_rate(eta):
+        h, rate, _ = parts(eta)
+        return h / rate
+
+    def kappa_over_rate(eta):
+        _, rate, kappa = parts(eta)
+        return kappa / rate
+
+    if eta0 is not None:
+        parts(eta0)             # a divergent eta0 is reported first
+    m1 = signal_law_average(h_over_rate, p, rule) / (
+        1.0 - p.lam * signal_law_average(kappa_over_rate, p, rule))
+
+    def conditional(eta):
+        h, rate, kappa = parts(eta)
+        return float(psi(eta)) * (m1 / h) * p.lam / rate * kappa
+    if eta0 is not None:
+        return conditional(eta0)
+    return signal_law_average(conditional, p, rule)
+
+
+class TestSignalLawOracle:
+    """The closed forms average over the signal law in one array pass; the
+    loops above are the reference."""
+
+    @pytest.mark.parametrize("name", SETS)
+    def test_batched_matches_loop(self, canon, rule64, name):
+        p = with_fields(canon, **SETS[name])
+        sols = solve_all(p, rule64)
+        sol = sols.signal
+        sd = math.sqrt(p.v + p.v_eps)
+        for eta0 in (None, p.m - 2.0 * sd, p.m, p.m + 2.0 * sd):
+            cond = None if eta0 is None else Conditioning(eta0=eta0)
+            got = closed_form_price(E2, "signal", p, sols, cond, rule64)
+            want = pre_jump_tail_loop(sol, p, rule64, 0.0, eta0)
+            assert abs(got - want) <= 1e-13 * abs(want)
+            for horizon in (10.0, 25.0):
+                got = truncation_bound(E2, "signal", p, sols, horizon, cond, rule64)
+                want = pre_jump_tail_loop(sol, p, rule64, horizon, eta0)
+                assert abs(got - want) <= 1e-13 * abs(want)
+            got = closed_form_price(E3, "signal", p, sols, cond, rule64)
+            want = post_jump_loop(sol, p, rule64, np.tanh, eta0)
+            # the unconditional average cancels terms of either sign
+            assert abs(got - want) <= 1e-13 * (abs(want) if eta0 is not None
+                                               else p.lam)
+
+    def test_divergence_message_names_first_node(self, canon, rule64, sols):
+        # h shrunk above the prior mean drives beta above lam + 1 there
+        sol = sols.signal
+        shrink = np.where(sol.eta_grid > canon.m, 1e-6, 1.0)
+        fake = dataclasses.replace(
+            sol, _h_interp=_MonotoneCubic(sol.eta_grid, sol.h_values * shrink))
+        bad = dataclasses.replace(sols, signal=fake)
+        sd = math.sqrt(canon.v + canon.v_eps)
+        for eta0 in (None, canon.m + sd):
+            cond = None if eta0 is None else Conditioning(eta0=eta0)
+            for stream, loop in ((E2, lambda: pre_jump_tail_loop(
+                    fake, canon, rule64, 0.0, eta0)),
+                                 (E3, lambda: post_jump_loop(
+                    fake, canon, rule64, np.tanh, eta0))):
+                with pytest.raises(DomainError) as want:
+                    loop()
+                with pytest.raises(DomainError) as got:
+                    closed_form_price(stream, "signal", canon, bad, cond, rule64)
+                assert str(got.value) == str(want.value)
