@@ -86,11 +86,17 @@ WORKERS_ENV = "INFOPRICE_WORKERS"
 
 
 def n_workers() -> int:
-    """Worker count for the path reduction: INFOPRICE_WORKERS or min(2, cpus)."""
+    """Worker count for the path reduction: INFOPRICE_WORKERS capped at the
+    CPU count, or min(2, cpus). A forked pool starts every worker at once,
+    so an uncapped value could start any number of processes."""
+    cpus = os.cpu_count() or 1
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
-    return min(2, os.cpu_count() or 1)
+        try:
+            return min(cpus, max(1, int(env)))
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+    return min(2, cpus)
 
 
 @dataclass(frozen=True)
@@ -304,7 +310,7 @@ def price_mc(e: IncomeStream, sol, p: ModelParams, cfg: SimConfig,
             tasks.append((p, sol, cfg, e, cond.t1, cond.eta0, start, count))
             start += count
         ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        with ProcessPoolExecutor(max_workers=len(tasks), mp_context=ctx) as pool:
             for s, chunk in pool.map(_mc_task, tasks):
                 vals[s:s + len(chunk)] = chunk
     mean = math.fsum(vals) / cfg.n_paths

@@ -18,14 +18,28 @@ Randomness is counter-based and keyed per path: path `i` of a run with seed
     purpose 3  one normal per grid interval (the remainder of the step)
 
 so per-path output is reproducible regardless of chunking, worker count, or
-which other paths run. Pinning the first jump time or the first signal
-consumes the same draws and replaces the value, which keeps the rest of the
-scenario common between conditional and unconditional runs.
+which other paths run. The step normals come in blocks of 2048 steps, block
+b drawn from the purpose-3 stream with counter word 2 set to b. Pinning the
+first jump time or the first signal consumes the same draws and replaces the
+value, which keeps the rest of the scenario common between conditional and
+unconditional runs.
+
+The engine advances tiles of at most 256 paths over 2048-step blocks with
+array passes. A path's controls are constant between its jumps, so they are
+(paths, segments) tables gathered at each node by the jump count before it.
+Log-wealth at the nodes is one cumsum of exact increments and the deflator
+one exp. The tile's in-horizon jumps (events) are handled at once: a grid
+cell with jumps takes as its increment their sub-steps (on the jump
+normals) and log1p(pi expm1(xi)) terms plus the remainder after its last
+jump (on the cell's step normal). The trapezoid is a weighted row sum with
+each jump cell's term replaced by its sub-intervals, from each right limit
+to the next left limit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -66,6 +80,7 @@ _PURPOSE_STEPNORM = 3
 
 DEFAULT_CHUNK_PATHS = 25_000
 _BLOCK_STEPS = 2048
+_TILE_PATHS = 256
 
 
 @dataclass(frozen=True)
@@ -110,8 +125,7 @@ class PathRecord:
 
 
 def _philox_key(seed: int, path_index: int, purpose: int) -> np.ndarray:
-    return np.array([np.uint64(seed), np.uint64(path_index) * np.uint64(4)
-                     + np.uint64(purpose)], dtype=np.uint64)
+    return np.array([seed, (4 * path_index + purpose) % 2**64], dtype=np.uint64)
 
 
 def path_rng(seed: int, path_index: int, purpose: int) -> np.random.Generator:
@@ -167,19 +181,18 @@ class _RngPool:
 
 def _draw_scenario_impl(p: ModelParams, horizon: float, gaps_gen, marks_gen,
                         pin_t1, pin_eta0):
-    gaps: list[np.ndarray] = []
-    total = 0.0
-    while True:
-        block = gaps_gen.exponential(1.0 / p.lam, _GAP_BLOCK)
-        if pin_t1 is not None and not gaps:
-            block = block.copy()
-            block[0] = pin_t1
-        gaps.append(block)
-        total += float(block.sum())
-        if total > horizon:
-            break
-    times = np.cumsum(np.concatenate(gaps))
-    n = int(np.searchsorted(times, horizon, side="right")) + 1
+    # gaps come in blocks of 16 until one lands beyond the horizon; the
+    # blocks for the mean count plus six sd are drawn in one call
+    mean = p.lam * horizon
+    n_blocks = 1 + int((mean + 6.0 * math.sqrt(mean)) // _GAP_BLOCK)
+    gaps = gaps_gen.exponential(1.0 / p.lam, _GAP_BLOCK * n_blocks)
+    if pin_t1 is not None:
+        gaps[0] = pin_t1
+    times = np.cumsum(gaps)
+    while not times[-1] > horizon:
+        gaps = np.append(gaps, gaps_gen.exponential(1.0 / p.lam, _GAP_BLOCK))
+        times = np.cumsum(gaps)
+    n = int(times.searchsorted(horizon, side="right")) + 1
     times = times[:n]
 
     z = marks_gen.standard_normal(2 * n)
@@ -249,78 +262,12 @@ def initial_wealth(regime: str, sol, p: ModelParams, t1: float = math.inf,
 # Engine
 # ---------------------------------------------------------------------------
 
-def _prepare_chunk(p: ModelParams, cfg: SimConfig, path_ids: np.ndarray,
-                   pin_t1, pin_eta0):
-    """Scenario arrays for a chunk, flattened with per-path offsets."""
-    pool = _RngPool()
-    times_l, sizes_l, sig_l, jn_l = [], [], [], []
-    for pid in path_ids:
-        pid = int(pid)
-        if p.lam == 0.0:
-            t = np.array([math.inf])
-            s = np.empty(0)
-            g = np.empty(0)
-        else:
-            t, s, g = _draw_scenario_impl(
-                p, cfg.horizon,
-                pool.get_block(cfg.seed, pid, _PURPOSE_GAPS, 0),
-                pool.get_block(cfg.seed, pid, _PURPOSE_MARKS, 0),
-                pin_t1, pin_eta0)
-        times_l.append(t)
-        sizes_l.append(s if s.size else np.zeros_like(t))
-        sig_l.append(g if g.size else np.full_like(t, p.m))
-        n_within = int(np.searchsorted(t, cfg.horizon, side="right"))
-        jn_l.append(
-            pool.get_block(cfg.seed, pid, _PURPOSE_JUMPNORM, 0).standard_normal(n_within)
-            if n_within else np.empty(0))
-    counts = np.array([len(t) for t in times_l], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts)))[:-1]
-    return (np.concatenate(times_l), np.concatenate(sizes_l),
-            np.concatenate(sig_l), offsets, jn_l)
-
-
-def _jump_events(jt_flat, offsets, jn_list, nodes, horizon):
-    """Flatten in-horizon jumps into per-step event lists.
-
-    Events are sorted by (step, time); each event carries the chunk-local
-    path row, the flat index of the jump, and its pre-drawn split normal.
-    Returns a CSR-style (ptr, path_row, flat_idx, time, z) tuple.
-    """
-    rows, flats, times, zs = [], [], [], []
-    for row, jn in enumerate(jn_list):
-        k = len(jn)
-        if k:
-            lo = offsets[row]
-            rows.append(np.full(k, row, dtype=np.int64))
-            flats.append(np.arange(lo, lo + k, dtype=np.int64))
-            times.append(jt_flat[lo:lo + k])
-            zs.append(jn)
-    if not rows:
-        n_steps = len(nodes) - 1
-        ptr = np.zeros(n_steps + 1, dtype=np.int64)
-        return ptr, (np.empty(0, np.int64), np.empty(0, np.int64),
-                     np.empty(0), np.empty(0))
-    path_row = np.concatenate(rows)
-    flat_idx = np.concatenate(flats)
-    t_ev = np.concatenate(times)
-    z_ev = np.concatenate(zs)
-    # step k covers (nodes[k], nodes[k+1]]
-    step = np.searchsorted(nodes, t_ev, side="left") - 1
-    step = np.clip(step, 0, len(nodes) - 2)
-    order = np.lexsort((t_ev, step))
-    path_row, flat_idx, t_ev, z_ev, step = (
-        path_row[order], flat_idx[order], t_ev[order], z_ev[order], step[order])
-    n_steps = len(nodes) - 1
-    ptr = np.searchsorted(step, np.arange(n_steps + 1))
-    return ptr, (path_row, flat_idx, t_ev, z_ev)
-
-
 class _StreamEval:
-    """Values of one of the three income streams, vectorized over paths."""
+    """Values of one of the three income streams at (time, jump count)."""
 
     def __init__(self, stream: IncomeStream, p: ModelParams, eta0: np.ndarray):
         self.stream = stream
-        self.p = p
+        self.r = p.r
         if isinstance(stream, PostFirstJumpSignalStream):
             psi0 = np.asarray(stream.psi(eta0), dtype=float)
             if psi0.shape != eta0.shape:
@@ -331,296 +278,250 @@ class _StreamEval:
         elif not isinstance(stream, (ConstantStream, ExpUntilFirstJumpStream)):
             raise TypeError(f"not an income stream: {stream!r}")
 
-    def values(self, t, jcount, idx):
-        """e_t for subset idx (None = all paths); t scalar or per-path vector."""
+    def values(self, t, jc, rows):
+        """e_t after jc jumps; psi(eta_0) is read at self.psi0[rows]."""
         if isinstance(self.stream, ConstantStream):
             return self.stream.level
-        jc = jcount if idx is None else jcount[idx]
         if isinstance(self.stream, ExpUntilFirstJumpStream):
-            return np.where(jc == 0, np.exp(self.p.r * np.asarray(t, dtype=float)), 0.0)
-        psi = self.psi0 if idx is None else self.psi0[idx]
-        return np.where(jc >= 1,
-                        psi * np.exp((self.p.r - 1.0) * np.asarray(t, dtype=float)),
-                        0.0)
+            return np.where(jc == 0, np.exp(self.r * t), 0.0)
+        return np.where(jc >= 1, self.psi0[rows] * np.exp((self.r - 1.0) * t), 0.0)
 
 
-def _run_chunk(p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray,
-               path_ids: np.ndarray, stream: IncomeStream | None,
-               pin_t1, pin_eta0, checkpoint_cols: dict[int, int] | None,
-               record: bool):
-    """Advance one chunk of paths over the grid `nodes`.
+# One tile over one step block: node times (column 0 repeats the last block's
+# end), log-wealth and deflator there, the flat segment index at each node
+# (None if not needed), the block's events (indices into the tile's event
+# arrays), log-wealth at their cells' left nodes and the deflator at both
+# limits of each jump.
+_Block = namedtuple("_Block", "k0 t x y seg ev x_cell y_left y_right")
 
-    Returns (per-path integrals, checkpoint deflators or None,
-    record rows or None, scenario arrays, terminal state dict).
+
+def _at(table, idx):
+    """A per-segment table at flat segment indices (a scalar passes)."""
+    return table if np.ndim(table) == 0 else np.take(table, idx)
+
+
+def _on_cells(table, seg, scale):
+    """A per-segment table on each cell (its left node's segment) times scale."""
+    if np.ndim(table) == 0:
+        return table * scale
+    out = np.take(table, seg)[:, :-1]     # take() is slow with a view as index
+    out *= scale
+    return out
+
+
+class _Tile:
+    """One tile of paths: scenario, per-segment controls and jump events.
+
+    Tables are (paths, J) for the tile's most segments J, so row * J + s is
+    the flat index of segment s. Event arrays hold the in-horizon jumps.
     """
-    regime = cfg.regime
-    _check_regime(regime, sol)
-    if record and len(path_ids) != 1:
-        raise ValueError("record mode is single-path only")
-    P = len(path_ids)
-    R = p.R
-    rho = p.rho
-    sigma = p.sigma
-    timing = regime == "timing"
-    signal = regime == "signal"
-    merton = regime == "merton"
 
-    jt_flat, js_flat, sg_flat, offsets, jn_list = _prepare_chunk(
-        p, cfg, path_ids, pin_t1, pin_eta0)
-    if merton:
-        ev_ptr = np.zeros(len(nodes), dtype=np.int64)
-        ev = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0))
-    else:
-        ev_ptr, ev = _jump_events(jt_flat, offsets, jn_list, nodes, cfg.horizon)
-    ev_row, ev_flat, ev_time, ev_z = ev
-    scen = (jt_flat, js_flat, sg_flat)
-
-    x = np.zeros(P)
-    acc = np.zeros(P)
-    jcount = np.zeros(P, dtype=np.int64)
-    t1_arr = jt_flat[offsets].copy()
-    has_marks = p.lam > 0.0
-    eta0 = sg_flat[offsets].copy() if has_marks else np.full(P, p.m)
-    eta_cur = eta0.copy()
-    t_next = jt_flat[offsets].copy() if not merton else np.full(P, math.inf)
-
-    def fraction_drift(pi):
-        return p.r + pi * (p.mu - p.r) - 0.5 * pi * pi * sigma**2
-
-    log_norm0 = np.zeros(P)
-    log_h_cur = None
-    if regime == "uninformed":
-        pi0 = float(sol.q_bar1)
-        drift = np.full(P, fraction_drift(pi0))
-        volc = np.full(P, pi0 * sigma)
-        cons = np.full(P, sol.A1 ** (-1.0 / R))
-        pij = np.full(P, pi0)
-    elif merton:
-        pi0 = float(sol.merton_fraction)
-        drift = np.full(P, fraction_drift(pi0))
-        volc = np.full(P, pi0 * sigma)
-        cons = np.full(P, sol.gamma_M_merton)
-        pij = np.zeros(P)
-    elif timing:
-        pi0 = float(p.merton_fraction)
-        drift = np.full(P, fraction_drift(pi0))
-        volc = np.full(P, pi0 * sigma)
-        cons = None
-        pij = np.full(P, sol.a_star)
-        log_norm0 = np.asarray(sol.log_f(t1_arr), dtype=float)
-        gamma = sol.gamma_M
-        btilde = sol.btilde
-        log_gamma = math.log(gamma)
-    else:
-        q0 = np.asarray(sol.q_bar_at(eta_cur), dtype=float)
-        drift = fraction_drift(q0)
-        volc = q0 * sigma
-        log_h_cur = np.log(np.asarray(sol.h_at(eta_cur), dtype=float))
-        cons = np.exp(-log_h_cur / R)
-        pij = q0
-        log_norm0 = log_h_cur.copy()
-
-    streams = None if stream is None else _StreamEval(stream, p, eta0)
-    level = stream.level if isinstance(stream, ConstantStream) else None
-
-    def deflator_subset(t, idx, s_to_jump=None):
-        logy = -rho * np.asarray(t, dtype=float) - R * x[idx]
-        if timing:
-            s = (t_next[idx] - t) if s_to_jump is None else s_to_jump
-            logy = logy + sol.log_f(s) - log_norm0[idx]
-        elif signal:
-            logy = logy + log_h_cur[idx] - log_norm0[idx]
-        return np.exp(logy)
-
-    checkpoints_out = (np.empty((P, len(checkpoint_cols))) if checkpoint_cols
-                       else None)
-    records_out = [] if record else None
-
-    y0 = deflator_subset(0.0, slice(None))
-    zero_vec = np.zeros(P)
-    if streams is None:
-        i_prev = zero_vec
-    else:
-        i_prev = np.asarray(y0 * streams.values(0.0, jcount, None),
-                            dtype=float) * np.ones(P)
-    if record:
-        records_out.append((0.0, False, float(x[0]), float(y0[0])))
-    if checkpoint_cols and 0 in checkpoint_cols:
-        checkpoints_out[:, checkpoint_cols[0]] = y0
-
-    n_steps = len(nodes) - 1
-    steps_dt = np.diff(nodes)
-    pool = _RngPool()
-
-    # timing: u = exp(-gamma (t_next - t)) maintained multiplicatively;
-    # L = log1p(-btilde u) feeds both the consumption integral and the deflator
-    if timing:
-        u_vec = np.exp(-gamma * np.maximum(t_next, 0.0))
-        L_cur = np.log1p(-btilde * u_vec)
-        L_new = np.empty(P)
-    buf_t = np.empty(P)
-    buf_ly = np.empty(P)
-    buf_y = np.empty(P)
-    buf_i_a = np.empty(P)
-    buf_i_b = np.empty(P)
-    buf_s = np.empty(P)
-
-    z_rows = None
-    for k in range(n_steps):
-        blk, off = divmod(k, _BLOCK_STEPS)
-        if off == 0:
-            width = min(_BLOCK_STEPS, n_steps - k)
-            if z_rows is None:
-                z_rows = np.empty((P, _BLOCK_STEPS))
-            for i, pid in enumerate(path_ids):
-                gen = pool.get_block(cfg.seed, int(pid), _PURPOSE_STEPNORM, blk)
-                z_rows[i, :width] = gen.standard_normal(width)
-            # transpose once so each step reads a contiguous row
-            z_block = np.ascontiguousarray(z_rows[:, :width].T)
-        t_lo = float(nodes[k])
-        t_hi = float(nodes[k + 1])
-        dt_k = float(steps_dt[k])
-        sqdt_k = math.sqrt(dt_k)
-
-        # --- jumps inside this step, processed in waves by time order ------
-        lo_ev, hi_ev = int(ev_ptr[k]), int(ev_ptr[k + 1])
-        touched = None
-        if hi_ev > lo_ev:
-            rows_all = ev_row[lo_ev:hi_ev]
-            touched = np.unique(rows_all)
-            cur_t = np.full(len(touched), t_lo)
-            pending = np.arange(lo_ev, hi_ev)
-            while pending.size:
-                # events are time-sorted within the step, so the first
-                # occurrence per path is that path's earliest pending jump
-                _, first_pos = np.unique(ev_row[pending], return_index=True)
-                sel = pending[first_pos]
-                if len(sel) == pending.size:
-                    pending = pending[:0]
-                else:
-                    mask = np.ones(pending.size, dtype=bool)
-                    mask[first_pos] = False
-                    pending = pending[mask]
-                idx = ev_row[sel]
-                pos = np.searchsorted(touched, idx)
-                tau = ev_time[sel]
-                flat = ev_flat[sel]
-                z = ev_z[sel]
-                d = tau - cur_t[pos]
-                if timing:
-                    cint = sol.consumption_integral(tau, cur_t[pos], tau)
-                else:
-                    cint = cons[idx] * d
-                x[idx] += drift[idx] * d - cint + volc[idx] * np.sqrt(d) * z
-                y_left = (deflator_subset(tau, idx, s_to_jump=0.0) if timing
-                          else deflator_subset(tau, idx))
-                if streams is not None:
-                    e_left = streams.values(tau, jcount, idx)
-                    acc[idx] += 0.5 * (i_prev[idx] + y_left * e_left) * d
-                # the jump itself, with exposure keyed to this jump's signal
-                xi = js_flat[flat]
-                x[idx] += np.log1p(pij[idx] * np.expm1(xi))
-                jcount[idx] += 1
-                t_next[idx] = jt_flat[flat + 1]
-                if signal:
-                    eta_new = sg_flat[flat + 1]
-                    eta_cur[idx] = eta_new
-                    lh = np.log(np.asarray(sol.h_at(eta_new), dtype=float))
-                    log_h_cur[idx] = lh
-                    cons[idx] = np.exp(-lh / R)
-                    q_new = np.asarray(sol.q_bar_at(eta_new), dtype=float)
-                    drift[idx] = fraction_drift(q_new)
-                    volc[idx] = q_new * sigma
-                    pij[idx] = q_new
-                y_right = deflator_subset(tau, idx)
-                if streams is not None:
-                    e_right = streams.values(tau, jcount, idx)
-                    i_prev[idx] = y_right * e_right
-                cur_t[pos] = tau
-                if record:
-                    records_out.append((float(tau[0]), True, float(x[0]),
-                                        float(y_right[0])))
-
-        # --- remainder of the step: uniform update, then fix touched rows --
-        zcol = z_block[off]
-        if touched is not None:
-            saved_x = x[touched].copy()
-            saved_ip = i_prev[touched].copy()
-        if timing:
-            np.multiply(u_vec, math.exp(gamma * dt_k), out=u_vec)
-            if touched is not None:
-                u_vec[touched] = np.exp(-gamma * (t_next[touched] - t_hi))
-            np.multiply(u_vec, -btilde, out=buf_t)
-            np.log1p(buf_t, out=L_new)
-            # consumption integral over the step is gamma dt + L_cur - L_new,
-            # so x += (drift - gamma) dt + (L_new - L_cur) + volc sqdt z
-            np.multiply(zcol, volc[0] * sqdt_k, out=buf_t)
-            buf_t += (drift[0] - gamma) * dt_k
-            buf_t += L_new
-            buf_t -= L_cur
-            x += buf_t
-            L_cur, L_new = L_new, L_cur
-        elif signal:
-            np.multiply(zcol, volc, out=buf_t)
-            buf_t *= sqdt_k
-            x += buf_t
-            x += (drift - cons) * dt_k
-        else:
-            np.multiply(zcol, volc[0] * sqdt_k, out=buf_t)
-            buf_t += (drift[0] - cons[0]) * dt_k
-            x += buf_t
-        if touched is not None:
-            rows = touched
-            d_fix = t_hi - cur_t
-            if timing:
-                cint_fix = sol.consumption_integral(t_next[rows], cur_t, t_hi)
+    def __init__(self, p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray,
+                 ids: np.ndarray, pin_t1, pin_eta0):
+        regime = cfg.regime
+        _check_regime(regime, sol)
+        self.p, self.seed, self.nodes, self.ids = p, cfg.seed, nodes, ids
+        pool = _RngPool()
+        self.scenarios, jnorms = [], []
+        for pid in ids.tolist():
+            if p.lam == 0.0:
+                scen = (np.array([math.inf]), np.zeros(1), np.full(1, p.m))
             else:
-                cint_fix = cons[rows] * d_fix
-            x[rows] = (saved_x + drift[rows] * d_fix - cint_fix
-                       + volc[rows] * np.sqrt(d_fix) * zcol[rows])
+                scen = _draw_scenario_impl(
+                    p, cfg.horizon, pool.get_block(cfg.seed, pid, _PURPOSE_GAPS, 0),
+                    pool.get_block(cfg.seed, pid, _PURPOSE_MARKS, 0), pin_t1, pin_eta0)
+            self.scenarios.append(scen)
+            if len(scen[0]) > 1:        # the last time lies beyond the horizon
+                jnorms.append(pool.get_block(cfg.seed, pid, _PURPOSE_JUMPNORM, 0)
+                              .standard_normal(len(scen[0]) - 1))
+        P = len(ids)
+        lens = np.array([len(sc[0]) for sc in self.scenarios])
+        J = int(lens.max())
 
-        # deflator and trapezoid at the node
-        np.multiply(x, -R, out=buf_ly)
-        buf_ly -= rho * t_hi
-        if timing:
-            np.multiply(L_cur, R, out=buf_t)
-            buf_ly += buf_t
-            buf_ly -= R * log_gamma
-            buf_ly -= log_norm0
-        elif signal:
-            buf_ly += log_h_cur
-            buf_ly -= log_norm0
-        np.exp(buf_ly, out=buf_y)
-        y = buf_y
-        if streams is None:
-            i_new = zero_vec
-        elif level is not None:
-            # alternate output buffers so i_prev survives into the next step
-            i_buf = buf_i_a if (k & 1) == 0 else buf_i_b
-            np.multiply(y, level, out=i_buf)
-            i_new = i_buf
+        def padded(parts, n, fill=0.0):
+            out = np.full((P, J), fill)
+            out[np.arange(J) < n[:, None]] = np.concatenate(parts) if parts else []
+            return out
+
+        times, sizes, signals = (padded([sc[k] for sc in self.scenarios], lens, fill)
+                                 for k, fill in ((0, math.inf), (1, 0.0), (2, p.m)))
+        self.eta0 = signals[:, 0].copy()
+        self.row0 = np.arange(P) * J
+
+        self.timing = regime == "timing"
+        self.lh = 0.0   # signal: log h(eta_s) - log h(eta_0)
+        if regime == "uninformed":
+            pi0 = self.pij = sol.q_bar1
+            self.cons = sol.A1 ** (-1.0 / p.R)
+        elif regime == "merton":
+            pi0, self.pij, self.cons = sol.merton_fraction, 0.0, sol.gamma_M_merton
+        elif self.timing:
+            pi0, self.pij = p.merton_fraction, sol.a_star
+            self.tnext, self.gamma, self.btilde = times, sol.gamma_M, sol.btilde
+            self.L0 = self.log_term(times[:, 0], 0.0)
         else:
-            i_new = y * streams.values(t_hi, jcount, None)
-        np.add(i_prev, i_new, out=buf_s)
-        buf_s *= 0.5 * dt_k
-        acc += buf_s
-        if touched is not None:
-            # touched rows integrate only from their last jump to the node
-            d_fix = t_hi - cur_t
-            acc[touched] += 0.5 * (saved_ip + i_new[touched]) * (d_fix - dt_k)
-        i_prev = i_new
-        if checkpoint_cols and (k + 1) in checkpoint_cols:
-            checkpoints_out[:, checkpoint_cols[k + 1]] = y
-        if record:
-            records_out.append((t_hi, False, float(x[0]), float(y[0])))
-        if (k + 1) % 512 == 0 and not np.all(np.isfinite(x)):
-            raise SimulationError("non-finite wealth during simulation")
+            pi0 = self.pij = np.asarray(sol.q_bar_at(signals), dtype=float)
+            log_h = np.log(np.asarray(sol.h_at(signals), dtype=float))
+            self.cons = np.exp(-log_h / p.R)
+            self.lh = log_h - log_h[:, :1]
+        self.drift = p.r + pi0 * (p.mu - p.r) - 0.5 * pi0 * pi0 * p.sigma**2
+        self.volc = pi0 * p.sigma
+        # log-wealth drift net of consumption (for the timing insider, net of
+        # gamma; the rest of its consumption integral is a difference of L)
+        self.net = self.drift - (self.gamma if self.timing else self.cons)
+        self.segmented = self.timing or np.ndim(self.net) > 0
 
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(acc))):
-        raise SimulationError("non-finite state at the end of simulation")
-    state = {"x": x, "t1": t1_arr, "eta0": eta0, "eta_cur": eta_cur,
-             "jcount": jcount, "t_next": t_next}
-    return acc, checkpoints_out, records_out, scen, state
+        # events: all of a jump that does not need the step normals
+        er, ej = np.nonzero((np.arange(J) < lens[:, None] - 1) & (regime != "merton"))
+        fe = er * J + ej
+        tau = times.ravel()[fe]
+        cell = np.clip(np.searchsorted(nodes, tau) - 1, 0, len(nodes) - 2)
+        first = np.ones(len(er), dtype=bool)
+        first[1:] = (er[1:] != er[:-1]) | (cell[1:] != cell[:-1])
+        last = np.ones_like(first)
+        last[:-1] = first[1:]
+        prev = nodes[cell]
+        prev[~first] = tau[np.flatnonzero(~first) - 1]
+        d = tau - prev
+        cint = (sol.consumption_integral(tau, prev, tau) if self.timing
+                else _at(self.cons, fe) * d)
+        sub = (_at(self.drift, fe) * d - cint
+               + _at(self.volc, fe) * np.sqrt(d) * padded(jnorms, lens - 1).ravel()[fe])
+        total = sub + np.log1p(_at(self.pij, fe) * np.expm1(sizes.ravel()[fe]))
+        # log-wealth from the cell's left node to both limits of each jump:
+        # a per-path cumsum, differenced at the cell's first jump
+        csum = np.zeros((P, J + 1))
+        csum[er, ej + 1] = total
+        np.cumsum(csum, axis=1, out=csum)
+        first_of_cell = np.maximum.accumulate(np.where(first, np.arange(len(er)), 0))
+        base = csum[er, ej[first_of_cell]]
+        self.pre = csum[er, ej] - base + sub
+        self.post = csum[er, ej + 1] - base
+        # the remainder of a cell after its last jump, less its step-normal term
+        self.d_rem, self.rem, self.rem_vol = np.zeros((3, len(er)))
+        li, nxt = np.flatnonzero(last), fe[last] + 1
+        t_hi = nodes[cell[li] + 1]
+        self.d_rem[li] = t_hi - tau[li]
+        cint = (sol.consumption_integral(times.ravel()[nxt], tau[li], t_hi)
+                if self.timing else _at(self.cons, nxt) * self.d_rem[li])
+        self.rem[li] = _at(self.drift, nxt) * self.d_rem[li] - cint
+        self.rem_vol[li] = _at(self.volc, nxt) * np.sqrt(self.d_rem[li])
+        self.er, self.ej, self.tau, self.cell = er, ej, tau, cell
+        self.first, self.last, self.d = first, last, d
+        self.c_left = self.log_regime(fe, tau, er) - p.rho * tau
+        self.c_right = self.log_regime(fe + 1, tau, er) - p.rho * tau
+
+    def log_term(self, t_next, t):
+        """Timing: L = log1p(-btilde e^(-gamma (t_next - t))), which enters
+        both the consumption integral and log f(t_next - t)."""
+        u = np.subtract(t_next, t)
+        np.exp(np.multiply(u, -self.gamma, out=u), out=u)
+        return np.log1p(np.multiply(u, -self.btilde, out=u), out=u)
+
+    def log_regime(self, seg, t, rows, L=None):
+        """The regime's factor of log Y less its value at time 0: R (L - L_0)
+        for the timing insider, log h(eta) - log h(eta_0) for the signal one."""
+        if not self.timing:
+            return _at(self.lh, seg)
+        if L is None:
+            L = self.log_term(np.take(self.tnext, seg), t)
+        L -= self.L0[rows]      # in place: a given L is spent
+        L *= self.p.R
+        return L
+
+    def blocks(self, counts: bool = False):
+        """The tile's _Block for each step block in time order; `counts`
+        asks for the node segments where the controls do not need them."""
+        p, nodes, P = self.p, self.nodes, len(self.ids)
+        pool = _RngPool()
+        x0, seg0 = np.zeros(P), self.row0
+        for blk, k0 in enumerate(range(0, len(nodes) - 1, _BLOCK_STEPS)):
+            t = nodes[k0:k0 + _BLOCK_STEPS + 1]
+            W, dt = len(t) - 1, np.diff(t)
+            ev = np.flatnonzero((self.cell >= k0) & (self.cell < k0 + W))
+            er, ec, last = self.er[ev], self.cell[ev] - k0, self.last[ev]
+            lr, lc = er[last], ec[last]
+            seg = None
+            if self.segmented or counts:
+                seg = np.zeros((P, W + 1), dtype=np.int64)
+                np.add.at(seg, (er, ec + 1), 1)
+                seg[:, 0] += seg0
+                np.cumsum(seg, axis=1, out=seg)
+                seg0 = seg[:, -1].copy()
+
+            x = np.empty((P, W + 1))
+            x[:, 0] = x0
+            inc = x[:, 1:]
+            for i, pid in enumerate(self.ids.tolist()):
+                pool.get_block(self.seed, pid, _PURPOSE_STEPNORM,
+                               blk).standard_normal(out=inc[i])
+            z_last = inc[lr, lc]
+            inc *= _on_cells(self.volc, seg, np.sqrt(dt))
+            inc += _on_cells(self.net, seg, dt)
+            L = None
+            if self.timing:
+                L = self.log_term(np.take(self.tnext, seg), t)
+                inc += L[:, 1:]
+                inc -= L[:, :-1]
+            last = ev[last]
+            inc[lr, lc] = self.post[last] + self.rem[last] + self.rem_vol[last] * z_last
+            np.cumsum(x, axis=1, out=x)
+            x0 = x[:, -1].copy()
+            if not np.all(np.isfinite(x0)):
+                raise SimulationError("non-finite wealth during simulation")
+            y = x * -p.R
+            y -= p.rho * t
+            if self.segmented:
+                y += self.log_regime(seg, t, np.s_[:, None], L)
+            np.exp(y, out=y)
+            x_cell = x[er, ec]
+            yield _Block(k0, t, x, y, seg, ev, x_cell,
+                         np.exp(self.c_left[ev] - p.R * (x_cell + self.pre[ev])),
+                         np.exp(self.c_right[ev] - p.R * (x_cell + self.post[ev])))
+
+    def integrals(self, stream: IncomeStream) -> np.ndarray:
+        """Composite-grid trapezoid of deflator times stream, per path: node
+        weights times the integrand, plus, in each jump cell, its sum over
+        sub-intervals less its regular term."""
+        streams = _StreamEval(stream, self.p, self.eta0)
+        constant = isinstance(stream, ConstantStream)
+        acc = np.zeros(len(self.ids))
+        for b in self.blocks(counts=not constant):
+            jc = None if constant else b.seg - self.row0[:, None]
+            node_i = b.y
+            node_i *= streams.values(b.t, jc, np.s_[:, None])
+            half = 0.5 * np.diff(b.t)
+            if b.ev.size:
+                ev = b.ev
+                er, ec, tau = self.er[ev], self.cell[ev] - b.k0, self.tau[ev]
+                first, last = self.first[ev], self.last[ev]
+                i_left = b.y_left * streams.values(tau, self.ej[ev], er)
+                i_right = b.y_right * streams.values(tau, self.ej[ev] + 1, er)
+                start = np.where(first, node_i[er, ec], np.roll(i_right, 1))
+                lr, lc = er[last], ec[last]
+                lo, hi = node_i[lr, lc], node_i[lr, lc + 1]
+                cell = (np.add.reduceat((start + i_left) * (0.5 * self.d[ev]),
+                                        np.flatnonzero(first))
+                        + (i_right[last] + hi) * (0.5 * self.d_rem[ev][last])
+                        - (lo + hi) * half[lc])
+                acc += np.bincount(lr, weights=cell, minlength=len(acc))
+            weights = np.append(half, 0.0)
+            weights[1:] += half
+            node_i *= weights
+            acc += node_i.sum(axis=1)
+        if not np.all(np.isfinite(acc)):
+            raise SimulationError("non-finite state at the end of simulation")
+        return acc
+
+
+def _tiles(p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray, start: int,
+           count: int, chunk_paths: int, pin_t1, pin_eta0):
+    """(offset, _Tile) over paths start .. start + count, at most
+    min(chunk_paths, _TILE_PATHS) paths a tile."""
+    size = max(1, min(chunk_paths, _TILE_PATHS))
+    for lo in range(0, count, size):
+        ids = np.arange(start + lo, start + min(lo + size, count))
+        yield lo, _Tile(p, sol, cfg, nodes, ids, pin_t1, pin_eta0)
 
 
 def _grid_nodes(cfg: SimConfig) -> np.ndarray:
@@ -640,16 +541,10 @@ def path_integrals(p: ModelParams, sol, cfg: SimConfig, stream: IncomeStream,
     independent of chunking.
     """
     total = cfg.n_paths if n_paths is None else n_paths
-    nodes = _grid_nodes(cfg)
     out = np.empty(total)
-    done = 0
-    while done < total:
-        count = min(chunk_paths, total - done)
-        ids = np.arange(path_offset + done, path_offset + done + count)
-        acc, _, _, _, _ = _run_chunk(p, sol, cfg, nodes, ids, stream,
-                                     pin_t1, pin_eta0, None, False)
-        out[done:done + count] = acc
-        done += count
+    for lo, tile in _tiles(p, sol, cfg, _grid_nodes(cfg), path_offset, total,
+                           chunk_paths, pin_t1, pin_eta0):
+        out[lo:lo + len(tile.ids)] = tile.integrals(stream)
     return out
 
 
@@ -666,17 +561,14 @@ def deflator_at_times(p: ModelParams, sol, cfg: SimConfig,
     times = np.asarray(sorted({float(t) for t in times}))
     if times[0] < 0 or times[-1] > cfg.horizon:
         raise ValueError("checkpoint times must lie in [0, horizon]")
-    nodes = np.unique(np.concatenate(([0.0, cfg.horizon], times)))
-    cols = {int(np.searchsorted(nodes, t)): j for j, t in enumerate(times)}
+    nodes = np.union1d([0.0, cfg.horizon], times)
+    cols = np.searchsorted(nodes, times)
     out = np.empty((cfg.n_paths, len(times)))
-    done = 0
-    while done < cfg.n_paths:
-        count = min(chunk_paths, cfg.n_paths - done)
-        ids = np.arange(done, done + count)
-        _, chk, _, _, _ = _run_chunk(p, sol, cfg, nodes, ids, None,
-                                     pin_t1, pin_eta0, cols, False)
-        out[done:done + count] = chk
-        done += count
+    for lo, tile in _tiles(p, sol, cfg, nodes, 0, cfg.n_paths, chunk_paths,
+                           pin_t1, pin_eta0):
+        for b in tile.blocks():
+            here = (cols >= b.k0) & (cols < b.k0 + len(b.t))
+            out[lo:lo + len(tile.ids), here] = b.y[:, cols[here] - b.k0]
     return out
 
 
@@ -685,26 +577,22 @@ def simulate_path(p: ModelParams, sol, cfg: SimConfig, path_index: int,
                   pin_eta0: float | None = None,
                   wealth_scale: float = 1.0) -> PathRecord:
     """Full record of a single path on its composite grid."""
-    nodes = _grid_nodes(cfg)
-    ids = np.array([path_index])
-    _, _, records, scen, state = _run_chunk(p, sol, cfg, nodes, ids, None,
-                                            pin_t1, pin_eta0, None, True)
-    jt_flat, js_flat, sg_flat = scen
-    w0 = initial_wealth(cfg.regime, sol, p, t1=float(state["t1"][0]),
-                        eta0=float(state["eta0"][0])) * wealth_scale
-    grid = np.array([row[0] for row in records])
-    is_jump = np.array([row[1] for row in records])
-    x_path = np.array([row[2] for row in records])
-    deflator = np.array([row[3] for row in records])
-    # keep the post-jump value where a jump coincides with a grid node
-    keep = np.ones(len(grid), dtype=bool)
-    keep[:-1] = grid[:-1] != grid[1:]
-    return PathRecord(
-        grid=grid[keep],
-        wealth=w0 * np.exp(x_path[keep]),
-        deflator=deflator[keep],
-        is_jump=is_jump[keep],
-        jump_times=jt_flat,
-        jump_sizes=js_flat,
-        signals=sg_flat,
-    )
+    tile = _Tile(p, sol, cfg, _grid_nodes(cfg), np.array([path_index]),
+                 pin_t1, pin_eta0)
+    parts = [(np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1, dtype=bool))]
+    for b in tile.blocks():
+        parts.append((tile.tau[b.ev], b.x_cell + tile.post[b.ev], b.y_right,
+                      np.ones(len(b.ev), dtype=bool)))
+        parts.append((b.t[1:], b.x[0, 1:], b.y[0, 1:],
+                      np.zeros(len(b.t) - 1, dtype=bool)))
+    # jumps come before a node at the same time; keep the later of the two
+    cols = [np.concatenate(a) for a in zip(*parts)]
+    order = np.argsort(cols[0], kind="stable")
+    order = order[np.append(np.diff(cols[0][order]) != 0.0, True)]
+    grid, x_path, deflator, is_jump = (a[order] for a in cols)
+    times, sizes, signals = tile.scenarios[0]
+    w0 = initial_wealth(cfg.regime, sol, p, t1=float(times[0]),
+                        eta0=float(tile.eta0[0])) * wealth_scale
+    return PathRecord(grid=grid, wealth=w0 * np.exp(x_path), deflator=deflator,
+                      is_jump=is_jump, jump_times=times, jump_sizes=sizes,
+                      signals=signals)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from infoprice.pricing import (
     beta_coef,
     closed_form_price,
     info_value_report,
+    n_workers,
     price_mc,
     truncation_bound,
 )
@@ -246,6 +248,28 @@ class TestPriceMc:
                            sols=sols).mean for e in (lo, hi)}
         beta = {e: beta_coef(e, sols.signal, canon, rule64) for e in (lo, hi)}
         assert (est[hi] > est[lo]) == (beta[hi] > beta[lo])
+
+
+class TestWorkerCount:
+    """INFOPRICE_WORKERS: a forked pool starts all its workers at once, so
+    the value is capped at the CPU count."""
+
+    def test_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("INFOPRICE_WORKERS", "100000")
+        assert 1 <= n_workers() <= (os.cpu_count() or 1)
+
+    def test_at_least_one(self, monkeypatch):
+        monkeypatch.setenv("INFOPRICE_WORKERS", "-3")
+        assert n_workers() == 1
+
+    def test_default(self, monkeypatch):
+        monkeypatch.delenv("INFOPRICE_WORKERS", raising=False)
+        assert n_workers() == min(2, os.cpu_count() or 1)
+
+    def test_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("INFOPRICE_WORKERS", "two")
+        with pytest.raises(ValueError, match="INFOPRICE_WORKERS"):
+            n_workers()
 
 
 class TestInvalidInputs:

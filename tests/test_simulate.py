@@ -8,6 +8,7 @@ match the engine's records node for node.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +16,18 @@ import pytest
 from infoprice.agents import (
     posterior_of_jump,
     signal_deflator,
+    solve_all,
     solve_signal_insider,
     solve_timing_insider,
     timing_deflator,
     uninformed_deflator,
 )
-from infoprice.model import ConstantStream
+from infoprice.errors import SimulationError
+from infoprice.model import (
+    ConstantStream,
+    ExpUntilFirstJumpStream,
+    PostFirstJumpSignalStream,
+)
 from infoprice.simulate import (
     SimConfig,
     _RngPool,
@@ -36,9 +43,27 @@ from .oracles import apply_jump, wealth_step_exact
 
 _BLOCK = 2048   # step-normal block width, part of the stream convention
 
+STREAMS = {
+    "constant:1": ConstantStream(1.0),
+    "exp_until_jump": ExpUntilFirstJumpStream(),
+    "post_jump_signal:tanh": PostFirstJumpSignalStream(psi=np.tanh, psi_bound=1.0,
+                                                       psi_name="tanh"),
+}
+
 
 def with_fields(p, **kw):
     return dataclasses.replace(p, **kw)
+
+
+@pytest.fixture(scope="module")
+def dense(canon):
+    """Dense jumps: lambda 2, so a 1-year grid cell often holds several."""
+    return with_fields(canon, lam=2.0, m=0.0, v=0.01)
+
+
+@pytest.fixture(scope="module")
+def dense_sols(dense, rule64):
+    return solve_all(dense, rule64)
 
 
 def philox_block(seed: int, pid: int, purpose: int, block: int) -> np.random.Generator:
@@ -207,8 +232,14 @@ class TestStepPrimitives:
             apply_jump(1.0, 1.5, 0.1)
 
 
-def replay_path(p, sol, cfg, pid, regime):
-    """Recompose one path from raw streams and the scalar step operations."""
+def replay_points(p, sol, cfg, pid, regime):
+    """Recompose one path from raw streams and the scalar step operations.
+
+    Returns the raw composite-grid points in time order, a jump and the node
+    it may coincide with both kept: times, wealth and deflator (right limits),
+    the deflator's left limit (equal to the right limit at regular nodes),
+    and the jump count before and after each point.
+    """
     from infoprice.agents import merton_deflator
 
     times, sizes, signals = draw_scenario(p, cfg, pid)
@@ -223,7 +254,8 @@ def replay_path(p, sol, cfg, pid, regime):
     eta = signals[0] if signals.size else p.m
     eta0 = eta
     w = initial_wealth(regime, sol, p, t1=t1, eta0=eta0)
-    out_t, out_w, out_y = [0.0], [w], [1.0]
+    out_t, out_w, out_y, out_yl = [0.0], [w], [1.0], [1.0]
+    out_jl, out_jr = [0], [0]
 
     def deflator(t, w, nxt, eta):
         if regime == "uninformed":
@@ -255,6 +287,11 @@ def replay_path(p, sol, cfg, pid, regime):
             cint = (float(sol.consumption_integral(tau, cur, tau))
                     if regime == "timing" else cons * d)
             w = wealth_step_exact(w, pi, cint, d, math.sqrt(d) * zj[j], p)
+            if regime == "timing":   # the next jump is now: f(0)
+                out_yl.append(float(np.exp(sol.log_f(0.0)))
+                              * math.exp(-p.rho * tau) * w ** (-p.R))
+            else:
+                out_yl.append(deflator(tau, w, None, eta))
             w = apply_jump(w, pj, sizes[j])
             j += 1
             eta = signals[j] if j < len(signals) else p.m
@@ -262,6 +299,8 @@ def replay_path(p, sol, cfg, pid, regime):
             out_t.append(tau)
             out_w.append(w)
             out_y.append(deflator(tau, w, nxt, eta))
+            out_jl.append(j - 1)
+            out_jr.append(j)
             cur = tau
         pi, cons, _ = controls(eta)
         d = t_hi - cur
@@ -275,11 +314,41 @@ def replay_path(p, sol, cfg, pid, regime):
         out_t.append(t_hi)
         out_w.append(w)
         out_y.append(deflator(t_hi, w, nxt, eta))
+        out_yl.append(out_y[-1])
+        out_jl.append(j)
+        out_jr.append(j)
+    return (np.array(out_t), np.array(out_w), np.array(out_y),
+            np.array(out_yl), np.array(out_jl), np.array(out_jr))
+
+
+def replay_path(p, sol, cfg, pid, regime):
+    """The hand replay on the engine's record grid: times, wealth, deflator."""
+    t, w, y, _, _, _ = replay_points(p, sol, cfg, pid, regime)
     # collapse duplicate times keeping the post-jump value, as the engine does
-    t = np.array(out_t)
     keep = np.ones(len(t), dtype=bool)
     keep[:-1] = t[:-1] != t[1:]
-    return t[keep], np.array(out_w)[keep], np.array(out_y)[keep]
+    return t[keep], w[keep], y[keep]
+
+
+def replay_integral(p, sol, cfg, pid, regime, stream):
+    """Composite-grid trapezoid of deflator times stream on the hand replay:
+    each sub-interval runs from a point's right limit to the next point's
+    left limit."""
+    t, _, y, y_left, jc_left, jc_right = replay_points(p, sol, cfg, pid, regime)
+    eta0 = draw_scenario(p, cfg, pid)[2][0] if p.lam > 0.0 else p.m
+
+    def value(u, jc):
+        if isinstance(stream, ConstantStream):
+            return stream.level
+        if isinstance(stream, ExpUntilFirstJumpStream):
+            return math.exp(p.r * u) if jc == 0 else 0.0
+        return (float(stream.psi(eta0)) * math.exp((p.r - 1.0) * u)
+                if jc >= 1 else 0.0)
+
+    right = [yi * value(u, jc) for u, yi, jc in zip(t, y, jc_right)]
+    left = [yi * value(u, jc) for u, yi, jc in zip(t, y_left, jc_left)]
+    return math.fsum(0.5 * (right[i] + left[i + 1]) * (t[i + 1] - t[i])
+                     for i in range(len(t) - 1))
 
 
 class TestEngineAgainstScalarOps:
@@ -307,6 +376,29 @@ class TestEngineAgainstScalarOps:
         t, w, y = replay_path(p, sol, cfg, 5, "timing")
         assert np.allclose(rec.wealth, w, rtol=1e-10, atol=0)
         assert np.allclose(rec.deflator, y, rtol=1e-9, atol=1e-12)
+
+    # lambda 2 with dt 1: up to 6 jumps share one grid cell on these paths
+    @pytest.mark.parametrize("regime", ["uninformed", "timing", "signal", "merton"])
+    @pytest.mark.parametrize("pid", [3, 8, 11])
+    def test_replay_several_jumps_per_cell(self, dense, dense_sols, regime, pid):
+        cfg = SimConfig(horizon=12.0, dt=1.0, n_paths=1, seed=99, regime=regime)
+        sol = dense_sols.for_regime(regime)
+        rec = simulate_path(dense, sol, cfg, pid)
+        t, w, y = replay_path(dense, sol, cfg, pid, regime)
+        assert np.allclose(rec.grid, t, rtol=0, atol=0)
+        assert np.allclose(rec.wealth, w, rtol=1e-10, atol=0)
+        assert np.allclose(rec.deflator, y, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", list(STREAMS))
+    @pytest.mark.parametrize("regime", ["uninformed", "timing", "signal", "merton"])
+    @pytest.mark.parametrize("pid", [3, 8, 11])
+    def test_path_integral_matches_replay(self, dense, dense_sols, spec, regime, pid):
+        stream = STREAMS[spec]
+        cfg = SimConfig(horizon=12.0, dt=1.0, n_paths=1, seed=99, regime=regime)
+        sol = dense_sols.for_regime(regime)
+        got = path_integrals(dense, sol, cfg, stream, path_offset=pid, n_paths=1)[0]
+        want = replay_integral(dense, sol, cfg, pid, regime, stream)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (got, want)
 
 
 class TestSimulatePath:
@@ -381,6 +473,27 @@ class TestBulkEngine:
         b = path_integrals(canon, sol_uninformed, cfg, ConstantStream(1.0),
                            chunk_paths=7)
         assert np.array_equal(a, b)
+
+    def test_non_finite_state_raises(self, canon, sol_uninformed):
+        cfg = SimConfig(horizon=1.0, dt=0.1, n_paths=3, seed=1,
+                        regime="uninformed")
+        broken = dataclasses.replace(sol_uninformed, q_bar1=math.nan)
+        with pytest.raises(SimulationError, match="non-finite"):
+            path_integrals(canon, broken, cfg, ConstantStream(1.0))
+
+    @pytest.mark.parametrize("n_paths,n_steps", [(2048, 5000), (8192, 2048)])
+    def test_memory_is_bounded(self, canon, sol_uninformed, n_paths, n_steps):
+        # paths advance in fixed tiles, so peak memory does not grow with
+        # the path count or the default chunk of 25,000 paths
+        cfg = SimConfig(horizon=0.01 * n_steps, dt=0.01, n_paths=n_paths,
+                        seed=1, regime="uninformed")
+        tracemalloc.start()
+        try:
+            path_integrals(canon, sol_uninformed, cfg, ConstantStream(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_martingale_spot_check(self, canon, sol_uninformed):
         cfg = SimConfig(horizon=5.0, dt=5.0, n_paths=40_000, seed=8,
