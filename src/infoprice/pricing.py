@@ -288,7 +288,8 @@ def price_mc(e: IncomeStream, sol, p: ModelParams, cfg: SimConfig,
     across paths in path order (exact summation, so the result is identical
     for any worker count). `sols` is only needed to compute the truncation
     bound for streams whose tail rate involves other constants; if omitted
-    it is reconstructed for the regimes required.
+    it is reconstructed for the regimes required. An explicit `workers` is
+    capped at the CPU count, as `n_workers()` caps INFOPRICE_WORKERS.
     """
     regime = cfg.regime
     cond = _check_conditioning(regime, conditioning)
@@ -297,7 +298,8 @@ def price_mc(e: IncomeStream, sol, p: ModelParams, cfg: SimConfig,
     # also the parameter, stream-type and merton-gate checks
     bound = truncation_bound(e, regime, p, sols, cfg.horizon, cond, rule)
 
-    workers = n_workers() if workers is None else max(1, int(workers))
+    workers = (n_workers() if workers is None
+               else min(os.cpu_count() or 1, max(1, int(workers))))
     vals = np.empty(cfg.n_paths)
     if workers == 1 or cfg.n_paths < 4096:
         vals[:] = path_integrals(p, sol, cfg, e, pin_t1=cond.t1, pin_eta0=cond.eta0)

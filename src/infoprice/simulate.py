@@ -25,7 +25,11 @@ value, which keeps the rest of the scenario common between conditional and
 unconditional runs.
 
 The engine advances tiles of at most 256 paths over 2048-step blocks with
-array passes. A path's controls are constant between its jumps, so they are
+array passes. A tile's set-up calls the generators per path (one reusable
+Philox per purpose, re-keyed from Python ints) and draws straight into
+(paths, jumps) arrays; the times, counts, sizes, signals and padding are
+then one pass over the tile, and draw_scenario is its one-path case. A
+path's controls are constant between its jumps, so they are
 (paths, segments) tables gathered at each node by the jump count before it.
 Log-wealth at the nodes is one cumsum of exact increments and the deflator
 one exp. The tile's in-horizon jumps (events) are handled at once: a grid
@@ -78,7 +82,6 @@ _PURPOSE_MARKS = 1
 _PURPOSE_JUMPNORM = 2
 _PURPOSE_STEPNORM = 3
 
-DEFAULT_CHUNK_PATHS = 25_000
 _BLOCK_STEPS = 2048
 _TILE_PATHS = 256
 
@@ -136,73 +139,108 @@ def path_rng(seed: int, path_index: int, purpose: int) -> np.random.Generator:
 class _RngPool:
     """Reusable Philox generators, one per purpose, re-keyed per path.
 
-    Produces draw-for-draw the same streams as fresh path_rng generators but
-    without per-path construction cost (each construction pulls OS entropy).
-    Purposes get separate instances so interleaved use cannot cross streams.
+    get_block writes the Philox state from Python ints: key (seed,
+    (4 i + purpose) mod 2^64), counter (0, 0, block, 0) and an empty buffer,
+    which is the state a fresh path_rng generator starts block 0 from. The
+    draws are the same as a fresh generator's, without the construction
+    cost (about 20 us; each path_rng construction also pulls OS entropy).
+    Purposes get separate instances, made on first use, so interleaved use
+    cannot cross streams.
     """
 
     def __init__(self):
-        self._bgs = {}
-        self._gens = {}
-        template_bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        template = template_bg.state
-        self._counter = np.zeros_like(template["state"]["counter"])
-        self._buffer = np.zeros_like(template["buffer"])
-        self._buffer_pos = int(template["buffer_pos"])
-
-    def _slot(self, purpose: int):
-        if purpose not in self._bgs:
-            bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-            self._bgs[purpose] = bg
-            self._gens[purpose] = np.random.Generator(bg)
-        return self._bgs[purpose], self._gens[purpose]
-
-    def _set(self, purpose: int, key: np.ndarray, counter: np.ndarray):
-        bg, gen = self._slot(purpose)
-        bg.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": counter, "key": key},
-            "buffer": self._buffer.copy(),
-            "buffer_pos": self._buffer_pos,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return gen
+        self._gens = [None] * 4
 
     def get_block(self, seed: int, path_index: int, purpose: int,
                   block: int) -> np.random.Generator:
         """Stream segment at counter word 2 = block: disjoint 2^128-draw
         segments of the same keyed stream, one per step block. Block 0 is
         the start of the stream, which path_rng draws from."""
-        counter = self._counter.copy()
-        counter[2] = np.uint64(block)
-        return self._set(purpose, _philox_key(seed, path_index, purpose), counter)
+        if self._gens[purpose] is None:     # the seed is overwritten below
+            self._gens[purpose] = np.random.Generator(np.random.Philox(0))
+        self._gens[purpose].bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, block, 0),
+                      "key": (seed, (4 * path_index + purpose) % 2**64)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return self._gens[purpose]
 
 
-def _draw_scenario_impl(p: ModelParams, horizon: float, gaps_gen, marks_gen,
-                        pin_t1, pin_eta0):
+def _gap_blocks(mean: float) -> int:
+    """Gap blocks of a path's first draw: the mean count plus six sd."""
+    return 1 + int((mean + 6.0 * math.sqrt(mean)) // _GAP_BLOCK)
+
+
+# Scenario tables of a tile, (paths, J) for the most times J of any path:
+# row i holds its path's first counts[i] jump times (the last one beyond the
+# horizon), their sizes and signals and counts[i] - 1 jump normals, padded
+# with inf, 0, m and 0.
+_Scenarios = namedtuple("_Scenarios", "times sizes signals jnorms counts")
+
+
+def _scenarios(p: ModelParams, horizon: float, seed: int, ids: np.ndarray,
+               pin_t1, pin_eta0) -> _Scenarios:
+    """Scenario tables of paths ids; only the generator calls are per path.
+    With lam = 0 every path has the one time +inf, size 0 and signal m."""
+    P = len(ids)
+    if p.lam == 0.0:
+        return _Scenarios(np.full((P, 1), math.inf), np.zeros((P, 1)),
+                          np.full((P, 1), p.m), np.zeros((P, 1)),
+                          np.ones(P, dtype=np.int64))
+    pool, ids = _RngPool(), ids.tolist()
     # gaps come in blocks of 16 until one lands beyond the horizon; the
-    # blocks for the mean count plus six sd are drawn in one call
-    mean = p.lam * horizon
-    n_blocks = 1 + int((mean + 6.0 * math.sqrt(mean)) // _GAP_BLOCK)
-    gaps = gaps_gen.exponential(1.0 / p.lam, _GAP_BLOCK * n_blocks)
+    # first _gap_blocks are drawn in one call (scaling standard draws by
+    # 1/lam is exactly what exponential(1/lam) does)
+    gaps = np.empty((P, _GAP_BLOCK * _gap_blocks(p.lam * horizon)))
+    for row, pid in zip(gaps, ids):
+        pool.get_block(seed, pid, _PURPOSE_GAPS, 0).standard_exponential(out=row)
+    gaps *= 1.0 / p.lam
     if pin_t1 is not None:
-        gaps[0] = pin_t1
-    times = np.cumsum(gaps)
-    while not times[-1] > horizon:
-        gaps = np.append(gaps, gaps_gen.exponential(1.0 / p.lam, _GAP_BLOCK))
-        times = np.cumsum(gaps)
-    n = int(times.searchsorted(horizon, side="right")) + 1
-    times = times[:n]
+        gaps[:, 0] = pin_t1
+    times = np.cumsum(gaps, axis=1)
+    longer = {}
+    for i in np.flatnonzero(~(times[:, -1] > horizon)).tolist():
+        gen = pool.get_block(seed, ids[i], _PURPOSE_GAPS, 0)
+        gen.standard_exponential(gaps.shape[1])      # the draws already made
+        row, t = gaps[i], times[i]
+        while not t[-1] > horizon:
+            row = np.append(row, gen.standard_exponential(_GAP_BLOCK) * (1.0 / p.lam))
+            t = np.cumsum(row)
+        longer[i] = t
+    if longer:
+        width = max(len(t) for t in longer.values())
+        times = np.pad(times, ((0, 0), (0, width - times.shape[1])),
+                       constant_values=math.inf)
+        for i, t in longer.items():
+            times[i, :len(t)] = t
+    counts = (times <= horizon).sum(axis=1) + 1
+    J = int(counts.max())
+    col = np.arange(J)
+    within = col < counts[:, None]
+    times = np.where(within, times[:, :J], math.inf)
 
-    z = marks_gen.standard_normal(2 * n)
+    ends = np.cumsum(counts)
+    z, zj = np.empty(2 * int(ends[-1])), np.empty(int(ends[-1]) - P)
+    for i, (pid, a, b) in enumerate(zip(ids, (ends - counts).tolist(), ends.tolist())):
+        pool.get_block(seed, pid, _PURPOSE_MARKS, 0).standard_normal(out=z[2 * a:2 * b])
+        if b - a > 1:
+            pool.get_block(seed, pid, _PURPOSE_JUMPNORM, 0).standard_normal(
+                out=zj[a - i:b - i - 1])
     sizes = p.m + math.sqrt(p.v) * z[0::2]
     signals = sizes + math.sqrt(p.v_eps) * z[1::2]
     if pin_eta0 is not None:
         m_post, v_post = posterior_of_jump(pin_eta0, p)
-        sizes[0] = m_post + math.sqrt(v_post) * z[0]
-        signals[0] = pin_eta0
-    return times, sizes, signals
+        first = ends - counts
+        sizes[first] = m_post + math.sqrt(v_post) * z[2 * first]
+        signals[first] = pin_eta0
+    tables = []
+    for flat, fill, mask in ((sizes, 0.0, within), (signals, p.m, within),
+                             (zj, 0.0, col < counts[:, None] - 1)):
+        table = np.full((P, J), fill)
+        table[mask] = flat
+        tables.append(table)
+    return _Scenarios(times, *tables, counts)
 
 
 def draw_scenario(p: ModelParams, cfg: SimConfig, path_index: int,
@@ -221,11 +259,8 @@ def draw_scenario(p: ModelParams, cfg: SimConfig, path_index: int,
         raise ValueError("pinned first jump time must be > 0")
     if p.lam == 0.0:
         return np.array([math.inf]), np.array([]), np.array([])
-    return _draw_scenario_impl(
-        p, cfg.horizon,
-        path_rng(cfg.seed, path_index, _PURPOSE_GAPS),
-        path_rng(cfg.seed, path_index, _PURPOSE_MARKS),
-        pin_t1, pin_eta0)
+    scen = _scenarios(p, cfg.horizon, cfg.seed, np.array([path_index]), pin_t1, pin_eta0)
+    return scen.times[0], scen.sizes[0], scen.signals[0]
 
 
 _EXPECTED_SOLUTION = {
@@ -321,30 +356,9 @@ class _Tile:
         regime = cfg.regime
         _check_regime(regime, sol)
         self.p, self.seed, self.nodes, self.ids = p, cfg.seed, nodes, ids
-        pool = _RngPool()
-        self.scenarios, jnorms = [], []
-        for pid in ids.tolist():
-            if p.lam == 0.0:
-                scen = (np.array([math.inf]), np.zeros(1), np.full(1, p.m))
-            else:
-                scen = _draw_scenario_impl(
-                    p, cfg.horizon, pool.get_block(cfg.seed, pid, _PURPOSE_GAPS, 0),
-                    pool.get_block(cfg.seed, pid, _PURPOSE_MARKS, 0), pin_t1, pin_eta0)
-            self.scenarios.append(scen)
-            if len(scen[0]) > 1:        # the last time lies beyond the horizon
-                jnorms.append(pool.get_block(cfg.seed, pid, _PURPOSE_JUMPNORM, 0)
-                              .standard_normal(len(scen[0]) - 1))
-        P = len(ids)
-        lens = np.array([len(sc[0]) for sc in self.scenarios])
-        J = int(lens.max())
-
-        def padded(parts, n, fill=0.0):
-            out = np.full((P, J), fill)
-            out[np.arange(J) < n[:, None]] = np.concatenate(parts) if parts else []
-            return out
-
-        times, sizes, signals = (padded([sc[k] for sc in self.scenarios], lens, fill)
-                                 for k, fill in ((0, math.inf), (1, 0.0), (2, p.m)))
+        self.scen = _scenarios(p, cfg.horizon, cfg.seed, ids, pin_t1, pin_eta0)
+        times, sizes, signals, jnorms, counts = self.scen
+        P, J = times.shape
         self.eta0 = signals[:, 0].copy()
         self.row0 = np.arange(P) * J
 
@@ -372,7 +386,7 @@ class _Tile:
         self.segmented = self.timing or np.ndim(self.net) > 0
 
         # events: all of a jump that does not need the step normals
-        er, ej = np.nonzero((np.arange(J) < lens[:, None] - 1) & (regime != "merton"))
+        er, ej = np.nonzero((np.arange(J) < counts[:, None] - 1) & (regime != "merton"))
         fe = er * J + ej
         tau = times.ravel()[fe]
         cell = np.clip(np.searchsorted(nodes, tau) - 1, 0, len(nodes) - 2)
@@ -386,7 +400,7 @@ class _Tile:
         cint = (sol.consumption_integral(tau, prev, tau) if self.timing
                 else _at(self.cons, fe) * d)
         sub = (_at(self.drift, fe) * d - cint
-               + _at(self.volc, fe) * np.sqrt(d) * padded(jnorms, lens - 1).ravel()[fe])
+               + _at(self.volc, fe) * np.sqrt(d) * jnorms.ravel()[fe])
         total = sub + np.log1p(_at(self.pij, fe) * np.expm1(sizes.ravel()[fe]))
         # log-wealth from the cell's left node to both limits of each jump:
         # a per-path cumsum, differenced at the cell's first jump
@@ -531,14 +545,15 @@ def _grid_nodes(cfg: SimConfig) -> np.ndarray:
 
 def path_integrals(p: ModelParams, sol, cfg: SimConfig, stream: IncomeStream,
                    pin_t1: float | None = None, pin_eta0: float | None = None,
-                   chunk_paths: int = DEFAULT_CHUNK_PATHS,
+                   chunk_paths: int = _TILE_PATHS,
                    path_offset: int = 0,
                    n_paths: int | None = None) -> np.ndarray:
     """Per-path values of the pricing integral of deflator times stream.
 
     The trapezoid runs on the composite grid (regular nodes plus jump times,
     with left/right limits at jumps). The result is indexed by path and is
-    independent of chunking.
+    independent of chunk_paths, which can only shrink the tiles of at most
+    _TILE_PATHS = 256 paths.
     """
     total = cfg.n_paths if n_paths is None else n_paths
     out = np.empty(total)
@@ -552,11 +567,12 @@ def deflator_at_times(p: ModelParams, sol, cfg: SimConfig,
                       times: Sequence[float],
                       pin_t1: float | None = None,
                       pin_eta0: float | None = None,
-                      chunk_paths: int = DEFAULT_CHUNK_PATHS) -> np.ndarray:
+                      chunk_paths: int = _TILE_PATHS) -> np.ndarray:
     """Exact-in-distribution deflator samples at the requested times.
 
     Steps jump-to-jump between checkpoints (the exact scheme has no
     discretization bias), returning an (n_paths, len(times)) array.
+    chunk_paths can only shrink the tiles of at most _TILE_PATHS paths.
     """
     times = np.asarray(sorted({float(t) for t in times}))
     if times[0] < 0 or times[-1] > cfg.horizon:
@@ -590,7 +606,7 @@ def simulate_path(p: ModelParams, sol, cfg: SimConfig, path_index: int,
     order = np.argsort(cols[0], kind="stable")
     order = order[np.append(np.diff(cols[0][order]) != 0.0, True)]
     grid, x_path, deflator, is_jump = (a[order] for a in cols)
-    times, sizes, signals = tile.scenarios[0]
+    times, sizes, signals = (a[0] for a in tile.scen[:3])
     w0 = initial_wealth(cfg.regime, sol, p, t1=float(times[0]),
                         eta0=float(tile.eta0[0])) * wealth_scale
     return PathRecord(grid=grid, wealth=w0 * np.exp(x_path), deflator=deflator,

@@ -7,8 +7,9 @@ Simpson grid for the bivariate payoff integral, Newton's method on the
 Hermite three-term recurrence for quadrature nodes, a discretized Bayes rule
 for the signal posterior, brute-force grids for argmax checks, the
 scalar wealth step and jump update that the hand replay of a path composes,
-and the one-signal-at-a-time loop that the batched signal-law averages of
-the closed forms are checked against.
+the one-signal-at-a-time loop that the batched signal-law averages of
+the closed forms are checked against, and the one-path-at-a-time scenario
+draw that the engine's batched tile draw is checked against.
 """
 
 from __future__ import annotations
@@ -195,3 +196,37 @@ def signal_law_average(f, p, rule) -> float:
     pts = p.m + math.sqrt(2.0 * (p.v + p.v_eps)) * rule.nodes
     vals = np.array([f(float(e)) for e in pts])
     return float(rule.weights @ vals) / math.sqrt(math.pi)
+
+
+def scenario_reference(p, horizon: float, seed: int, path_index: int,
+                       pin_t1=None, pin_eta0=None):
+    """One path's scenario drawn the documented way, on fresh generators:
+    Exp(lam) gaps in blocks of 16 (the first call covers the mean count plus
+    six sd) until a time lies beyond the horizon, then per time a jump-size
+    normal and a signal-noise normal interleaved, then one pre-jump normal
+    per in-horizon jump. Returns (times, sizes, signals, jump normals)."""
+    from infoprice.agents import posterior_of_jump
+    from infoprice.simulate import path_rng
+
+    gaps_gen = path_rng(seed, path_index, 0)
+    mean = p.lam * horizon
+    n_blocks = 1 + int((mean + 6.0 * math.sqrt(mean)) // 16)
+    gaps = gaps_gen.exponential(1.0 / p.lam, 16 * n_blocks)
+    if pin_t1 is not None:
+        gaps[0] = pin_t1
+    times = np.cumsum(gaps)
+    while not times[-1] > horizon:
+        gaps = np.append(gaps, gaps_gen.exponential(1.0 / p.lam, 16))
+        times = np.cumsum(gaps)
+    n = int(times.searchsorted(horizon, side="right")) + 1
+    times = times[:n]
+
+    z = path_rng(seed, path_index, 1).standard_normal(2 * n)
+    sizes = p.m + math.sqrt(p.v) * z[0::2]
+    signals = sizes + math.sqrt(p.v_eps) * z[1::2]
+    if pin_eta0 is not None:
+        m_post, v_post = posterior_of_jump(pin_eta0, p)
+        sizes[0] = m_post + math.sqrt(v_post) * z[0]
+        signals[0] = pin_eta0
+    jnorms = path_rng(seed, path_index, 2).standard_normal(n - 1)
+    return times, sizes, signals, jnorms

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from infoprice import pricing
 from infoprice.agents import (
     RegimeSolutions,
     UninformedSolution,
@@ -251,8 +252,8 @@ class TestPriceMc:
 
 
 class TestWorkerCount:
-    """INFOPRICE_WORKERS: a forked pool starts all its workers at once, so
-    the value is capped at the CPU count."""
+    """INFOPRICE_WORKERS and price_mc's workers: a forked pool starts all
+    its workers at once, so either value is capped at the CPU count."""
 
     def test_capped_at_cpu_count(self, monkeypatch):
         monkeypatch.setenv("INFOPRICE_WORKERS", "100000")
@@ -270,6 +271,35 @@ class TestWorkerCount:
         monkeypatch.setenv("INFOPRICE_WORKERS", "two")
         with pytest.raises(ValueError, match="INFOPRICE_WORKERS"):
             n_workers()
+
+    def test_explicit_count_capped_at_cpu_count(self, canon, sols, monkeypatch):
+        # price_mc(workers=N) also sizes its pool to at most the CPU count;
+        # the recorder runs the tasks in this process, so none is started
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(pricing, "ProcessPoolExecutor", InProcessPool)
+        cfg = SimConfig(horizon=1.0, dt=1.0, n_paths=4096, seed=5,
+                        regime="uninformed")
+        est = price_mc(ConstantStream(1.0), sols.uninformed, canon, cfg,
+                       sols=sols, workers=1000)
+        assert sizes == [3]
+        one = price_mc(ConstantStream(1.0), sols.uninformed, canon, cfg,
+                       sols=sols, workers=1)
+        assert est.mean == one.mean and est.std_error == one.std_error
 
 
 class TestInvalidInputs:

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from infoprice import simulate
 from infoprice.agents import (
     posterior_of_jump,
     signal_deflator,
@@ -31,6 +32,8 @@ from infoprice.model import (
 from infoprice.simulate import (
     SimConfig,
     _RngPool,
+    _Tile,
+    _grid_nodes,
     deflator_at_times,
     draw_scenario,
     initial_wealth,
@@ -39,7 +42,7 @@ from infoprice.simulate import (
     simulate_path,
 )
 
-from .oracles import apply_jump, wealth_step_exact
+from .oracles import apply_jump, scenario_reference, wealth_step_exact
 
 _BLOCK = 2048   # step-normal block width, part of the stream convention
 
@@ -67,9 +70,9 @@ def dense_sols(dense, rule64):
 
 
 def philox_block(seed: int, pid: int, purpose: int, block: int) -> np.random.Generator:
-    """A fresh generator on the documented stream: key (seed, 4 pid + purpose),
-    counter word 2 = block."""
-    key = np.array([seed, pid * 4 + purpose], dtype=np.uint64)
+    """A fresh generator on the documented stream: key (seed, (4 pid +
+    purpose) mod 2^64), counter word 2 = block."""
+    key = np.array([seed, (pid * 4 + purpose) % 2**64], dtype=np.uint64)
     counter = np.zeros(4, dtype=np.uint64)
     counter[2] = block
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
@@ -191,6 +194,89 @@ class TestRngPool:
             assert np.array_equal(got.integers(0, 2**31, 5, dtype=np.uint32),
                                   want.integers(0, 2**31, 5, dtype=np.uint32))
             assert np.array_equal(got.standard_normal(5), want.standard_normal(5))
+
+    def test_extreme_keys(self):
+        pool = _RngPool()
+        for pid, purpose, block in ((7, 1, 0), (3, 3, 4)):
+            got = pool.get_block(2**64 - 1, pid, purpose, block).standard_normal(9)
+            want = philox_block(2**64 - 1, pid, purpose, block).standard_normal(9)
+            assert np.array_equal(got, want)
+        # 4 i + purpose wraps mod 2^64: path 2^62 + 5 has path 5's keys
+        for purpose in range(4):
+            got = pool.get_block(9, 2**62 + 5, purpose, 2).standard_normal(9)
+            assert np.array_equal(got, philox_block(9, 2**62 + 5, purpose, 2)
+                                  .standard_normal(9))
+            assert np.array_equal(got, philox_block(9, 5, purpose, 2).standard_normal(9))
+
+
+PINS = {"none": (None, None), "t1": (2.5, None), "t1_beyond": (30.0, None),
+        "eta0": (None, 0.21)}
+
+
+class TestTileDraw:
+    """A tile draws its paths' scenarios in array passes; every row must
+    equal the one-path-at-a-time reference draw bit for bit."""
+
+    @staticmethod
+    def assert_rows_match(scen, p, cfg, ids, pins):
+        for row, pid in enumerate(ids):
+            n = int(scen.counts[row])
+            want = scenario_reference(p, cfg.horizon, cfg.seed, pid, *pins)
+            got = (scen.times[row, :n], scen.sizes[row, :n],
+                   scen.signals[row, :n], scen.jnorms[row, :n - 1])
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), pid
+            assert np.all(scen.times[row, n:] == math.inf)
+            assert np.all(scen.sizes[row, n:] == 0.0)
+            assert np.all(scen.signals[row, n:] == p.m)
+            assert np.all(scen.jnorms[row, n - 1:] == 0.0)
+
+    @pytest.mark.parametrize("pin", list(PINS))
+    @pytest.mark.parametrize("name", ["canon", "dense"])
+    def test_tile_tables_match_reference(self, canon, sols, name, pin):
+        p = with_fields(canon, **PARAM_SETS[name])
+        cfg = SimConfig(horizon=25.0, dt=0.5, n_paths=1, seed=17, regime="merton")
+        ids = np.arange(40, 340)
+        tile = _Tile(p, sols.merton, cfg, _grid_nodes(cfg), ids, *PINS[pin])
+        self.assert_rows_match(tile.scen, p, cfg, ids.tolist(), PINS[pin])
+
+    @pytest.mark.parametrize("pin", list(PINS))
+    @pytest.mark.parametrize("name", ["canon", "dense"])
+    def test_draw_scenario_matches_reference(self, canon, name, pin):
+        p = with_fields(canon, **PARAM_SETS[name])
+        cfg = SimConfig(horizon=25.0, dt=0.5, n_paths=1, seed=17, regime="signal")
+        for pid in range(0, 300, 13):
+            got = draw_scenario(p, cfg, pid, *PINS[pin])
+            want = scenario_reference(p, cfg.horizon, cfg.seed, pid, *PINS[pin])
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), pid
+
+    def test_no_jumps(self, canon, sols):
+        p0 = with_fields(canon, lam=0.0)
+        cfg = SimConfig(horizon=5.0, dt=0.5, n_paths=1, seed=17, regime="merton")
+        scen = _Tile(p0, sols.merton, cfg, _grid_nodes(cfg), np.arange(9),
+                     None, 0.3).scen
+        assert np.all(scen.counts == 1) and scen.times.shape == (9, 1)
+        assert np.all(scen.times == math.inf) and np.all(scen.sizes == 0.0)
+        assert np.all(scen.signals == p0.m) and np.all(scen.jnorms == 0.0)
+
+    def test_gap_extension_matches_reference(self, canon, sols, monkeypatch):
+        # lam H = 50: with one 16-gap block in the first call every path
+        # extends its gaps; the gap stream is sequential, so the values are
+        # those of the reference's six-block first call
+        p = with_fields(canon, **PARAM_SETS["dense"])
+        cfg = SimConfig(horizon=25.0, dt=0.5, n_paths=1, seed=17, regime="merton")
+        monkeypatch.setattr(simulate, "_gap_blocks", lambda mean: 1)
+        ids = np.arange(100)
+        for pins in ((None, None), (2.5, None)):
+            scen = _Tile(p, sols.merton, cfg, _grid_nodes(cfg), ids, *pins).scen
+            assert np.all(scen.counts > 16)
+            self.assert_rows_match(scen, p, cfg, ids.tolist(), pins)
+        got = draw_scenario(p, cfg, 3)
+        want = scenario_reference(p, cfg.horizon, cfg.seed, 3)
+        assert len(got[0]) > 16
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestStepPrimitives:
@@ -484,7 +570,7 @@ class TestBulkEngine:
     @pytest.mark.parametrize("n_paths,n_steps", [(2048, 5000), (8192, 2048)])
     def test_memory_is_bounded(self, canon, sol_uninformed, n_paths, n_steps):
         # paths advance in fixed tiles, so peak memory does not grow with
-        # the path count or the default chunk of 25,000 paths
+        # the path count
         cfg = SimConfig(horizon=0.01 * n_steps, dt=0.01, n_paths=n_paths,
                         seed=1, regime="uninformed")
         tracemalloc.start()
