@@ -65,7 +65,10 @@ __all__ = [
     "q_bar_signal",
     "signal_deflator",
     "solve_all",
+    "REGIMES",
 ]
+
+REGIMES = ("merton", "uninformed", "timing", "signal")
 
 # Maximizers closer than this to {0, 1} count as boundary solutions.
 INTERIOR_TOL = 1e-6
@@ -425,8 +428,10 @@ class SignalInsiderSolution:
         return np.clip(self._q_interp(eta), 0.0, 1.0)
 
 
-# Step cap of the batched Newton solves of the signal system.
+# Step cap of the batched Newton solves of the signal system, and the
+# relative tolerance and step cap of its outer A3 iteration.
 _NEWTON_STEPS = 100
+_OUTER_TOL, _OUTER_STEPS = 1e-10, 200
 
 
 def _exposure_slope(q, h, lam_a3, jump_rel, w, p):
@@ -553,7 +558,6 @@ class _SignalSystem:
 
 def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
                          grid_size: int = 201, grid_halfwidth_sd: float = 6.0,
-                         tol: float = 1e-10, max_outer: int = 200,
                          uninformed: UninformedSolution | None = None,
                          ) -> SignalInsiderSolution:
     """Solve the signal regime on an eta grid of m +- halfwidth sd.
@@ -561,8 +565,9 @@ def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
     Starts the average-value unknown A3 at the uninformed A1 (the upper
     envelope) and iterates downward to the largest fixed point below it, as
     the maximal-solution selection requires; a secant step accelerates the
-    contraction once the downward direction is confirmed. Raises GateError
-    unless R > 1 and the diffusion fraction lies in (0, 1).
+    contraction once the downward direction is confirmed, until A3 and h move
+    by at most 1e-10 max(1, A3) (ConvergenceError after 200 steps). Raises
+    GateError unless R > 1 and the diffusion fraction lies in (0, 1).
     """
     require_valid_params(p)
     if not (p.R > 1.0 and 0.0 < p.merton_fraction < 1.0):
@@ -587,14 +592,15 @@ def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
 
     a3_prev, g_prev = None, None
     converged = False
-    for outer in range(max_outer):
+    for outer in range(_OUTER_STEPS):
         h_new, q = system.solve_grid(a3, h, q)
         a3_new = system.average_h(h_new)
         gap = a3_new - a3
         h_change = float(np.max(np.abs(h_new - h)))
         h = h_new
         trace.append(a3_new)
-        if abs(gap) <= tol * max(1.0, a3) and h_change <= tol * max(1.0, a3):
+        tol = _OUTER_TOL * max(1.0, a3)
+        if abs(gap) <= tol and h_change <= tol:
             a3 = a3_new
             converged = True
             break
@@ -615,7 +621,7 @@ def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
         a3 = a3_new
     if not converged:
         raise ConvergenceError(
-            f"signal system not converged in {max_outer} outer iterations "
+            f"signal system not converged in {_OUTER_STEPS} outer iterations "
             f"(last A3 gap {gap:.3g})")
 
     # Final pass at the converged A3, then store the recomputed average.
@@ -681,13 +687,13 @@ def signal_deflator(sol: SignalInsiderSolution, p: ModelParams, t: float,
 
 @dataclass(frozen=True)
 class RegimeSolutions:
-    uninformed: UninformedSolution
-    timing: TimingInsiderSolution
+    uninformed: UninformedSolution | None
+    timing: TimingInsiderSolution | None
     signal: SignalInsiderSolution | None
-    merton: MertonSolution
+    merton: MertonSolution | None
 
     def for_regime(self, regime: str):
-        if regime not in ("uninformed", "timing", "signal", "merton"):
+        if regime not in REGIMES:
             raise ValueError(f"unknown regime {regime!r}")
         sol = getattr(self, regime)
         if sol is None:
@@ -697,18 +703,21 @@ class RegimeSolutions:
 
 def solve_all(p: ModelParams, rule: QuadratureRule,
               grid_size: int = 201, grid_halfwidth_sd: float = 6.0,
-              signal_required: bool = True) -> RegimeSolutions:
-    """Solve every regime; the signal regime may be skipped if gated off."""
-    uninformed = solve_uninformed(p, rule)
-    timing = solve_timing_insider(p, rule)
-    merton = solve_merton(p)
+              regimes=REGIMES) -> RegimeSolutions:
+    """Solve the listed regimes (of REGIMES) in the order uninformed (also
+    for signal, whose solve starts from it), timing, merton, signal, and
+    leave the others None. A signal regime its gate rules out is None as
+    well, so for_regime raises GateError for it; other failures raise."""
+    uninformed = (solve_uninformed(p, rule)
+                  if {"uninformed", "signal"} & set(regimes) else None)
+    timing = solve_timing_insider(p, rule) if "timing" in regimes else None
+    merton = solve_merton(p) if "merton" in regimes else None
     signal = None
-    try:
-        signal = solve_signal_insider(p, rule, grid_size=grid_size,
-                                      grid_halfwidth_sd=grid_halfwidth_sd,
-                                      uninformed=uninformed)
-    except GateError:
-        if signal_required:
-            raise
+    if "signal" in regimes:
+        try:
+            signal = solve_signal_insider(p, rule, grid_size, grid_halfwidth_sd,
+                                          uninformed=uninformed)
+        except GateError:
+            pass
     return RegimeSolutions(uninformed=uninformed, timing=timing,
                            signal=signal, merton=merton)

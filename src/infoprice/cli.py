@@ -16,6 +16,7 @@ identical command, config and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -23,15 +24,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .agents import (
-    RegimeSolutions,
-    solve_merton,
-    solve_signal_insider,
-    solve_timing_insider,
-    solve_uninformed,
-)
+from .agents import REGIMES, RegimeSolutions, solve_all
 from .errors import ConfigError, DomainError, GateError
 from .model import (
+    CONFIG_KEYS,
+    HARD_CHECKS,
     ConstantStream,
     ExpUntilFirstJumpStream,
     IncomeStream,
@@ -81,6 +78,8 @@ def _load_pwl_psi(path: str):
     if table.ndim != 2 or table.shape[1] != 2 or len(table) < 2:
         raise ConfigError("psi table must have two columns and at least two rows")
     xs, ys = table[:, 0], table[:, 1]
+    if not np.all(np.isfinite(table)):
+        raise ConfigError(f"psi table {path!r} has entries that are not finite")
     if not np.all(np.diff(xs) > 0):
         raise ConfigError("psi table abscissae must be strictly increasing")
 
@@ -162,28 +161,9 @@ def _sim_config(args, regime: str) -> SimConfig:
                      seed=args.seed, regime=regime)
 
 
-REGIMES = ("merton", "uninformed", "timing", "signal")
-
-
 def _solve(p: ModelParams, args, regimes=REGIMES) -> RegimeSolutions:
-    """Solve `regimes` in `solve_all`'s order (the signal solve needs the
-    uninformed one too) and leave the others None; a gated signal regime is
-    None as well."""
-    rule = gauss_hermite(args.rule_order)
-    uninformed = (solve_uninformed(p, rule)
-                  if {"uninformed", "signal"} & set(regimes) else None)
-    timing = solve_timing_insider(p, rule) if "timing" in regimes else None
-    merton = solve_merton(p) if "merton" in regimes else None
-    signal = None
-    if "signal" in regimes:
-        try:
-            signal = solve_signal_insider(p, rule, grid_size=args.grid_size,
-                                          grid_halfwidth_sd=args.grid_halfwidth,
-                                          uninformed=uninformed)
-        except GateError:
-            pass
-    return RegimeSolutions(uninformed=uninformed, timing=timing,
-                           signal=signal, merton=merton)
+    return solve_all(p, gauss_hermite(args.rule_order), args.grid_size,
+                     args.grid_halfwidth, regimes)
 
 
 def _conditioning(args) -> Conditioning | None:
@@ -198,17 +178,10 @@ def _conditioning(args) -> Conditioning | None:
 
 def cmd_solve(args) -> int:
     p = read_params_file(args.config)
-    report = validate_params(p)
-    if not report.overall:
-        hard = [f for f in report.failures() if f.name != "signal_regime_gate"]
-        if hard:
-            raise DomainError("; ".join(f"{f.name}: {f.message}" for f in hard))
     sols = _solve(p, args)
     payload = {
         "version": __version__,
-        "params": {k: getattr(p, a) for k, a in
-                   zip(("mu", "r", "sigma", "lambda", "m", "v", "rho", "R", "v_eps"),
-                       ("mu", "r", "sigma", "lam", "m", "v", "rho", "R", "v_eps"))},
+        "params": dict(zip(CONFIG_KEYS, dataclasses.astuple(p))),
         "merton": {
             "A_M": sols.merton.A_M, "kappa": sols.merton.kappa,
             "gamma_M": sols.merton.gamma_M_merton,
@@ -328,9 +301,7 @@ def cmd_validate(args) -> int:
     report = validate_params(p)
     for flag in report.flags:
         add(f"params.{flag.name}", flag.passed, flag.message)
-    hard_fail = any(not f.passed and f.name != "signal_regime_gate"
-                    for f in report.flags)
-    if not hard_fail:
+    if not any(f.name in HARD_CHECKS for f in report.failures()):
         rule = gauss_hermite(args.rule_order)
         from .quadrature import expect_gaussian, g_of_q
         # quadrature spot checks against closed moments

@@ -11,8 +11,9 @@ Three income streams make up the stream API: ConstantStream,
 ExpUntilFirstJumpStream and PostFirstJumpSignalStream. The simulation engine
 and the pricing layer dispatch on their types, and each has a closed form and
 an analytic truncation bound. Their constructors reject a payoff scale that
-is not finite; the pricing entry points reject parameters that fail a hard
-check of validate_params with ParameterError.
+is not finite; the solvers and the pricing entry points reject parameters
+that fail a hard check of validate_params, a NaN or infinite value included,
+with ParameterError.
 
 All rates are per year and time is measured in years. Every object here is
 immutable after construction and safe to share across workers.
@@ -21,7 +22,7 @@ immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 from .errors import ConfigError, ParameterError, StreamGuardError
@@ -38,6 +39,7 @@ __all__ = [
     "PostFirstJumpSignalStream",
     "read_params_file",
     "CONFIG_KEYS",
+    "HARD_CHECKS",
 ]
 
 
@@ -109,6 +111,9 @@ def validate_params(p: ModelParams) -> ValidationReport:
     def check(name: str, ok: bool, message: str) -> None:
         flags.append(CheckFlag(name, bool(ok), message))
 
+    bad = [k for k, x in zip(CONFIG_KEYS, astuple(p)) if not math.isfinite(x)]
+    check("all_finite", not bad, "every parameter must be finite"
+          + (f"; not finite: {', '.join(bad)}" if bad else ""))
     check("no_arbitrage_sigma", p.sigma > 0.0,
           "sigma > 0 is required (diffusion part rules out arbitrage)")
     check("r_positive", p.r > 0.0, "riskless rate r must be > 0")
@@ -131,16 +136,15 @@ def validate_params(p: ModelParams) -> ValidationReport:
 
 # Checks that gate every solver; the signal-regime gate is enforced only by
 # the signal solver itself.
-_HARD_CHECKS = (
-    "no_arbitrage_sigma", "r_positive", "v_positive", "lambda_nonnegative",
+HARD_CHECKS = (
+    "all_finite", "no_arbitrage_sigma", "r_positive", "v_positive", "lambda_nonnegative",
     "v_eps_nonnegative", "rho_positive", "utility_R", "finite_value_R_gt_1",
 )
 
 
 def require_valid_params(p: ModelParams) -> None:
     """Raise ParameterError if any hard check fails."""
-    report = validate_params(p)
-    bad = [f for f in report.failures() if f.name in _HARD_CHECKS]
+    bad = [f for f in validate_params(p).failures() if f.name in HARD_CHECKS]
     if bad:
         raise ParameterError("; ".join(f"{f.name}: {f.message}" for f in bad))
 
@@ -194,7 +198,8 @@ IncomeStream = ConstantStream | ExpUntilFirstJumpStream | PostFirstJumpSignalStr
 # Config file
 # ---------------------------------------------------------------------------
 
-# External key names; "lambda" is a Python keyword so the attribute is `lam`.
+# External key names, in ModelParams field order; "lambda" is a Python
+# keyword so the attribute is `lam`.
 CONFIG_KEYS = ("mu", "r", "sigma", "lambda", "m", "v", "rho", "R", "v_eps")
 _KEY_TO_ATTR = {k: ("lam" if k == "lambda" else k) for k in CONFIG_KEYS}
 

@@ -32,6 +32,9 @@ M_1 = E_p0[h/(1 + lam - beta)] / (1 - lam E_p0[kappa/(1 + lam - beta)]),
 with p0 the signal law N(m, v + v_eps) and kappa(eta) the posterior mean of
 (1 + q* (e^X - 1))^(-R). Every average over the signal law is one array
 pass over the Gauss-Hermite nodes of p0 (a pinned eta0 is the one-node case).
+
+info_value_report takes the information values as price differences between
+the regimes solve_all returns, leaving out a gated signal regime.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import multiprocessing
 
 import numpy as np
@@ -54,6 +57,7 @@ from .agents import (
     _signal_exposures,
     posterior_of_jump,
     q_bar_signal,
+    solve_all,
 )
 from .errors import DomainError, GateError
 from .model import (
@@ -64,7 +68,7 @@ from .model import (
     PostFirstJumpSignalStream,
     require_valid_params,
 )
-from .quadrature import QuadratureRule, default_rule, psi_double_integral
+from .quadrature import QuadratureRule, _values_at, default_rule, psi_double_integral
 from .simulate import SimConfig, path_integrals
 
 __all__ = [
@@ -235,9 +239,7 @@ def _post_jump_signal(e: PostFirstJumpSignalStream, p: ModelParams,
                           " <= 0: value diverges")
     m1 = float(w @ (h / rate)[-len(w):]) / resolvent
     k = len(eta0)
-    psi = np.asarray(e.psi(eta0), dtype=float)
-    if psi.shape != eta0.shape:
-        psi = np.array([float(e.psi(x)) for x in eta0])
+    psi = _values_at(e.psi, eta0)
     return float(w0 @ (psi * (m1 / h[:k]) * p.lam / rate[:k] * kappa[:k]))
 
 
@@ -454,7 +456,6 @@ def _stream_label(e: IncomeStream) -> str:
 
 
 def info_value_report(e: IncomeStream, p: ModelParams, cfg: SimConfig,
-                      conditioning_grid: list[float] | None = None,
                       sols: RegimeSolutions | None = None,
                       rule: QuadratureRule | None = None,
                       with_mc: bool = False) -> InfoValueReport:
@@ -462,19 +463,18 @@ def info_value_report(e: IncomeStream, p: ModelParams, cfg: SimConfig,
 
     Closed forms are always computed where available; Monte Carlo runs are
     added when with_mc is set (using cfg for every regime). The signal value
-    is reported per eta0 on the conditioning grid and averaged under the
-    signal law.
+    is averaged under the signal law and, for the two jump-keyed streams,
+    also reported given eta0 at m and m +- 2 sd of the signal law. sols
+    defaults to solve_all(p, rule); where the signal regime is gated (None)
+    its rows are left out and its value is NaN.
     """
     rule = rule or default_rule()
     if sols is None:
-        from .agents import solve_all
         sols = solve_all(p, rule)
-
-    if conditioning_grid is None and isinstance(
-            e, (ExpUntilFirstJumpStream, PostFirstJumpSignalStream)):
+    grid = []
+    if isinstance(e, (ExpUntilFirstJumpStream, PostFirstJumpSignalStream)):
         sd = math.sqrt(p.v + p.v_eps)
-        conditioning_grid = [p.m - 2.0 * sd, p.m, p.m + 2.0 * sd]
-    conditioning_grid = conditioning_grid or []
+        grid = [float(eta) for eta in (p.m - 2.0 * sd, p.m, p.m + 2.0 * sd)]
 
     def build_row(regime: str, cond: Conditioning | None) -> PriceRow:
         sol = sols.for_regime(regime)
@@ -486,42 +486,27 @@ def info_value_report(e: IncomeStream, p: ModelParams, cfg: SimConfig,
         mc = None
         if with_mc:
             try:
-                run_cfg = SimConfig(horizon=cfg.horizon, dt=cfg.dt,
-                                    n_paths=cfg.n_paths, seed=cfg.seed,
-                                    regime=regime)
-                mc = price_mc(e, sol, p, run_cfg, cond, sols=sols, rule=rule)
-            except (GateError, DomainError):
-                mc = None
+                mc = price_mc(e, sol, p, replace(cfg, regime=regime),
+                              cond, sols=sols, rule=rule)
+            except DomainError:     # a gate or a divergent value
+                pass
         return PriceRow(regime=regime, conditioning=cond,
                         closed_form=cf_val, mc=mc)
 
-    rows = [build_row("merton", None), build_row("uninformed", None),
-            build_row("timing", None)]
+    # best() only where used: the merton row of a jump-keyed stream is empty
+    keys = [("merton", None), ("uninformed", None), ("timing", None)]
     if sols.signal is not None:
-        rows.append(build_row("signal", None))
-        for eta in conditioning_grid:
-            rows.append(build_row("signal", Conditioning(eta0=float(eta))))
-
-    def find(regime, cond_eta=None):
-        for r in rows:
-            cond = r.conditioning
-            eta = None if cond is None else cond.eta0
-            if r.regime == regime and eta == cond_eta:
-                return r
-        return None
-
-    base = find("uninformed").best()
-    timing_value = find("timing").best() - base
-    signal_row = find("signal")
-    signal_value = (signal_row.best() - base) if signal_row else math.nan
-    signal_conditionals = tuple(
-        (float(eta), find("signal", float(eta)).best())
-        for eta in conditioning_grid if find("signal", float(eta)) is not None)
-
+        keys += [("signal", None)] + [("signal", eta) for eta in grid]
+    rows = {(regime, eta): build_row(regime, None if eta is None
+                                     else Conditioning(eta0=eta))
+            for regime, eta in keys}
+    base = rows["uninformed", None].best()
+    signal = rows.get(("signal", None))
     return InfoValueReport(
         stream=_stream_label(e),
-        rows=tuple(rows),
-        timing_information_value=timing_value,
-        signal_information_value=signal_value,
-        signal_conditional_values=signal_conditionals,
+        rows=tuple(rows.values()),
+        timing_information_value=rows["timing", None].best() - base,
+        signal_information_value=math.nan if signal is None else signal.best() - base,
+        signal_conditional_values=tuple((eta, rows["signal", eta].best())
+                                        for eta in grid if ("signal", eta) in rows),
     )

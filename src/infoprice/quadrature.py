@@ -67,15 +67,20 @@ def default_rule() -> QuadratureRule:
     return gauss_hermite(DEFAULT_ORDER)
 
 
+def _values_at(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f at every point of x: one call on the array, or a scalar loop where
+    f does not return x's shape (f is not vectorized)."""
+    values = np.asarray(f(x), dtype=float)
+    if values.shape != x.shape:
+        values = np.array([float(f(a)) for a in x.ravel()]).reshape(x.shape)
+    return values
+
+
 def expect_gaussian(f: Callable, mean: float, var: float, rule: QuadratureRule) -> float:
     """Gauss-Hermite approximation of E[f(Z)] with Z ~ N(mean, var)."""
     if not var > 0.0:
         raise ValueError(f"variance must be > 0, got {var}")
-    points = mean + math.sqrt(2.0 * var) * rule.nodes
-    values = np.asarray(f(points), dtype=float)
-    if values.shape != points.shape:
-        # f was not vectorized; fall back to a scalar loop
-        values = np.array([float(f(x)) for x in points])
+    values = _values_at(f, mean + math.sqrt(2.0 * var) * rule.nodes)
     if not np.all(np.isfinite(values)):
         raise ValueError("integrand is non-finite at a quadrature node")
     return float(rule.weights @ values) / _SQRT_PI
@@ -147,9 +152,7 @@ def psi_double_integral(psi: Callable, a_coef: float, p: ModelParams,
         raise ValueError("v_eps must be > 0; with a noiseless signal use the 1-D reduction")
     x1 = p.m + math.sqrt(2.0 * p.v) * rule.nodes            # jump sizes
     x2 = math.sqrt(2.0 * p.v_eps) * rule.nodes              # noise
-    psi_grid = np.asarray(psi(x1[:, None] + x2[None, :]), dtype=float)
-    if psi_grid.shape != (rule.order, rule.order):
-        psi_grid = np.array([[float(psi(a + b)) for b in x2] for a in x1])
+    psi_grid = _values_at(psi, x1[:, None] + x2[None, :])
     if not np.all(np.isfinite(psi_grid)):
         raise ValueError("psi is non-finite at a quadrature node")
     inner = psi_grid @ rule.weights / _SQRT_PI               # E over X2, per x1

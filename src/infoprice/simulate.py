@@ -26,10 +26,10 @@ unconditional runs.
 
 The engine advances tiles of at most 256 paths over 2048-step blocks with
 array passes. A tile's set-up calls the generators per path (one reusable
-Philox per purpose, re-keyed from Python ints) and draws straight into
-(paths, jumps) arrays; the times, counts, sizes, signals and padding are
-then one pass over the tile, and draw_scenario is its one-path case. A
-path's controls are constant between its jumps, so they are
+Philox per purpose and thread, re-keyed from Python ints) and draws
+straight into (paths, jumps) arrays; the times, counts, sizes, signals and
+padding are then one pass over the tile, and draw_scenario is its one-path
+case. A path's controls are constant between its jumps, so they are
 (paths, segments) tables gathered at each node by the jump count before it.
 Log-wealth at the nodes is one cumsum of exact increments and the deflator
 one exp. The tile's in-horizon jumps (events) are handled at once: a grid
@@ -43,6 +43,7 @@ to the next left limit.
 from __future__ import annotations
 
 import math
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,6 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .agents import (
+    REGIMES,
     MertonSolution,
     SignalInsiderSolution,
     TimingInsiderSolution,
@@ -64,6 +66,7 @@ from .model import (
     ModelParams,
     PostFirstJumpSignalStream,
 )
+from .quadrature import _values_at
 
 __all__ = [
     "SimConfig",
@@ -104,7 +107,7 @@ class SimConfig:
             raise ValueError("need 0 < dt <= horizon")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        if self.regime not in ("uninformed", "timing", "signal", "merton"):
+        if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
 
 
@@ -136,7 +139,7 @@ def path_rng(seed: int, path_index: int, purpose: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_philox_key(seed, path_index, purpose)))
 
 
-class _RngPool:
+class _RngPool(threading.local):
     """Reusable Philox generators, one per purpose, re-keyed per path.
 
     get_block writes the Philox state from Python ints: key (seed,
@@ -145,7 +148,8 @@ class _RngPool:
     draws are the same as a fresh generator's, without the construction
     cost (about 20 us; each path_rng construction also pulls OS entropy).
     Purposes get separate instances, made on first use, so interleaved use
-    cannot cross streams.
+    cannot cross streams. Every draw follows its re-key at once, so the
+    engine shares one pool, _POOL, which is local to each thread.
     """
 
     def __init__(self):
@@ -165,6 +169,9 @@ class _RngPool:
             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
         return self._gens[purpose]
+
+
+_POOL = _RngPool()
 
 
 def _gap_blocks(mean: float) -> int:
@@ -188,20 +195,20 @@ def _scenarios(p: ModelParams, horizon: float, seed: int, ids: np.ndarray,
         return _Scenarios(np.full((P, 1), math.inf), np.zeros((P, 1)),
                           np.full((P, 1), p.m), np.zeros((P, 1)),
                           np.ones(P, dtype=np.int64))
-    pool, ids = _RngPool(), ids.tolist()
+    ids = ids.tolist()
     # gaps come in blocks of 16 until one lands beyond the horizon; the
     # first _gap_blocks are drawn in one call (scaling standard draws by
     # 1/lam is exactly what exponential(1/lam) does)
     gaps = np.empty((P, _GAP_BLOCK * _gap_blocks(p.lam * horizon)))
     for row, pid in zip(gaps, ids):
-        pool.get_block(seed, pid, _PURPOSE_GAPS, 0).standard_exponential(out=row)
+        _POOL.get_block(seed, pid, _PURPOSE_GAPS, 0).standard_exponential(out=row)
     gaps *= 1.0 / p.lam
     if pin_t1 is not None:
         gaps[:, 0] = pin_t1
     times = np.cumsum(gaps, axis=1)
     longer = {}
     for i in np.flatnonzero(~(times[:, -1] > horizon)).tolist():
-        gen = pool.get_block(seed, ids[i], _PURPOSE_GAPS, 0)
+        gen = _POOL.get_block(seed, ids[i], _PURPOSE_GAPS, 0)
         gen.standard_exponential(gaps.shape[1])      # the draws already made
         row, t = gaps[i], times[i]
         while not t[-1] > horizon:
@@ -223,9 +230,9 @@ def _scenarios(p: ModelParams, horizon: float, seed: int, ids: np.ndarray,
     ends = np.cumsum(counts)
     z, zj = np.empty(2 * int(ends[-1])), np.empty(int(ends[-1]) - P)
     for i, (pid, a, b) in enumerate(zip(ids, (ends - counts).tolist(), ends.tolist())):
-        pool.get_block(seed, pid, _PURPOSE_MARKS, 0).standard_normal(out=z[2 * a:2 * b])
+        _POOL.get_block(seed, pid, _PURPOSE_MARKS, 0).standard_normal(out=z[2 * a:2 * b])
         if b - a > 1:
-            pool.get_block(seed, pid, _PURPOSE_JUMPNORM, 0).standard_normal(
+            _POOL.get_block(seed, pid, _PURPOSE_JUMPNORM, 0).standard_normal(
                 out=zj[a - i:b - i - 1])
     sizes = p.m + math.sqrt(p.v) * z[0::2]
     signals = sizes + math.sqrt(p.v_eps) * z[1::2]
@@ -304,9 +311,7 @@ class _StreamEval:
         self.stream = stream
         self.r = p.r
         if isinstance(stream, PostFirstJumpSignalStream):
-            psi0 = np.asarray(stream.psi(eta0), dtype=float)
-            if psi0.shape != eta0.shape:
-                psi0 = np.array([float(stream.psi(e)) for e in eta0])
+            psi0 = _values_at(stream.psi, eta0)
             if np.any(np.abs(psi0) > stream.psi_bound * (1.0 + 1e-12)):
                 raise SimulationError("psi exceeded its declared bound")
             self.psi0 = psi0
@@ -447,7 +452,6 @@ class _Tile:
         """The tile's _Block for each step block in time order; `counts`
         asks for the node segments where the controls do not need them."""
         p, nodes, P = self.p, self.nodes, len(self.ids)
-        pool = _RngPool()
         x0, seg0 = np.zeros(P), self.row0
         for blk, k0 in enumerate(range(0, len(nodes) - 1, _BLOCK_STEPS)):
             t = nodes[k0:k0 + _BLOCK_STEPS + 1]
@@ -467,8 +471,8 @@ class _Tile:
             x[:, 0] = x0
             inc = x[:, 1:]
             for i, pid in enumerate(self.ids.tolist()):
-                pool.get_block(self.seed, pid, _PURPOSE_STEPNORM,
-                               blk).standard_normal(out=inc[i])
+                _POOL.get_block(self.seed, pid, _PURPOSE_STEPNORM,
+                                blk).standard_normal(out=inc[i])
             z_last = inc[lr, lc]
             inc *= _on_cells(self.volc, seg, np.sqrt(dt))
             inc += _on_cells(self.net, seg, dt)
@@ -529,12 +533,10 @@ class _Tile:
 
 
 def _tiles(p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray, start: int,
-           count: int, chunk_paths: int, pin_t1, pin_eta0):
-    """(offset, _Tile) over paths start .. start + count, at most
-    min(chunk_paths, _TILE_PATHS) paths a tile."""
-    size = max(1, min(chunk_paths, _TILE_PATHS))
-    for lo in range(0, count, size):
-        ids = np.arange(start + lo, start + min(lo + size, count))
+           count: int, pin_t1, pin_eta0):
+    """(offset, _Tile) over paths start .. start + count, _TILE_PATHS a tile."""
+    for lo in range(0, count, _TILE_PATHS):
+        ids = np.arange(start + lo, start + min(lo + _TILE_PATHS, count))
         yield lo, _Tile(p, sol, cfg, nodes, ids, pin_t1, pin_eta0)
 
 
@@ -545,20 +547,19 @@ def _grid_nodes(cfg: SimConfig) -> np.ndarray:
 
 def path_integrals(p: ModelParams, sol, cfg: SimConfig, stream: IncomeStream,
                    pin_t1: float | None = None, pin_eta0: float | None = None,
-                   chunk_paths: int = _TILE_PATHS,
                    path_offset: int = 0,
                    n_paths: int | None = None) -> np.ndarray:
     """Per-path values of the pricing integral of deflator times stream.
 
     The trapezoid runs on the composite grid (regular nodes plus jump times,
-    with left/right limits at jumps). The result is indexed by path and is
-    independent of chunk_paths, which can only shrink the tiles of at most
-    _TILE_PATHS = 256 paths.
+    with left/right limits at jumps). The result holds paths path_offset ..
+    path_offset + n_paths (default: all of cfg.n_paths) in order, and each
+    path's value does not depend on the slice it is computed in.
     """
     total = cfg.n_paths if n_paths is None else n_paths
     out = np.empty(total)
     for lo, tile in _tiles(p, sol, cfg, _grid_nodes(cfg), path_offset, total,
-                           chunk_paths, pin_t1, pin_eta0):
+                           pin_t1, pin_eta0):
         out[lo:lo + len(tile.ids)] = tile.integrals(stream)
     return out
 
@@ -566,13 +567,11 @@ def path_integrals(p: ModelParams, sol, cfg: SimConfig, stream: IncomeStream,
 def deflator_at_times(p: ModelParams, sol, cfg: SimConfig,
                       times: Sequence[float],
                       pin_t1: float | None = None,
-                      pin_eta0: float | None = None,
-                      chunk_paths: int = _TILE_PATHS) -> np.ndarray:
+                      pin_eta0: float | None = None) -> np.ndarray:
     """Exact-in-distribution deflator samples at the requested times.
 
     Steps jump-to-jump between checkpoints (the exact scheme has no
     discretization bias), returning an (n_paths, len(times)) array.
-    chunk_paths can only shrink the tiles of at most _TILE_PATHS paths.
     """
     times = np.asarray(sorted({float(t) for t in times}))
     if times[0] < 0 or times[-1] > cfg.horizon:
@@ -580,8 +579,7 @@ def deflator_at_times(p: ModelParams, sol, cfg: SimConfig,
     nodes = np.union1d([0.0, cfg.horizon], times)
     cols = np.searchsorted(nodes, times)
     out = np.empty((cfg.n_paths, len(times)))
-    for lo, tile in _tiles(p, sol, cfg, nodes, 0, cfg.n_paths, chunk_paths,
-                           pin_t1, pin_eta0):
+    for lo, tile in _tiles(p, sol, cfg, nodes, 0, cfg.n_paths, pin_t1, pin_eta0):
         for b in tile.blocks():
             here = (cols >= b.k0) & (cols < b.k0 + len(b.t))
             out[lo:lo + len(tile.ids), here] = b.y[:, cols[here] - b.k0]
@@ -590,8 +588,7 @@ def deflator_at_times(p: ModelParams, sol, cfg: SimConfig,
 
 def simulate_path(p: ModelParams, sol, cfg: SimConfig, path_index: int,
                   pin_t1: float | None = None,
-                  pin_eta0: float | None = None,
-                  wealth_scale: float = 1.0) -> PathRecord:
+                  pin_eta0: float | None = None) -> PathRecord:
     """Full record of a single path on its composite grid."""
     tile = _Tile(p, sol, cfg, _grid_nodes(cfg), np.array([path_index]),
                  pin_t1, pin_eta0)
@@ -608,7 +605,7 @@ def simulate_path(p: ModelParams, sol, cfg: SimConfig, path_index: int,
     grid, x_path, deflator, is_jump = (a[order] for a in cols)
     times, sizes, signals = (a[0] for a in tile.scen[:3])
     w0 = initial_wealth(cfg.regime, sol, p, t1=float(times[0]),
-                        eta0=float(tile.eta0[0])) * wealth_scale
+                        eta0=float(tile.eta0[0]))
     return PathRecord(grid=grid, wealth=w0 * np.exp(x_path), deflator=deflator,
                       is_jump=is_jump, jump_times=times, jump_sizes=sizes,
                       signals=signals)

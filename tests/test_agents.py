@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoprice.agents import (
+    REGIMES,
     _MonotoneCubic,
     _exp_average_of_f,
     g1_of_q,
     posterior_of_jump,
     q_bar_signal,
     signal_deflator,
+    solve_all,
     solve_merton,
     solve_signal_insider,
     solve_timing_insider,
@@ -637,3 +639,49 @@ class TestInformationOrdering:
         s = solve_signal_insider(p, rule64, grid_size=81, uninformed=u)
         assert t.A2 <= u.A1 * (1 + 1e-9)
         assert s.A3 <= u.A1 * (1 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# solve_all: the listed regimes, a gated signal regime left None
+# ---------------------------------------------------------------------------
+
+class TestSolveAll:
+    @pytest.mark.parametrize("regimes,solved", [
+        (("merton",), {"merton"}),
+        (("timing",), {"timing"}),
+        (("signal",), {"uninformed", "signal"}),
+        (("uninformed", "merton"), {"uninformed", "merton"}),
+    ])
+    def test_only_listed_regimes_are_solved(self, canon, rule64, regimes, solved):
+        sols = solve_all(canon, rule64, grid_size=41, regimes=regimes)
+        assert {r for r in REGIMES if getattr(sols, r) is not None} == solved
+        for regime in set(REGIMES) - solved:
+            with pytest.raises(GateError):
+                sols.for_regime(regime)
+
+    def test_same_solutions_as_each_solver(self, canon, rule64):
+        sols = solve_all(canon, rule64, grid_size=41)
+        u = solve_uninformed(canon, rule64)
+        assert sols.uninformed == u
+        assert sols.timing == solve_timing_insider(canon, rule64)
+        assert sols.merton == solve_merton(canon)
+        s = solve_signal_insider(canon, rule64, grid_size=41, uninformed=u)
+        assert sols.signal.A3 == s.A3
+        assert np.array_equal(sols.signal.h_values, s.h_values)
+
+    def test_gated_signal_is_none(self, canon, rule64):
+        # sigma 0.15 puts the diffusion fraction at 1.11, outside the gate
+        p = with_fields(canon, sigma=0.15)
+        sols = solve_all(p, rule64)
+        assert sols.signal is None
+        assert None not in (sols.uninformed, sols.timing, sols.merton)
+        with pytest.raises(GateError, match="'signal' was not solvable"):
+            sols.for_regime("signal")
+
+    def test_unlisted_failure_is_not_reached(self, canon, rule64):
+        # at m = 0.05 the timing solve rejects a* = 1; other failures raise
+        p = with_fields(canon, m=0.05)
+        with pytest.raises(BoundaryOptimumError):
+            solve_all(p, rule64)
+        sols = solve_all(p, rule64, regimes=("uninformed", "merton"))
+        assert sols.timing is None and sols.uninformed is not None

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -139,6 +140,18 @@ class TestPrice:
             "--horizon", "20", *FAST)
         assert code == 0, err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_psi_table_not_finite_exits_2(self, cfg_path, tmp_path, bad):
+        table = tmp_path / "psi.tsv"
+        table.write_text(f"-1.0 0.0\n0.0 {bad}\n1.0 1.0\n")
+        code, out, err = run_cli(
+            "price", "--config", cfg_path, "--stream",
+            f"post_jump_signal:pwl@{table}", "--regime", "uninformed",
+            "--horizon", "20", *FAST)
+        assert (code, out) == (2, "")
+        assert err == (f"config error: psi table {str(table)!r} has entries "
+                       "that are not finite\n")
+
 
 class TestCompare:
     def test_exp_until_jump_table(self, cfg_path):
@@ -238,3 +251,31 @@ class TestErrorPaths:
         code, _, _ = run_cli("price", "--config", cfg_path,
                              "--stream", "constant:1", "--regime", "nope")
         assert code == 2
+
+
+class TestNonFiniteParams:
+    @pytest.mark.parametrize("key,value", [("mu", "nan"), ("mu", "inf"),
+                                           ("m", "nan"), ("m", "-inf")])
+    def test_solve_and_price_exit_1(self, tmp_path, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", CANON_CFG,
+                              flags=re.M))
+        for args in (("solve",), ("price", "--stream", "constant:1",
+                                  "--regime", "uninformed", "--horizon", "5")):
+            code, out, err = run_cli(*args, "--config", str(cfg), *FAST)
+            assert (code, out) == (1, "")
+            assert err == ("domain error: all_finite: every parameter must be "
+                           f"finite; not finite: {key}\n")
+
+    def test_validate_flags_it(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CANON_CFG.replace("mu = 0.10", "mu = nan"))
+        code, out, _ = run_cli("validate", "--config", str(cfg))
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[0] == ("FAIL\tparams.all_finite\tevery parameter must be "
+                            "finite; not finite: mu")
+        # a hard failure stops validate before the solver checks
+        assert all(line.split("\t")[1].startswith("params.")
+                   for line in lines[:-1])
+        assert lines[-1].startswith("FAIL\toverall\t")

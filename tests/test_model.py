@@ -7,7 +7,9 @@ import pytest
 
 from infoprice.errors import ConfigError, StreamGuardError
 from infoprice.model import (
+    CONFIG_KEYS,
     ConstantStream,
+    ModelParams,
     PostFirstJumpSignalStream,
     read_params_file,
     validate_params,
@@ -50,6 +52,18 @@ class TestValidateParams:
         report = validate_params(with_fields(canon, sigma=0.0, R=1.0))
         assert report.overall == all(f.passed for f in report.flags)
         assert len(report.failures()) >= 2
+
+    def test_config_keys_follow_field_order(self):
+        # reports pair CONFIG_KEYS with the fields of ModelParams in order
+        fields = [f.name for f in dataclasses.fields(ModelParams)]
+        assert [k.replace("lambda", "lam") for k in CONFIG_KEYS] == fields
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fails_one_flag(self, canon, value):
+        report = validate_params(with_fields(canon, mu=value))
+        assert [f.name for f in report.failures() if f.name != "signal_regime_gate"] \
+            == ["all_finite"]
+        assert report.flags[0].message.endswith("; not finite: mu")
 
     def test_q_dual_accessor(self, canon):
         assert canon.q_dual == pytest.approx((1 - canon.R) / canon.R)

@@ -15,7 +15,9 @@ from infoprice.agents import (
     posterior_of_jump,
     q_bar_signal,
     solve_all,
+    solve_merton,
     solve_signal_insider,
+    solve_timing_insider,
     solve_uninformed,
 )
 from infoprice.errors import DomainError, GateError, ParameterError
@@ -34,7 +36,7 @@ from infoprice.pricing import (
     price_mc,
     truncation_bound,
 )
-from infoprice.quadrature import psi_double_integral
+from infoprice.quadrature import gauss_hermite, psi_double_integral
 from infoprice.simulate import SimConfig
 
 from .oracles import signal_law_average
@@ -250,6 +252,22 @@ class TestPriceMc:
         beta = {e: beta_coef(e, sols.signal, canon, rule64) for e in (lo, hi)}
         assert (est[hi] > est[lo]) == (beta[hi] > beta[lo])
 
+    @pytest.mark.parametrize("regime", ["uninformed", "timing", "signal"])
+    def test_scalar_only_psi_in_the_engine(self, canon, regime):
+        # a psi written for scalars reduces an array to one float, so the
+        # engine must call it once per path, with the same values as np.tanh
+        p = with_fields(canon, **SETS["dense"])
+        sols = solve_all(p, gauss_hermite(32), grid_size=61)
+        scalar = PostFirstJumpSignalStream(
+            psi=lambda x: float(np.sum(np.tanh(x))), psi_bound=1.0,
+            psi_name="scalar_tanh")
+        cfg = SimConfig(horizon=5.0, dt=0.1, n_paths=500, seed=5, regime=regime)
+        sol = sols.for_regime(regime)
+        want = price_mc(E3, sol, p, cfg, sols=sols, workers=1)
+        got = price_mc(scalar, sol, p, cfg, sols=sols, workers=1)
+        assert want.std_error > 0.0
+        assert (got.mean, got.std_error) == (want.mean, want.std_error)
+
 
 class TestWorkerCount:
     """INFOPRICE_WORKERS and price_mc's workers: a forked pool starts all
@@ -316,6 +334,28 @@ class TestInvalidInputs:
         with pytest.raises(ParameterError, match="r_positive"):
             truncation_bound(e, regime, p, sols, 10.0)
 
+    @pytest.mark.parametrize("field", ["mu", "m"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_raises(self, canon, rule64, sols, field, value):
+        # a NaN mu used to pass every check and give A1 = nan
+        p = with_fields(canon, **{field: value})
+        e = ConstantStream(1.0)
+        cfg = SimConfig(horizon=2.0, dt=0.5, n_paths=10, seed=1,
+                        regime="uninformed")
+        calls = (lambda: solve_uninformed(p, rule64),
+                 lambda: solve_timing_insider(p, rule64),
+                 lambda: solve_merton(p),
+                 lambda: solve_signal_insider(p, rule64, grid_size=41),
+                 lambda: solve_all(p, rule64),
+                 lambda: price_mc(e, sols.uninformed, p, cfg, sols=sols),
+                 lambda: closed_form_price(e, "uninformed", p, sols),
+                 lambda: truncation_bound(e, "uninformed", p, sols, 10.0),
+                 lambda: info_value_report(e, p, cfg, rule=rule64))
+        for call in calls:
+            with pytest.raises(ParameterError,
+                               match=f"^all_finite: .*; not finite: {field}$"):
+                call()
+
     def test_non_stream_raises_type_error(self, canon, sols):
         cfg = SimConfig(horizon=2.0, dt=0.5, n_paths=10, seed=1,
                         regime="uninformed")
@@ -351,6 +391,22 @@ class TestTruncationBounds:
 
 
 class TestInfoValueReport:
+    def test_gated_signal_without_sols(self, canon, rule64):
+        # sigma 0.15 gates the signal regime; as in `compare`, the report
+        # leaves its rows out instead of raising
+        p = with_fields(canon, sigma=0.15)
+        cfg = SimConfig(horizon=10.0, dt=0.1, n_paths=100, seed=0,
+                        regime="uninformed")
+        report = info_value_report(E2, p, cfg, rule=rule64)
+        solved = info_value_report(E2, p, cfg, sols=solve_all(p, rule64),
+                                   rule=rule64)
+        assert report.rows == solved.rows
+        assert [r.regime for r in report.rows] == ["merton", "uninformed", "timing"]
+        assert math.isnan(report.signal_information_value)
+        assert report.signal_conditional_values == ()
+        assert report.timing_information_value == \
+            report.row("timing").closed_form - report.row("uninformed").closed_form
+
     def test_constant_stream_invariance(self, canon, sols):
         cfg = SimConfig(horizon=10.0, dt=0.1, n_paths=100, seed=0,
                         regime="uninformed")

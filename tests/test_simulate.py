@@ -8,7 +8,9 @@ match the engine's records node for node.
 
 import dataclasses
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -513,13 +515,6 @@ class TestSimulatePath:
         for t in within:
             assert np.any(np.isclose(rec.grid, t, rtol=0, atol=0))
 
-    def test_wealth_scale_leaves_deflator_untouched(self, canon, sol_uninformed):
-        cfg = SimConfig(horizon=3.0, dt=0.05, n_paths=1, seed=5, regime="uninformed")
-        a = simulate_path(canon, sol_uninformed, cfg, 0, wealth_scale=1.0)
-        b = simulate_path(canon, sol_uninformed, cfg, 0, wealth_scale=10.0)
-        assert np.array_equal(a.deflator, b.deflator)
-        assert np.allclose(b.wealth, 10.0 * a.wealth, rtol=1e-15)
-
     def test_jump_nodes_match_scenario(self, canon, sol_uninformed):
         cfg = SimConfig(horizon=30.0, dt=0.5, n_paths=1, seed=12, regime="uninformed")
         rec = simulate_path(canon, sol_uninformed, cfg, 4)
@@ -552,13 +547,32 @@ class TestSimulatePath:
 
 class TestBulkEngine:
     def test_chunk_invariance(self, canon, sol_uninformed):
+        # a run cut into unequal slices of paths gives the same per-path values
         cfg = SimConfig(horizon=5.0, dt=0.05, n_paths=64, seed=33,
                         regime="uninformed")
-        a = path_integrals(canon, sol_uninformed, cfg, ConstantStream(1.0),
-                           chunk_paths=64)
-        b = path_integrals(canon, sol_uninformed, cfg, ConstantStream(1.0),
-                           chunk_paths=7)
-        assert np.array_equal(a, b)
+        whole = path_integrals(canon, sol_uninformed, cfg, ConstantStream(1.0))
+        parts = [path_integrals(canon, sol_uninformed, cfg, ConstantStream(1.0),
+                                path_offset=lo, n_paths=hi - lo)
+                 for lo, hi in ((0, 7), (7, 64))]
+        assert np.array_equal(whole, np.concatenate(parts))
+
+    def test_threads_match_serial_runs(self, dense, dense_sols):
+        # each thread re-keys its own generators of the shared module pool
+        stream = STREAMS["post_jump_signal:tanh"]
+        cfgs = [SimConfig(horizon=10.0, dt=0.05, n_paths=300, seed=seed,
+                          regime="signal") for seed in (1, 2, 3, 4)]
+        serial = [path_integrals(dense, dense_sols.signal, cfg, stream)
+                  for cfg in cfgs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)         # switch threads often
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                runs = [pool.submit(path_integrals, dense, dense_sols.signal,
+                                    cfg, stream) for cfg in cfgs]
+                for run, want in zip(runs, serial):
+                    assert np.array_equal(run.result(timeout=300), want)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_non_finite_state_raises(self, canon, sol_uninformed):
         cfg = SimConfig(horizon=1.0, dt=0.1, n_paths=3, seed=1,
