@@ -26,15 +26,18 @@ Every exposure maximizes h phi1(q) + lam_a3 phi2(q; row) over [0, 1]: q_bar
 with h(eta), lam A3 and the posterior given eta; q_bar1 with h = 1, lam and
 the prior N(m, v) (g1 up to a constant); a_star with h = 0, 1 and the prior
 (g(a)/(1 - R)). CRRA utility makes this objective concave in q for every
-R > 0, so one kernel, _argmax_exposure, solves all three.
+R > 0, so one kernel, _argmax_exposure, solves all three. signal_terms
+gives the signal insider's per-signal (q*, h, beta, kappa) that pricing uses.
 
-Each solved object is immutable; evaluation helpers are pure functions.
+Each solved object is immutable, and its class attribute `regime` names its
+slot in RegimeSolutions; evaluation helpers are pure functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,6 +66,7 @@ __all__ = [
     "posterior_of_jump",
     "solve_signal_insider",
     "q_bar_signal",
+    "signal_terms",
     "signal_deflator",
     "solve_all",
     "REGIMES",
@@ -73,8 +77,6 @@ REGIMES = ("merton", "uninformed", "timing", "signal")
 # Maximizers closer than this to {0, 1} count as boundary solutions.
 INTERIOR_TOL = 1e-6
 
-_SQRT_PI = math.sqrt(math.pi)
-
 
 # ---------------------------------------------------------------------------
 # Uninformed agent
@@ -84,6 +86,7 @@ _SQRT_PI = math.sqrt(math.pi)
 class UninformedSolution:
     """Constants of the no-information regime."""
 
+    regime: ClassVar[str] = "uninformed"
     q_bar1: float          # optimal risky fraction, interior in (0, 1)
     A1: float              # value scale: u(x) = A1 U(x)
     alpha: float           # drift of e^{rt} * deflator conditional on no jump
@@ -146,6 +149,7 @@ def uninformed_deflator(sol: UninformedSolution, p: ModelParams,
 
 @dataclass(frozen=True)
 class MertonSolution:
+    regime: ClassVar[str] = "merton"
     A_M: float
     kappa: float                # market price of risk (mu - r)/sigma
     gamma_M_merton: float       # consumption rate A_M^(-1/R)
@@ -196,6 +200,7 @@ class TimingInsiderSolution:
     bounded and the formulas below need no other branch.
     """
 
+    regime: ClassVar[str] = "timing"
     a_star: float          # exposure at the jump instant
     gamma_M: float
     f0: float              # f(0), root of the renewal equation
@@ -407,6 +412,7 @@ class SignalInsiderSolution:
     +-6 sd grid, and flat extension cannot create spurious maxima).
     """
 
+    regime: ClassVar[str] = "signal"
     eta_grid: np.ndarray
     h_values: np.ndarray
     q_bar_values: np.ndarray
@@ -428,10 +434,12 @@ class SignalInsiderSolution:
         return np.clip(self._q_interp(eta), 0.0, 1.0)
 
 
-# Step cap of the batched Newton solves of the signal system, and the
-# relative tolerance and step cap of its outer A3 iteration.
+# Step cap of the batched Newton solves of the signal system, the relative
+# tolerance and step cap of its outer A3 iteration, and the half-width of
+# its eta grid in sd of the signal law.
 _NEWTON_STEPS = 100
 _OUTER_TOL, _OUTER_STEPS = 1e-10, 200
+_GRID_HALFWIDTH_SD = 6.0
 
 
 def _exposure_slope(q, h, lam_a3, jump_rel, w, p):
@@ -481,9 +489,9 @@ def _argmax_exposure(h, lam_a3, jump_rel, w, p, q_start):
 def _prior_exposure(h: float, lam_a3: float, p: ModelParams,
                     rule: QuadratureRule) -> float:
     """_argmax_exposure on the one row of the prior N(m, v)."""
-    jump_rel = np.expm1(p.m + math.sqrt(2.0 * p.v) * rule.nodes)[None, :]
+    jump_rel = np.expm1(rule.points([p.m], p.v))
     return float(_argmax_exposure(np.array([h]), lam_a3, jump_rel,
-                                  rule.weights / _SQRT_PI, p, np.full(1, 0.5))[0])
+                                  rule.probs, p, np.full(1, 0.5))[0])
 
 
 class _SignalSystem:
@@ -503,11 +511,8 @@ class _SignalSystem:
         self.p = p
         self.rule = rule
         self.eta_grid = eta_grid
-        means, var = posterior_of_jump(eta_grid, p)
         # jump_rel[i, k] = e^{x_k} - 1 at posterior nodes for grid signal i
-        self.jump_rel = np.expm1(
-            means[:, None] + math.sqrt(2.0 * var) * rule.nodes[None, :])
-        self.w_norm = rule.weights / _SQRT_PI
+        self.jump_rel = np.expm1(rule.points(*posterior_of_jump(eta_grid, p)))
 
     def _phi1(self, q):
         p = self.p
@@ -520,8 +525,9 @@ class _SignalSystem:
         one_r = 1.0 - self.p.R
         lam_a3 = self.p.lam * a3
         jump_rel = self.jump_rel[rows]
-        q = _argmax_exposure(h, lam_a3, jump_rel, self.w_norm, self.p, q_start)
-        phi2 = ((1.0 + q[:, None] * jump_rel) ** one_r) @ self.w_norm / one_r
+        probs = self.rule.probs
+        q = _argmax_exposure(h, lam_a3, jump_rel, probs, self.p, q_start)
+        phi2 = ((1.0 + q[:, None] * jump_rel) ** one_r) @ probs / one_r
         return h * self._phi1(q) + lam_a3 * phi2, q
 
     def solve_grid(self, a3: float, h_start: np.ndarray, q_start: np.ndarray
@@ -551,29 +557,28 @@ class _SignalSystem:
         """A3 candidate: E[h(eta)] under eta ~ N(m, v + v_eps)."""
         p = self.p
         interp = _MonotoneCubic(self.eta_grid, h_values)
-        pts = p.m + math.sqrt(2.0 * (p.v + p.v_eps)) * self.rule.nodes
-        pts = np.clip(pts, self.eta_grid[0], self.eta_grid[-1])
-        return float(self.w_norm @ interp(pts))
+        pts = np.clip(self.rule.points(p.m, p.v + p.v_eps),
+                      self.eta_grid[0], self.eta_grid[-1])
+        return float(self.rule.probs @ interp(pts))
 
 
 def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
-                         grid_size: int = 201, grid_halfwidth_sd: float = 6.0,
+                         grid_size: int = 201,
                          uninformed: UninformedSolution | None = None,
                          ) -> SignalInsiderSolution:
-    """Solve the signal regime on an eta grid of m +- halfwidth sd.
+    """Solve the signal regime on an eta grid of m +- 6 sd of the signal law.
 
     Starts the average-value unknown A3 at the uninformed A1 (the upper
     envelope) and iterates downward to the largest fixed point below it, as
     the maximal-solution selection requires; a secant step accelerates the
     contraction once the downward direction is confirmed, until A3 and h move
     by at most 1e-10 max(1, A3) (ConvergenceError after 200 steps). Raises
-    GateError unless R > 1 and the diffusion fraction lies in (0, 1).
+    GateError where the signal_regime_gate check of validate_params fails
+    (R > 1 and a diffusion fraction in (0, 1)) or v_eps = 0.
     """
-    require_valid_params(p)
-    if not (p.R > 1.0 and 0.0 < p.merton_fraction < 1.0):
-        raise GateError(
-            "signal regime needs R > 1 and (mu - r)/(sigma^2 R) in (0, 1); "
-            f"got R={p.R:g}, fraction={p.merton_fraction:.6g}")
+    for flag in require_valid_params(p).failures():
+        if flag.name == "signal_regime_gate":
+            raise GateError(flag.message)
     if not p.v_eps > 0.0:
         raise GateError("signal regime needs v_eps > 0")
     if uninformed is None:
@@ -581,8 +586,8 @@ def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
     a1 = uninformed.A1
 
     sd = math.sqrt(p.v + p.v_eps)
-    eta_grid = np.linspace(p.m - grid_halfwidth_sd * sd,
-                           p.m + grid_halfwidth_sd * sd, grid_size)
+    eta_grid = np.linspace(p.m - _GRID_HALFWIDTH_SD * sd,
+                           p.m + _GRID_HALFWIDTH_SD * sd, grid_size)
     system = _SignalSystem(p, rule, eta_grid)
 
     h = np.full(grid_size, a1)
@@ -649,17 +654,18 @@ def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
     )
 
 
-def _signal_exposures(sol: SignalInsiderSolution, p: ModelParams,
-                      eta: np.ndarray, rule: QuadratureRule
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """(q*, h) at an array of signals, q* from one _argmax_exposure call
-    started from the grid interpolant sol.q_bar_at."""
-    m_post, v_post = posterior_of_jump(eta, p)
-    jump_rel = np.expm1(m_post[:, None] + math.sqrt(2.0 * v_post) * rule.nodes)
+def signal_terms(sol: SignalInsiderSolution, p: ModelParams, eta: np.ndarray,
+                 rule: QuadratureRule) -> tuple[np.ndarray, ...]:
+    """(q*, h, beta, kappa) at an array of signals, from one matrix of
+    jump-size posterior nodes: the exposure q* from one _argmax_exposure
+    call started from the grid interpolant sol.q_bar_at, h(eta), the
+    pre-jump rate beta of e^(rt) times the deflator, and the posterior mean
+    kappa of (1 + q* (e^X - 1))^(-R)."""
+    jump_rel = np.expm1(rule.points(*posterior_of_jump(eta, p)))
     h = sol.h_at(eta)
-    q = _argmax_exposure(h, p.lam * sol.A3, jump_rel, rule.weights / _SQRT_PI,
-                         p, sol.q_bar_at(eta))
-    return q, h
+    q = _argmax_exposure(h, p.lam * sol.A3, jump_rel, rule.probs, p, sol.q_bar_at(eta))
+    kappa = (1.0 + q[:, None] * jump_rel) ** (-p.R) @ rule.weights / math.sqrt(math.pi)
+    return q, h, _pre_jump_rate(q, h, p), kappa
 
 
 def q_bar_signal(sol: SignalInsiderSolution, p: ModelParams, eta: float,
@@ -670,7 +676,7 @@ def q_bar_signal(sol: SignalInsiderSolution, p: ModelParams, eta: float,
     same corner rule and guarded Newton root as the grid solve, started from
     the grid interpolant sol.q_bar_at (the fast path used in simulation).
     """
-    return float(_signal_exposures(sol, p, np.array([float(eta)]), rule)[0][0])
+    return float(signal_terms(sol, p, np.array([float(eta)]), rule)[0][0])
 
 
 def signal_deflator(sol: SignalInsiderSolution, p: ModelParams, t: float,
@@ -701,8 +707,7 @@ class RegimeSolutions:
         return sol
 
 
-def solve_all(p: ModelParams, rule: QuadratureRule,
-              grid_size: int = 201, grid_halfwidth_sd: float = 6.0,
+def solve_all(p: ModelParams, rule: QuadratureRule, grid_size: int = 201,
               regimes=REGIMES) -> RegimeSolutions:
     """Solve the listed regimes (of REGIMES) in the order uninformed (also
     for signal, whose solve starts from it), timing, merton, signal, and
@@ -715,8 +720,7 @@ def solve_all(p: ModelParams, rule: QuadratureRule,
     signal = None
     if "signal" in regimes:
         try:
-            signal = solve_signal_insider(p, rule, grid_size, grid_halfwidth_sd,
-                                          uninformed=uninformed)
+            signal = solve_signal_insider(p, rule, grid_size, uninformed=uninformed)
         except GateError:
             pass
     return RegimeSolutions(uninformed=uninformed, timing=timing,

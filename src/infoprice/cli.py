@@ -53,8 +53,7 @@ DEFAULTS = {
     "n_paths": 100_000,
     "seed": 20_240,
     "rule_order": 64,       # Gauss-Hermite points
-    "grid_size": 201,       # signal-insider eta grid
-    "grid_halfwidth_sd": 6.0,
+    "grid_size": 201,       # signal-insider eta grid over +-6 sd
     "horizon": {            # per --stream prefix, years (tail bound < 1e-4)
         "constant": 200.0,
         "exp_until_jump": 25.0,
@@ -162,14 +161,7 @@ def _sim_config(args, regime: str) -> SimConfig:
 
 
 def _solve(p: ModelParams, args, regimes=REGIMES) -> RegimeSolutions:
-    return solve_all(p, gauss_hermite(args.rule_order), args.grid_size,
-                     args.grid_halfwidth, regimes)
-
-
-def _conditioning(args) -> Conditioning | None:
-    if args.t1 is not None or args.eta0 is not None:
-        return Conditioning(t1=args.t1, eta0=args.eta0)
-    return None
+    return solve_all(p, gauss_hermite(args.rule_order), args.grid_size, regimes)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +209,17 @@ def cmd_solve(args) -> int:
 def cmd_price(args) -> int:
     p = read_params_file(args.config)
     stream = parse_stream(args.stream)
+    cond = Conditioning(t1=args.t1, eta0=args.eta0)
     regimes = REGIMES if args.regime == "all" else (args.regime,)
     sols = _solve(p, args, regimes)
-    cond = _conditioning(args)
     rule = gauss_hermite(args.rule_order)
     results = []
     rows = []
     for regime in regimes:
-        regime_cond = cond if regime in ("timing", "signal") else None
+        # --regime all pins only the regime the pin conditions; a single
+        # regime gets the pin as given, and the library rejects a mismatch
+        regime_cond = (cond if args.regime != "all" or cond.regime == regime
+                       else Conditioning())
         try:
             sol = sols.for_regime(regime)
             cf = closed_form_price(stream, regime, p, sols, regime_cond, rule)
@@ -375,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=DEFAULTS["seed"])
         sp.add_argument("--rule-order", type=int, default=DEFAULTS["rule_order"])
         sp.add_argument("--grid-size", type=int, default=DEFAULTS["grid_size"])
-        sp.add_argument("--grid-halfwidth", type=float,
-                        default=DEFAULTS["grid_halfwidth_sd"])
         sp.add_argument("--out", default=None, help="write the report here")
         sp.add_argument("--format", choices=("json", "table"), default="json")
 

@@ -69,11 +69,6 @@ class ModelParams:
     v_eps: float
 
     @property
-    def q_dual(self) -> float:
-        """Dual exponent (1 - R) / R used by the dual value function."""
-        return (1.0 - self.R) / self.R
-
-    @property
     def merton_fraction(self) -> float:
         """Diffusion-only optimal risky fraction (mu - r) / (sigma^2 R)."""
         return (self.mu - self.r) / (self.sigma**2 * self.R)
@@ -134,19 +129,21 @@ def validate_params(p: ModelParams) -> ValidationReport:
     return ValidationReport(tuple(flags))
 
 
-# Checks that gate every solver; the signal-regime gate is enforced only by
-# the signal solver itself.
+# Checks that gate every solver; the signal solver raises GateError from the
+# signal_regime_gate flag of the report that require_valid_params returns.
 HARD_CHECKS = (
     "all_finite", "no_arbitrage_sigma", "r_positive", "v_positive", "lambda_nonnegative",
     "v_eps_nonnegative", "rho_positive", "utility_R", "finite_value_R_gt_1",
 )
 
 
-def require_valid_params(p: ModelParams) -> None:
-    """Raise ParameterError if any hard check fails."""
-    bad = [f for f in validate_params(p).failures() if f.name in HARD_CHECKS]
+def require_valid_params(p: ModelParams) -> ValidationReport:
+    """Raise ParameterError if any hard check fails, else return the report."""
+    report = validate_params(p)
+    bad = [f for f in report.failures() if f.name in HARD_CHECKS]
     if bad:
         raise ParameterError("; ".join(f"{f.name}: {f.message}" for f in bad))
+    return report
 
 
 # ---------------------------------------------------------------------------

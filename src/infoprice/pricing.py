@@ -30,8 +30,10 @@ loses mean where the bound q* <= 1 binds, so M_1 is not A3 but the Laplace
 transform at rate 1 of E[e^(rt) Y_t] after a fresh signal:
 M_1 = E_p0[h/(1 + lam - beta)] / (1 - lam E_p0[kappa/(1 + lam - beta)]),
 with p0 the signal law N(m, v + v_eps) and kappa(eta) the posterior mean of
-(1 + q* (e^X - 1))^(-R). Every average over the signal law is one array
-pass over the Gauss-Hermite nodes of p0 (a pinned eta0 is the one-node case).
+(1 + q* (e^X - 1))^(-R); agents.signal_terms gives h, beta and kappa. Every
+average over the signal law is one array pass over the Gauss-Hermite nodes of
+p0 (a pinned eta0 is the one-node case). A Conditioning pins the regime its
+`regime` property names, and any other regime rejects it with ValueError.
 
 info_value_report takes the information values as price differences between
 the regimes solve_all returns, leaving out a gated signal regime.
@@ -48,15 +50,12 @@ import multiprocessing
 import numpy as np
 
 from .agents import (
-    MertonSolution,
+    REGIMES,
     RegimeSolutions,
     SignalInsiderSolution,
-    TimingInsiderSolution,
     UninformedSolution,
     _pre_jump_rate,
-    _signal_exposures,
-    posterior_of_jump,
-    q_bar_signal,
+    signal_terms,
     solve_all,
 )
 from .errors import DomainError, GateError
@@ -113,12 +112,17 @@ class Conditioning:
     def __post_init__(self):
         if self.t1 is not None and self.eta0 is not None:
             raise ValueError("condition on t1 or eta0, not both")
-        if self.t1 is not None and not self.t1 > 0.0:
-            raise ValueError("t1 must be > 0")
+        if self.t1 is not None and not 0.0 < self.t1 < math.inf:
+            raise ValueError(f"t1 must be finite and > 0, got {self.t1}")
+        if self.eta0 is not None and not math.isfinite(self.eta0):
+            raise ValueError(f"eta0 must be finite, got {self.eta0}")
 
     @property
-    def empty(self) -> bool:
-        return self.t1 is None and self.eta0 is None
+    def regime(self) -> str | None:
+        """The regime the pin conditions: timing for t1, signal for eta0."""
+        if self.t1 is not None:
+            return "timing"
+        return None if self.eta0 is None else "signal"
 
 
 @dataclass(frozen=True)
@@ -137,10 +141,9 @@ class PriceEstimate:
 
 def _check_conditioning(regime: str, conditioning: Conditioning | None) -> Conditioning:
     cond = conditioning or Conditioning()
-    if cond.t1 is not None and regime != "timing":
-        raise ValueError("conditioning on t1 is only meaningful for the timing insider")
-    if cond.eta0 is not None and regime != "signal":
-        raise ValueError("conditioning on eta0 is only meaningful for the signal insider")
+    if cond.regime not in (None, regime):
+        raise ValueError(f"{cond} is only meaningful for the {cond.regime} insider, "
+                         f"not the {regime} regime")
     return cond
 
 
@@ -153,17 +156,7 @@ def alpha_coef(sol: UninformedSolution, p: ModelParams) -> float:
 def beta_coef(eta0: float, sol: SignalInsiderSolution, p: ModelParams,
               rule: QuadratureRule) -> float:
     """Signal-conditional analogue of alpha, with h(eta0) and q_bar(eta0)."""
-    return _pre_jump_rate(q_bar_signal(sol, p, eta0, rule),
-                          float(sol.h_at(eta0)), p)
-
-
-def _posterior_mean_factor(eta: np.ndarray, q: np.ndarray, p: ModelParams,
-                           rule: QuadratureRule) -> np.ndarray:
-    """kappa = E[(1 + q (e^X - 1))^(-R)] under the jump-size posterior given
-    each signal eta, with q the exposure there."""
-    m_post, v_post = posterior_of_jump(eta, p)
-    jump_rel = np.expm1(m_post[:, None] + math.sqrt(2.0 * v_post) * rule.nodes)
-    return (1.0 + q[:, None] * jump_rel) ** (-p.R) @ rule.weights / math.sqrt(math.pi)
+    return float(signal_terms(sol, p, np.array([float(eta0)]), rule)[2][0])
 
 
 def _signal_law(p: ModelParams, rule: QuadratureRule, cond: Conditioning):
@@ -171,21 +164,20 @@ def _signal_law(p: ModelParams, rule: QuadratureRule, cond: Conditioning):
     eta0 alone, else the rule's nodes of the signal law N(m, v + v_eps)."""
     if cond.eta0 is not None:
         return np.array([cond.eta0]), np.ones(1)
-    return (p.m + math.sqrt(2.0 * (p.v + p.v_eps)) * rule.nodes,
-            rule.weights / math.sqrt(math.pi))
+    return rule.points(p.m, p.v + p.v_eps), rule.probs
 
 
 def _signal_rates(sol: SignalInsiderSolution, p: ModelParams, eta: np.ndarray,
                   rule: QuadratureRule, s: float):
-    """(q*, h, s + lam - beta) at each signal; raises DomainError, naming the
-    first signal where s + lam - beta <= 0 (the value diverges)."""
-    q, h = _signal_exposures(sol, p, eta, rule)
-    rate = s + p.lam - _pre_jump_rate(q, h, p)
+    """(h, s + lam - beta, kappa) at each signal; raises DomainError, naming
+    the first signal where s + lam - beta <= 0 (the value diverges)."""
+    _, h, beta, kappa = signal_terms(sol, p, eta, rule)
+    rate = s + p.lam - beta
     for x, r in zip(eta, rate):
         if r <= 0.0:
             raise DomainError(f"lam{' + 1' if s else ''} - beta({x:.4g}) = "
                               f"{r:.6g} <= 0: value diverges")
-    return q, h, rate
+    return h, rate, kappa
 
 
 _NO_JUMP_KEY = "the merton benchmark has no jump to key this stream on"
@@ -216,7 +208,7 @@ def _pre_jump_tail(regime: str, p: ModelParams, sols: RegimeSolutions,
         return math.exp(-p.lam * horizon) / p.lam
     if regime == "signal":
         eta, w = _signal_law(p, rule, cond)
-        rate = _signal_rates(sols.signal, p, eta, rule, 0.0)[2]
+        rate = _signal_rates(sols.signal, p, eta, rule, 0.0)[1]
         return float(w @ (np.exp(-rate * horizon) / rate))
     raise GateError(_NO_JUMP_KEY)
 
@@ -231,8 +223,7 @@ def _post_jump_signal(e: PostFirstJumpSignalStream, p: ModelParams,
     nodes, w = _signal_law(p, rule, Conditioning())
     # a pinned eta0 goes first, so its divergence is the one reported
     eta = nodes if cond.eta0 is None else np.append(eta0, nodes)
-    q, h, rate = _signal_rates(sol, p, eta, rule, 1.0)
-    kappa = _posterior_mean_factor(eta, q, p, rule)
+    h, rate, kappa = _signal_rates(sol, p, eta, rule, 1.0)
     resolvent = 1.0 - p.lam * float(w @ (kappa / rate)[-len(w):])
     if resolvent <= 0.0:
         raise DomainError(f"1 - lam E[kappa/(lam + 1 - beta)] = {resolvent:.6g}"
@@ -271,11 +262,16 @@ def truncation_bound(e: IncomeStream, regime: str, p: ModelParams,
 # Monte Carlo estimator
 # ---------------------------------------------------------------------------
 
-def _mc_task(args):
-    p, sol, cfg, stream, pin_t1, pin_eta0, start, count = args
-    vals = path_integrals(p, sol, cfg, stream, pin_t1=pin_t1, pin_eta0=pin_eta0,
-                          path_offset=start, n_paths=count)
-    return start, vals
+_JOB = ()   # a forked worker's path_integrals arguments before the path slice
+
+
+def _start_worker(*job):
+    global _JOB
+    _JOB = job
+
+
+def _mc_task(start, count):
+    return path_integrals(*_JOB, start, count)
 
 
 def price_mc(e: IncomeStream, sol, p: ModelParams, cfg: SimConfig,
@@ -302,21 +298,19 @@ def price_mc(e: IncomeStream, sol, p: ModelParams, cfg: SimConfig,
 
     workers = (n_workers() if workers is None
                else min(os.cpu_count() or 1, max(1, int(workers))))
-    vals = np.empty(cfg.n_paths)
+    job = (p, sol, cfg, e, cond.t1, cond.eta0)
     if workers == 1 or cfg.n_paths < 4096:
-        vals[:] = path_integrals(p, sol, cfg, e, pin_t1=cond.t1, pin_eta0=cond.eta0)
+        vals = path_integrals(*job)
     else:
         share = (cfg.n_paths + workers - 1) // workers
-        tasks = []
-        start = 0
-        while start < cfg.n_paths:
-            count = min(share, cfg.n_paths - start)
-            tasks.append((p, sol, cfg, e, cond.t1, cond.eta0, start, count))
-            start += count
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=len(tasks), mp_context=ctx) as pool:
-            for s, chunk in pool.map(_mc_task, tasks):
-                vals[s:s + len(chunk)] = chunk
+        starts = range(0, cfg.n_paths, share)
+        counts = [min(share, cfg.n_paths - s) for s in starts]
+        # forked workers inherit the job as the initializer's arguments, so
+        # none of it is pickled (psi may be a lambda or a closure)
+        with ProcessPoolExecutor(max_workers=len(starts),
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_start_worker, initargs=job) as pool:
+            vals = np.concatenate(list(pool.map(_mc_task, starts, counts)))
     mean = math.fsum(vals) / cfg.n_paths
     if cfg.n_paths > 1:
         var = math.fsum((v - mean) ** 2 for v in vals) / (cfg.n_paths - 1)
@@ -325,17 +319,13 @@ def price_mc(e: IncomeStream, sol, p: ModelParams, cfg: SimConfig,
         se = 0.0
     return PriceEstimate(mean=mean, std_error=se, n_paths=cfg.n_paths,
                          horizon=cfg.horizon, truncation_bound=bound,
-                         regime=regime, conditioning=None if cond.empty else cond)
+                         regime=regime, conditioning=cond if cond.regime else None)
 
 
 def _solutions_for_bound(sol) -> RegimeSolutions:
     """Wrap a single regime solution so truncation_bound can read it."""
-    return RegimeSolutions(
-        uninformed=sol if isinstance(sol, UninformedSolution) else None,
-        timing=sol if isinstance(sol, TimingInsiderSolution) else None,
-        signal=sol if isinstance(sol, SignalInsiderSolution) else None,
-        merton=sol if isinstance(sol, MertonSolution) else None,
-    )
+    regime = getattr(sol, "regime", None)
+    return RegimeSolutions(**{r: sol if r == regime else None for r in REGIMES})
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +389,7 @@ def estimate_to_dict(stream_label: str, regime: str, method: str,
                      est: PriceEstimate | None = None) -> dict:
     """Canonical report record for one priced (stream, regime, method)."""
     cond = None
-    if conditioning is not None and not conditioning.empty:
+    if conditioning is not None and conditioning.regime:
         cond = {"t1": conditioning.t1, "eta0": conditioning.eta0}
     return {
         "stream": stream_label,

@@ -7,7 +7,9 @@ first jump and its signal. A fixed-order Gauss-Hermite rule (physicists'
 convention, weight exp(-x^2)) is accurate far beyond the tolerances needed
 here because the integrands are analytic with Gaussian decay.
 
-For X ~ N(mean, var) and nodes/weights (x_i, w_i):
+For X ~ N(mean, var) and nodes/weights (x_i, w_i), every module takes the
+points mean + sqrt(2 var) x_i and probabilities w_i / sqrt(pi) from
+QuadratureRule.points and QuadratureRule.probs:
 
     E[f(X)] ~= sum_i w_i f(mean + sqrt(2 var) x_i) / sqrt(pi)
 """
@@ -52,6 +54,15 @@ class QuadratureRule:
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
+    def points(self, mean, var: float) -> np.ndarray:
+        """N(mean, var) nodes mean + sqrt(2 var) x_i, a row per entry of mean."""
+        return np.expand_dims(mean, -1) + math.sqrt(2.0 * var) * self.nodes
+
+    @property
+    def probs(self) -> np.ndarray:
+        """N(mean, var) node probabilities weights / sqrt(pi)."""
+        return self.weights / _SQRT_PI
+
 
 def gauss_hermite(order: int) -> QuadratureRule:
     """Return the `order`-point Gauss-Hermite rule, 1 <= order <= 200."""
@@ -80,7 +91,7 @@ def expect_gaussian(f: Callable, mean: float, var: float, rule: QuadratureRule) 
     """Gauss-Hermite approximation of E[f(Z)] with Z ~ N(mean, var)."""
     if not var > 0.0:
         raise ValueError(f"variance must be > 0, got {var}")
-    values = _values_at(f, mean + math.sqrt(2.0 * var) * rule.nodes)
+    values = _values_at(f, rule.points(mean, var))
     if not np.all(np.isfinite(values)):
         raise ValueError("integrand is non-finite at a quadrature node")
     return float(rule.weights @ values) / _SQRT_PI
@@ -99,7 +110,7 @@ def g_of_q(q: float, p: ModelParams, rule: QuadratureRule) -> float:
     The restriction q in [0, 1] keeps 1 + q(e^x - 1) > 0 for every x.
     """
     q = _check_q(q)
-    jump_rel = np.expm1(p.m + math.sqrt(2.0 * p.v) * rule.nodes)
+    jump_rel = np.expm1(rule.points(p.m, p.v))
     values = (1.0 + q * jump_rel) ** (1.0 - p.R)
     return float(rule.weights @ values) / _SQRT_PI
 
@@ -109,7 +120,7 @@ def g_of_q_many(q: np.ndarray, p: ModelParams, rule: QuadratureRule) -> np.ndarr
     q = np.asarray(q, dtype=float)
     if q.size and (q.min() < 0.0 or q.max() > 1.0):
         raise ValueError("exposures must lie in [0, 1]")
-    jump_rel = np.expm1(p.m + math.sqrt(2.0 * p.v) * rule.nodes)
+    jump_rel = np.expm1(rule.points(p.m, p.v))
     values = (1.0 + q[..., None] * jump_rel) ** (1.0 - p.R)
     return (values @ rule.weights) / _SQRT_PI
 
@@ -123,7 +134,7 @@ def phi2(q: float, m_prime: float, v_prime: float, p: ModelParams,
     q = _check_q(q)
     if not v_prime > 0.0:
         raise ValueError(f"v_prime must be > 0, got {v_prime}")
-    jump_rel = np.expm1(m_prime + math.sqrt(2.0 * v_prime) * rule.nodes)
+    jump_rel = np.expm1(rule.points(m_prime, v_prime))
     values = (1.0 + q * jump_rel) ** (1.0 - p.R)
     return float(rule.weights @ values) / _SQRT_PI / (1.0 - p.R)
 
@@ -132,7 +143,7 @@ def phi2_many(q: np.ndarray, m_prime: float, v_prime: float, p: ModelParams,
               rule: QuadratureRule) -> np.ndarray:
     """Vectorized phi2 over an array of exposures."""
     q = np.asarray(q, dtype=float)
-    jump_rel = np.expm1(m_prime + math.sqrt(2.0 * v_prime) * rule.nodes)
+    jump_rel = np.expm1(rule.points(m_prime, v_prime))
     values = (1.0 + q[..., None] * jump_rel) ** (1.0 - p.R)
     return (values @ rule.weights) / _SQRT_PI / (1.0 - p.R)
 
@@ -150,8 +161,8 @@ def psi_double_integral(psi: Callable, a_coef: float, p: ModelParams,
         raise ValueError(f"a_coef must be in [0, 1], got {a_coef}")
     if not p.v_eps > 0.0:
         raise ValueError("v_eps must be > 0; with a noiseless signal use the 1-D reduction")
-    x1 = p.m + math.sqrt(2.0 * p.v) * rule.nodes            # jump sizes
-    x2 = math.sqrt(2.0 * p.v_eps) * rule.nodes              # noise
+    x1 = rule.points(p.m, p.v)                  # jump sizes
+    x2 = rule.points(0.0, p.v_eps)              # noise
     psi_grid = _values_at(psi, x1[:, None] + x2[None, :])
     if not np.all(np.isfinite(psi_grid)):
         raise ValueError("psi is non-finite at a quadrature node")

@@ -50,14 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .agents import (
-    REGIMES,
-    MertonSolution,
-    SignalInsiderSolution,
-    TimingInsiderSolution,
-    UninformedSolution,
-    posterior_of_jump,
-)
+from .agents import REGIMES, posterior_of_jump
 from .errors import SimulationError
 from .model import (
     ConstantStream,
@@ -270,18 +263,9 @@ def draw_scenario(p: ModelParams, cfg: SimConfig, path_index: int,
     return scen.times[0], scen.sizes[0], scen.signals[0]
 
 
-_EXPECTED_SOLUTION = {
-    "uninformed": UninformedSolution,
-    "timing": TimingInsiderSolution,
-    "signal": SignalInsiderSolution,
-    "merton": MertonSolution,
-}
-
-
 def _check_regime(regime: str, sol) -> None:
-    expected = _EXPECTED_SOLUTION[regime]
-    if not isinstance(sol, expected):
-        raise TypeError(f"regime {regime!r} needs a {expected.__name__}, "
+    if getattr(sol, "regime", None) != regime:
+        raise TypeError(f"regime {regime!r} needs its own solution, "
                         f"got {type(sol).__name__}")
 
 

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from infoprice.agents import (
     REGIMES,
+    RegimeSolutions,
     _MonotoneCubic,
     _exp_average_of_f,
     g1_of_q,
     posterior_of_jump,
     q_bar_signal,
     signal_deflator,
+    signal_terms,
     solve_all,
     solve_merton,
     solve_signal_insider,
@@ -30,7 +32,9 @@ from infoprice.errors import (
     GateError,
     IllPosedError,
 )
+from infoprice.model import validate_params
 from infoprice.optimize import maximize_bounded
+from infoprice.pricing import beta_coef
 from infoprice.quadrature import g_of_q, g_of_q_many, phi2_many
 
 from .oracles import (
@@ -433,6 +437,17 @@ class TestSignalInsider:
         with pytest.raises(GateError):
             solve_signal_insider(with_fields(canon, mu=0.30), rule64, grid_size=41)
 
+    @pytest.mark.parametrize("fields", [dict(R=0.8), dict(mu=0.30)])
+    def test_gate_is_the_validate_flag(self, canon, rule64, fields):
+        # R <= 1, or a diffusion fraction outside (0, 1): the solver raises
+        # the signal_regime_gate flag's own message
+        p = with_fields(canon, **fields)
+        flag, = [f for f in validate_params(p).failures()
+                 if f.name == "signal_regime_gate"]
+        with pytest.raises(GateError) as err:
+            solve_signal_insider(p, rule64, grid_size=41)
+        assert str(err.value) == flag.message
+
     def test_residuals_and_consistency(self, canon, rule64, sol_signal,
                                        sol_uninformed):
         assert float(sol_signal.residuals.max()) < 1e-8
@@ -639,6 +654,46 @@ class TestInformationOrdering:
         s = solve_signal_insider(p, rule64, grid_size=81, uninformed=u)
         assert t.A2 <= u.A1 * (1 + 1e-9)
         assert s.A3 <= u.A1 * (1 + 1e-9)
+
+
+class TestSignalTerms:
+    """signal_terms owns the per-signal (q*, h, beta, kappa) that
+    q_bar_signal, beta_coef and the pricing closed forms read."""
+
+    @pytest.mark.parametrize("fields", [{}, dict(lam=2.0, m=0.0, v=0.01)])
+    def test_matches_q_bar_signal_and_beta_coef(self, canon, rule64, fields):
+        p = with_fields(canon, **fields)
+        sol = solve_all(p, rule64, regimes=("signal",)).signal
+        sd = math.sqrt(p.v + p.v_eps)
+        eta = p.m + sd * np.array([-3.0, -1.0, 0.0, 0.5, 2.0])
+        for x in eta:
+            (q,), (h,), (beta,), _ = signal_terms(sol, p, np.array([x]), rule64)
+            assert q == q_bar_signal(sol, p, x, rule64)
+            assert beta == beta_coef(x, sol, p, rule64)
+            assert h == sol.h_at(x)
+        # a batch of signals solves every row to the same 1e-14 step stop
+        q, h, beta, _ = signal_terms(sol, p, eta, rule64)
+        assert q == pytest.approx([q_bar_signal(sol, p, x, rule64) for x in eta],
+                                  rel=1e-12, abs=1e-13)
+        assert np.array_equal(h, sol.h_at(eta))
+
+    def test_kappa_is_the_posterior_mean(self, canon, rule64, sol_signal):
+        eta = np.array([-0.4, -0.05, 0.3])
+        q, _, _, kappa = signal_terms(sol_signal, canon, eta, rule64)
+        for i, x in enumerate(eta):
+            m_post, v_post = posterior_of_jump(x, canon)
+            xi = m_post + math.sqrt(2.0 * v_post) * rule64.nodes
+            vals = (1.0 + q[i] * np.expm1(xi)) ** -canon.R
+            want = math.fsum(rule64.weights * vals) / math.sqrt(math.pi)
+            assert kappa[i] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_each_solution_names_its_slot(sols):
+    assert [f.name for f in dataclasses.fields(RegimeSolutions)] == [
+        "uninformed", "timing", "signal", "merton"]
+    for regime in REGIMES:
+        assert sols.for_regime(regime).regime == regime
+        assert type(getattr(sols, regime)).regime == regime
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,10 @@ def cfg_path(tmp_path_factory):
     return str(path)
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     proc = subprocess.run([sys.executable, "-m", "infoprice.cli", *args],
-                          capture_output=True, text=True, timeout=600)
+                          capture_output=True, text=True, timeout=600,
+                          env=None if env is None else {**os.environ, **env})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -130,6 +131,52 @@ class TestPrice:
         assert (code, out) == (1, "")
         assert err == ("domain error: the merton benchmark has no jump to key "
                        "this stream on\n")
+
+    @pytest.mark.parametrize("pin,regime", [(("--t1", "2.0"), "timing"),
+                                            (("--eta0", "0.1"), "signal")])
+    def test_all_pins_only_its_regime(self, cfg_path, pin, regime):
+        # --regime all applies a pin to the regime it conditions and prices
+        # the others unpinned, each row as its own single-regime run
+        args = ("price", "--config", cfg_path, "--stream", "exp_until_jump",
+                "--horizon", "3", *FAST)
+        code, out, err = run_cli(*args, "--regime", "all", *pin)
+        assert code == 0, err
+        records = json.loads(out)["records"]
+        assert {r["regime"] for r in records} == {"uninformed", "timing", "signal"}
+        value = float(pin[1])
+        for r in records:
+            want = None
+            if r["regime"] == regime:
+                want = {"t1": value if pin[0] == "--t1" else None,
+                        "eta0": value if pin[0] == "--eta0" else None}
+            assert r["conditioning"] == want
+        for single in ("uninformed", regime):
+            code, one, err = run_cli(*args, "--regime", single,
+                                     *(pin if single == regime else ()))
+            assert code == 0, err
+            assert json.loads(one)["records"] == [
+                r for r in records if r["regime"] == single]
+
+    @pytest.mark.parametrize("regime,pin", [("uninformed", ("--t1", "2.0")),
+                                            ("signal", ("--t1", "2.0")),
+                                            ("merton", ("--eta0", "0.1")),
+                                            ("timing", ("--eta0", "0.1"))])
+    def test_single_regime_rejects_a_pin_for_another(self, cfg_path, regime, pin):
+        code, out, err = run_cli("price", "--config", cfg_path, "--stream",
+                                 "constant:1", "--regime", regime, *pin,
+                                 "--horizon", "3", *FAST)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and "only meaningful" in err
+
+    def test_forked_pool_with_a_lambda_psi(self, cfg_path):
+        # post_jump_signal:one's psi is a lambda; at >= 4096 paths and two
+        # workers the forked pool runs it without pickling
+        args = ("price", "--config", cfg_path, "--stream", "post_jump_signal:one",
+                "--regime", "uninformed", "--paths", "5000", "--dt", "0.5",
+                "--horizon", "10")
+        code, out, err = run_cli(*args, env={"INFOPRICE_WORKERS": "2"})
+        assert code == 0, err
+        assert (code, out, err) == run_cli(*args, env={"INFOPRICE_WORKERS": "1"})
 
     def test_psi_table_stream(self, cfg_path, tmp_path):
         table = tmp_path / "psi.tsv"
@@ -251,6 +298,18 @@ class TestErrorPaths:
         code, _, _ = run_cli("price", "--config", cfg_path,
                              "--stream", "constant:1", "--regime", "nope")
         assert code == 2
+
+    @pytest.mark.parametrize("pin", [("--eta0", "nan"), ("--eta0", "inf"),
+                                     ("--eta0", "-inf"), ("--t1", "inf")])
+    def test_non_finite_pin_exits_2(self, cfg_path, pin):
+        regime = "signal" if pin[0] == "--eta0" else "timing"
+        code, out, err = run_cli("price", "--config", cfg_path, "--stream",
+                                 "exp_until_jump", "--regime", regime,
+                                 "=".join(pin), "--horizon", "3", *FAST)
+        assert (code, out) == (2, "")
+        name = pin[0][2:]
+        assert err == f"usage error: {name} must be finite" + (
+            " and > 0" if name == "t1" else "") + f", got {float(pin[1])}\n"
 
 
 class TestNonFiniteParams:

@@ -12,6 +12,7 @@ from infoprice.model import (
     ModelParams,
     PostFirstJumpSignalStream,
     read_params_file,
+    require_valid_params,
     validate_params,
     write_params_file,
 )
@@ -65,8 +66,11 @@ class TestValidateParams:
             == ["all_finite"]
         assert report.flags[0].message.endswith("; not finite: mu")
 
-    def test_q_dual_accessor(self, canon):
-        assert canon.q_dual == pytest.approx((1 - canon.R) / canon.R)
+    def test_require_valid_params_returns_the_report(self, canon):
+        # the signal solver reads its gate from this report
+        assert require_valid_params(canon) == validate_params(canon)
+        failures = require_valid_params(with_fields(canon, R=0.8)).failures()
+        assert [f.name for f in failures] == ["signal_regime_gate"]
 
 
 class TestStreamGuard:

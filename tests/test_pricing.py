@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import multiprocessing
 import os
+import types
 
 import numpy as np
 import pytest
@@ -188,6 +190,24 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             Conditioning(t1=1.0, eta0=0.0)
 
+    def test_pin_names_its_regime(self, canon, sols):
+        assert Conditioning().regime is None
+        assert Conditioning(t1=2.0).regime == "timing"
+        assert Conditioning(eta0=-1.0).regime == "signal"
+        for cond in (Conditioning(t1=2.0), Conditioning(eta0=0.1)):
+            for regime in set(pricing.REGIMES) - {cond.regime}:
+                with pytest.raises(ValueError, match=f"not the {regime} regime"):
+                    truncation_bound(E2, regime, canon, sols, 5.0, cond)
+
+    @pytest.mark.parametrize("pin", [dict(eta0=math.nan), dict(eta0=math.inf),
+                                     dict(eta0=-math.inf), dict(t1=math.inf),
+                                     dict(t1=math.nan), dict(t1=0.0)])
+    def test_non_finite_pin_rejected(self, pin):
+        # an infinite t1 would give an infinite closed form and bound, and a
+        # NaN eta0 NaN wealth in the engine
+        with pytest.raises(ValueError, match="must be finite"):
+            Conditioning(**pin)
+
 
 class TestPriceMc:
     def test_zero_stream(self, canon, sols):
@@ -296,8 +316,9 @@ class TestWorkerCount:
         sizes = []
 
         class InProcessPool:
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 sizes.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -305,11 +326,12 @@ class TestWorkerCount:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.setattr(pricing, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(pricing, "_JOB", pricing._JOB)     # restored after
         cfg = SimConfig(horizon=1.0, dt=1.0, n_paths=4096, seed=5,
                         regime="uninformed")
         est = price_mc(ConstantStream(1.0), sols.uninformed, canon, cfg,
@@ -318,6 +340,37 @@ class TestWorkerCount:
         one = price_mc(ConstantStream(1.0), sols.uninformed, canon, cfg,
                        sols=sols, workers=1)
         assert est.mean == one.mean and est.std_error == one.std_error
+
+    @pytest.mark.parametrize("regime", ["uninformed", "signal"])
+    def test_forked_pool_runs_an_unpicklable_psi(self, canon, sols, monkeypatch,
+                                                 regime):
+        # the workers inherit the job through the pool initializer, so a
+        # lambda psi never needs pickling; count the processes the pool starts
+        fork = multiprocessing.get_context("fork")
+        started = []
+
+        class CountingProcess(fork.Process):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        class CountingContext(type(fork)):
+            Process = CountingProcess
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pricing, "multiprocessing", types.SimpleNamespace(
+            get_context=lambda method: CountingContext()))
+        stream = PostFirstJumpSignalStream(psi=lambda x: np.tanh(x) ** 2,
+                                           psi_bound=1.0, psi_name="tanh2")
+        cfg = SimConfig(horizon=2.0, dt=0.5, n_paths=4096, seed=8, regime=regime)
+        cond = Conditioning(eta0=0.1) if regime == "signal" else None
+        pool = price_mc(stream, sols.for_regime(regime), canon, cfg, cond,
+                        sols=sols, workers=2)
+        assert 0 < len(started) <= 2
+        one = price_mc(stream, sols.for_regime(regime), canon, cfg, cond,
+                       sols=sols, workers=1)
+        assert (pool.mean, pool.std_error) == (one.mean, one.std_error)
+        assert pool.std_error > 0.0
 
 
 class TestInvalidInputs:

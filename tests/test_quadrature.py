@@ -59,6 +59,25 @@ class TestGaussHermite:
             gauss_hermite(order)
 
 
+class TestPointsAndProbs:
+    """QuadratureRule.points and probs are the written-out N(mean, var)
+    nodes and probabilities, bit for bit."""
+
+    def test_scalar_mean(self, rule64):
+        want = -0.05 + math.sqrt(2.0 * 0.03) * rule64.nodes
+        assert np.array_equal(rule64.points(-0.05, 0.03), want)
+
+    def test_array_mean_gives_a_row_per_entry(self, rule64):
+        mean = np.array([-0.3, 0.0, 0.7])
+        got = rule64.points(mean, 0.02)
+        assert got.shape == (3, 64)
+        assert np.array_equal(got, mean[:, None] + math.sqrt(2.0 * 0.02) * rule64.nodes)
+
+    def test_probs(self, rule64):
+        assert np.array_equal(rule64.probs, rule64.weights / SQRT_PI)
+        assert math.fsum(rule64.probs) == pytest.approx(1.0, abs=1e-14)
+
+
 class TestExpectGaussian:
     def test_constant(self, rule64):
         assert expect_gaussian(lambda x: np.ones_like(x), 0.7, 0.3, rule64) == \

@@ -17,6 +17,7 @@ import pytest
 
 from infoprice import simulate
 from infoprice.agents import (
+    REGIMES,
     posterior_of_jump,
     signal_deflator,
     solve_all,
@@ -543,6 +544,22 @@ class TestSimulatePath:
                 if t < rec.jump_times[-1] else math.inf
             assert y == pytest.approx(
                 timing_deflator(sols.timing, canon, t, w, nxt), rel=1e-9)
+
+
+class TestCheckRegime:
+    def test_wrong_solution_raises_type_error(self, canon, sols):
+        for regime in REGIMES:
+            simulate._check_regime(regime, sols.for_regime(regime))
+            for other in set(REGIMES) - {regime}:
+                with pytest.raises(TypeError, match=f"regime '{regime}' needs"):
+                    simulate._check_regime(regime, sols.for_regime(other))
+        with pytest.raises(TypeError):
+            simulate._check_regime("uninformed", object())
+
+    def test_engine_checks_the_solution(self, canon, sols):
+        cfg = SimConfig(horizon=1.0, dt=0.5, n_paths=2, seed=1, regime="timing")
+        with pytest.raises(TypeError, match="got UninformedSolution"):
+            path_integrals(canon, sols.uninformed, cfg, ConstantStream(1.0))
 
 
 class TestBulkEngine:
