@@ -4,6 +4,7 @@ under three information regimes, and the value of the extra information."""
 __version__ = "0.1.0"
 
 from .model import (  # noqa: F401
+    Conditioning,
     ConstantStream,
     ExpUntilFirstJumpStream,
     IncomeStream,
@@ -49,7 +50,6 @@ from .simulate import (  # noqa: F401
     simulate_path,
 )
 from .pricing import (  # noqa: F401
-    Conditioning,
     InfoValueReport,
     PriceEstimate,
     alpha_coef,

@@ -355,10 +355,9 @@ def timing_deflator(sol: TimingInsiderSolution, p: ModelParams, t: float,
 def posterior_of_jump(eta: float, p: ModelParams) -> tuple[float, float]:
     """Gaussian posterior of the jump size xi given the signal eta.
 
-    Returns (mean, var) of N((v eta + v_eps m)/(v + v_eps), v v_eps/(v + v_eps)).
+    Returns (mean, var) of N((v eta + v_eps m)/(v + v_eps), v v_eps/(v + v_eps)),
+    which is (eta, 0) for a noiseless signal (v_eps = 0).
     """
-    if not p.v_eps > 0.0:
-        raise ValueError("v_eps must be > 0: a noiseless signal has a degenerate posterior")
     denom = p.v + p.v_eps
     return ((p.v * eta + p.v_eps * p.m) / denom, p.v * p.v_eps / denom)
 
@@ -573,14 +572,12 @@ def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
     the maximal-solution selection requires; a secant step accelerates the
     contraction once the downward direction is confirmed, until A3 and h move
     by at most 1e-10 max(1, A3) (ConvergenceError after 200 steps). Raises
-    GateError where the signal_regime_gate check of validate_params fails
-    (R > 1 and a diffusion fraction in (0, 1)) or v_eps = 0.
+    GateError with the message of validate_params's signal_regime_gate check
+    where it fails (R > 1, a diffusion fraction in (0, 1) and v_eps > 0).
     """
     for flag in require_valid_params(p).failures():
         if flag.name == "signal_regime_gate":
             raise GateError(flag.message)
-    if not p.v_eps > 0.0:
-        raise GateError("signal regime needs v_eps > 0")
     if uninformed is None:
         uninformed = solve_uninformed(p, rule)
     a1 = uninformed.A1
@@ -703,7 +700,7 @@ class RegimeSolutions:
             raise ValueError(f"unknown regime {regime!r}")
         sol = getattr(self, regime)
         if sol is None:
-            raise GateError(f"regime {regime!r} was not solvable for these parameters")
+            raise GateError(f"regime {regime!r} was not solved: not listed, or gated")
         return sol
 
 

@@ -237,6 +237,7 @@ def cmd_price(args) -> int:
                                      regime_cond, est))
         results.append({
             "regime": regime,
+            "conditioning": regime_cond.record(),
             "closed_form": cf,
             "mc": {
                 "mean": est.mean, "std_error": est.std_error,
@@ -269,7 +270,7 @@ def cmd_compare(args) -> int:
     for row in report.rows:
         rows.append({
             "regime": row.regime,
-            "eta0": None if row.conditioning is None else row.conditioning.eta0,
+            "eta0": row.conditioning.eta0,
             "closed_form": row.closed_form,
             "mc_mean": None if row.mc is None else row.mc.mean,
             "mc_std_error": None if row.mc is None else row.mc.std_error,

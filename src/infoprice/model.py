@@ -15,6 +15,11 @@ is not finite; the solvers and the pricing entry points reject parameters
 that fail a hard check of validate_params, a NaN or infinite value included,
 with ParameterError.
 
+Two admissibility rules have their one owner here: the signal_regime_gate
+flag of validate_params is the signal insider's whole gate, v_eps > 0
+included (no other regime depends on v_eps), and Conditioning checks every
+pin that the pricing layer and the engine are given.
+
 All rates are per year and time is measured in years. Every object here is
 immutable after construction and safe to share across workers.
 """
@@ -29,6 +34,7 @@ from .errors import ConfigError, ParameterError, StreamGuardError
 
 __all__ = [
     "ModelParams",
+    "Conditioning",
     "ValidationReport",
     "CheckFlag",
     "validate_params",
@@ -123,9 +129,9 @@ def validate_params(p: ModelParams) -> ValidationReport:
               "rho >= (1 - R) r is required for a finite value function when R > 1")
     if p.sigma > 0.0 and p.R > 0.0:
         pi_m = p.merton_fraction
-        check("signal_regime_gate", p.R > 1.0 and 0.0 < pi_m < 1.0,
-              "signal-insider solve needs R > 1 and (mu - r)/(sigma^2 R) in (0, 1); "
-              f"got R={p.R:g}, fraction={pi_m:.6g}")
+        check("signal_regime_gate", p.R > 1.0 and 0.0 < pi_m < 1.0 and p.v_eps > 0.0,
+              "signal-insider solve needs R > 1, (mu - r)/(sigma^2 R) in (0, 1) and "
+              f"v_eps > 0; got R={p.R:g}, fraction={pi_m:.6g}, v_eps={p.v_eps:g}")
     return ValidationReport(tuple(flags))
 
 
@@ -144,6 +150,33 @@ def require_valid_params(p: ModelParams) -> ValidationReport:
     if bad:
         raise ParameterError("; ".join(f"{f.name}: {f.message}" for f in bad))
     return report
+
+
+@dataclass(frozen=True)
+class Conditioning:
+    """Pin the first jump time (timing insider) or first signal (signal insider)."""
+
+    t1: float | None = None
+    eta0: float | None = None
+
+    def __post_init__(self):
+        if self.t1 is not None and self.eta0 is not None:
+            raise ValueError("condition on t1 or eta0, not both")
+        if self.t1 is not None and not 0.0 < self.t1 < math.inf:
+            raise ValueError(f"t1 must be finite and > 0, got {self.t1}")
+        if self.eta0 is not None and not math.isfinite(self.eta0):
+            raise ValueError(f"eta0 must be finite, got {self.eta0}")
+
+    @property
+    def regime(self) -> str | None:
+        """The regime the pin conditions: timing for t1, signal for eta0."""
+        if self.t1 is not None:
+            return "timing"
+        return None if self.eta0 is None else "signal"
+
+    def record(self) -> dict | None:
+        """The pin as a report field: None if nothing is pinned."""
+        return None if self.regime is None else {"t1": self.t1, "eta0": self.eta0}
 
 
 # ---------------------------------------------------------------------------

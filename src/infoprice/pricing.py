@@ -34,6 +34,7 @@ with p0 the signal law N(m, v + v_eps) and kappa(eta) the posterior mean of
 average over the signal law is one array pass over the Gauss-Hermite nodes of
 p0 (a pinned eta0 is the one-node case). A Conditioning pins the regime its
 `regime` property names, and any other regime rejects it with ValueError.
+The merton benchmark prices neither jump-keyed stream (it has no jump).
 
 info_value_report takes the information values as price differences between
 the regimes solve_all returns, leaving out a gated signal regime.
@@ -60,6 +61,7 @@ from .agents import (
 )
 from .errors import DomainError, GateError
 from .model import (
+    Conditioning,
     ConstantStream,
     ExpUntilFirstJumpStream,
     IncomeStream,
@@ -88,41 +90,20 @@ __all__ = [
 WORKERS_ENV = "INFOPRICE_WORKERS"
 
 
-def n_workers() -> int:
-    """Worker count for the path reduction: INFOPRICE_WORKERS capped at the
-    CPU count, or min(2, cpus). A forked pool starts every worker at once,
-    so an uncapped value could start any number of processes."""
+def n_workers(workers: int | None = None) -> int:
+    """Worker count for the path reduction: `workers`, else INFOPRICE_WORKERS,
+    capped at the CPU count (a forked pool starts every worker at once), or
+    min(2, cpus) if neither is given."""
     cpus = os.cpu_count() or 1
-    env = os.environ.get(WORKERS_ENV)
-    if env:
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV)
+        if not env:
+            return min(2, cpus)
         try:
-            return min(cpus, max(1, int(env)))
+            workers = int(env)
         except ValueError:
             raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return min(2, cpus)
-
-
-@dataclass(frozen=True)
-class Conditioning:
-    """Pin the first jump time (timing insider) or first signal (signal insider)."""
-
-    t1: float | None = None
-    eta0: float | None = None
-
-    def __post_init__(self):
-        if self.t1 is not None and self.eta0 is not None:
-            raise ValueError("condition on t1 or eta0, not both")
-        if self.t1 is not None and not 0.0 < self.t1 < math.inf:
-            raise ValueError(f"t1 must be finite and > 0, got {self.t1}")
-        if self.eta0 is not None and not math.isfinite(self.eta0):
-            raise ValueError(f"eta0 must be finite, got {self.eta0}")
-
-    @property
-    def regime(self) -> str | None:
-        """The regime the pin conditions: timing for t1, signal for eta0."""
-        if self.t1 is not None:
-            return "timing"
-        return None if self.eta0 is None else "signal"
+    return min(cpus, max(1, int(workers)))
 
 
 @dataclass(frozen=True)
@@ -133,10 +114,7 @@ class PriceEstimate:
     horizon: float
     truncation_bound: float
     regime: str
-    conditioning: Conditioning | None = None
-
-    def tolerance(self, n_se: float = 3.0) -> float:
-        return n_se * self.std_error + self.truncation_bound
+    conditioning: Conditioning = Conditioning()
 
 
 def _check_conditioning(regime: str, conditioning: Conditioning | None) -> Conditioning:
@@ -180,23 +158,19 @@ def _signal_rates(sol: SignalInsiderSolution, p: ModelParams, eta: np.ndarray,
     return h, rate, kappa
 
 
-_NO_JUMP_KEY = "the merton benchmark has no jump to key this stream on"
-
-
-def _pre_jump_tail(regime: str, p: ModelParams, sols: RegimeSolutions,
-                   cond: Conditioning, rule: QuadratureRule,
-                   horizon: float) -> float:
+def _pre_jump_tail(regime: str, p: ModelParams, sol, cond: Conditioning,
+                   rule: QuadratureRule, horizon: float) -> float:
     """Price mass of the pre-first-jump stream exp(r t) 1[t < T1] beyond
     `horizon`: its closed form at horizon 0, its truncation bound otherwise.
 
     With E[e^{rt} Y_t] = 1 the deflated stream decays at lam - alpha for the
     uninformed agent, at lam - beta(eta0) for the signal insider given eta0,
     and at lam for the timing insider (a pinned T1 leaves the gap T1 - H).
-    Raises DomainError where the rate is not positive (the value diverges)
-    and GateError under the merton benchmark, which has no jump.
+    Raises DomainError where the rate is not positive (the value diverges).
+    The callers keep the merton benchmark, which has no jump, out.
     """
     if regime == "uninformed":
-        rate = p.lam - alpha_coef(sols.uninformed, p)
+        rate = p.lam - alpha_coef(sol, p)
         if rate <= 0.0:
             raise DomainError(f"lam - alpha = {rate:.6g} <= 0: value diverges")
         return math.exp(-rate * horizon) / rate
@@ -206,11 +180,9 @@ def _pre_jump_tail(regime: str, p: ModelParams, sols: RegimeSolutions,
         if p.lam <= 0.0:
             raise DomainError("lam = 0: the pre-jump stream never terminates")
         return math.exp(-p.lam * horizon) / p.lam
-    if regime == "signal":
-        eta, w = _signal_law(p, rule, cond)
-        rate = _signal_rates(sols.signal, p, eta, rule, 0.0)[1]
-        return float(w @ (np.exp(-rate * horizon) / rate))
-    raise GateError(_NO_JUMP_KEY)
+    eta, w = _signal_law(p, rule, cond)
+    rate = _signal_rates(sol, p, eta, rule, 0.0)[1]
+    return float(w @ (np.exp(-rate * horizon) / rate))
 
 
 def _post_jump_signal(e: PostFirstJumpSignalStream, p: ModelParams,
@@ -242,20 +214,21 @@ def truncation_bound(e: IncomeStream, regime: str, p: ModelParams,
 
     Uses E[e^{rt} Y_t] = 1 (the deflators price the bank account) plus the
     per-stream decay rates; raises DomainError when the relevant rate is not
-    positive, in which case no finite-horizon run can be trusted.
+    positive, in which case no finite-horizon run can be trusted, and
+    GateError for a jump-keyed stream under the merton benchmark.
     """
     rule = rule or default_rule()
     cond = _check_conditioning(regime, conditioning)
     require_valid_params(p)
     if isinstance(e, ConstantStream):
         return abs(e.level) * math.exp(-p.r * horizon) / p.r
+    if not isinstance(e, (ExpUntilFirstJumpStream, PostFirstJumpSignalStream)):
+        raise TypeError(f"not an income stream: {e!r}")
+    if regime == "merton":
+        raise GateError("the merton benchmark has no jump to key this stream on")
     if isinstance(e, ExpUntilFirstJumpStream):
-        return _pre_jump_tail(regime, p, sols, cond, rule, horizon)
-    if isinstance(e, PostFirstJumpSignalStream):
-        if regime == "merton":
-            raise GateError(_NO_JUMP_KEY)
-        return e.psi_bound * math.exp(-horizon)
-    raise TypeError(f"not an income stream: {e!r}")
+        return _pre_jump_tail(regime, p, sols.for_regime(regime), cond, rule, horizon)
+    return e.psi_bound * math.exp(-horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +259,8 @@ def price_mc(e: IncomeStream, sol, p: ModelParams, cfg: SimConfig,
     across paths in path order (exact summation, so the result is identical
     for any worker count). `sols` is only needed to compute the truncation
     bound for streams whose tail rate involves other constants; if omitted
-    it is reconstructed for the regimes required. An explicit `workers` is
-    capped at the CPU count, as `n_workers()` caps INFOPRICE_WORKERS.
+    it is reconstructed for the regimes required. `workers` defaults to
+    INFOPRICE_WORKERS, and `n_workers` caps either at the CPU count.
     """
     regime = cfg.regime
     cond = _check_conditioning(regime, conditioning)
@@ -296,8 +269,7 @@ def price_mc(e: IncomeStream, sol, p: ModelParams, cfg: SimConfig,
     # also the parameter, stream-type and merton-gate checks
     bound = truncation_bound(e, regime, p, sols, cfg.horizon, cond, rule)
 
-    workers = (n_workers() if workers is None
-               else min(os.cpu_count() or 1, max(1, int(workers))))
+    workers = n_workers(workers)
     job = (p, sol, cfg, e, cond.t1, cond.eta0)
     if workers == 1 or cfg.n_paths < 4096:
         vals = path_integrals(*job)
@@ -319,7 +291,7 @@ def price_mc(e: IncomeStream, sol, p: ModelParams, cfg: SimConfig,
         se = 0.0
     return PriceEstimate(mean=mean, std_error=se, n_paths=cfg.n_paths,
                          horizon=cfg.horizon, truncation_bound=bound,
-                         regime=regime, conditioning=cond if cond.regime else None)
+                         regime=regime, conditioning=cond)
 
 
 def _solutions_for_bound(sol) -> RegimeSolutions:
@@ -341,8 +313,9 @@ def closed_form_price(e: IncomeStream, regime: str, p: ModelParams,
 
     Raises DomainError when the formula's convergence condition
     (lam - alpha > 0, lam + 1 - alpha > 0, the beta analogues, a positive
-    denominator of M_1) fails, ParameterError when p fails a hard check,
-    and TypeError for anything that is not one of the three streams.
+    denominator of M_1) fails, GateError where `sols` holds no solution for
+    the regime, ParameterError when p fails a hard check, and TypeError for
+    anything that is not one of the three streams.
     """
     rule = rule or default_rule()
     cond = _check_conditioning(regime, conditioning)
@@ -350,34 +323,28 @@ def closed_form_price(e: IncomeStream, regime: str, p: ModelParams,
 
     if isinstance(e, ConstantStream):
         return e.level / p.r
-
-    if isinstance(e, ExpUntilFirstJumpStream):
-        if regime == "merton":
-            return None
-        return _pre_jump_tail(regime, p, sols, cond, rule, 0.0)
-
-    if isinstance(e, PostFirstJumpSignalStream):
-        if p.lam <= 0.0:
-            return 0.0      # the stream never starts
-        if regime == "uninformed":
-            alpha = alpha_coef(sols.uninformed, p)
-            denom = p.lam + 1.0 - alpha
-            if denom <= 0.0:
-                raise DomainError(f"lam + 1 - alpha = {denom:.6g} <= 0: value diverges")
-            dbl = psi_double_integral(e.psi, sols.uninformed.q_bar1, p, rule)
-            return p.lam / denom * dbl
-        if regime == "timing":
-            # e^(-T1) averages to lam/(lam + 1) over T1 ~ Exp(lam)
-            sol = sols.timing
-            dbl = psi_double_integral(e.psi, sol.a_star, p, rule)
-            weight = (math.exp(-cond.t1) if cond.t1 is not None
-                      else p.lam / (p.lam + 1.0))
-            return weight * (sol.A2 / sol.f0) * dbl
-        if regime == "signal":
-            return _post_jump_signal(e, p, sols.signal, cond, rule)
+    if not isinstance(e, (ExpUntilFirstJumpStream, PostFirstJumpSignalStream)):
+        raise TypeError(f"not an income stream: {e!r}")
+    if isinstance(e, PostFirstJumpSignalStream) and p.lam <= 0.0:
+        return 0.0      # the stream never starts, under every regime
+    if regime == "merton":
         return None
-
-    raise TypeError(f"not an income stream: {e!r}")
+    sol = sols.for_regime(regime)
+    if isinstance(e, ExpUntilFirstJumpStream):
+        return _pre_jump_tail(regime, p, sol, cond, rule, 0.0)
+    if regime == "uninformed":
+        denom = p.lam + 1.0 - alpha_coef(sol, p)
+        if denom <= 0.0:
+            raise DomainError(f"lam + 1 - alpha = {denom:.6g} <= 0: value diverges")
+        dbl = psi_double_integral(e.psi, sol.q_bar1, p, rule)
+        return p.lam / denom * dbl
+    if regime == "timing":
+        # e^(-T1) averages to lam/(lam + 1) over T1 ~ Exp(lam)
+        dbl = psi_double_integral(e.psi, sol.a_star, p, rule)
+        weight = (math.exp(-cond.t1) if cond.t1 is not None
+                  else p.lam / (p.lam + 1.0))
+        return weight * (sol.A2 / sol.f0) * dbl
+    return _post_jump_signal(e, p, sol, cond, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +352,9 @@ def closed_form_price(e: IncomeStream, regime: str, p: ModelParams,
 # ---------------------------------------------------------------------------
 
 def estimate_to_dict(stream_label: str, regime: str, method: str,
-                     mean: float, conditioning: Conditioning | None = None,
+                     mean: float, conditioning: Conditioning = Conditioning(),
                      est: PriceEstimate | None = None) -> dict:
     """Canonical report record for one priced (stream, regime, method)."""
-    cond = None
-    if conditioning is not None and conditioning.regime:
-        cond = {"t1": conditioning.t1, "eta0": conditioning.eta0}
     return {
         "stream": stream_label,
         "regime": regime,
@@ -400,14 +364,14 @@ def estimate_to_dict(stream_label: str, regime: str, method: str,
         "truncation_bound": None if est is None else est.truncation_bound,
         "n_paths": None if est is None else est.n_paths,
         "horizon": None if est is None else est.horizon,
-        "conditioning": cond,
+        "conditioning": conditioning.record(),
     }
 
 
 @dataclass(frozen=True)
 class PriceRow:
     regime: str
-    conditioning: Conditioning | None
+    conditioning: Conditioning
     closed_form: float | None
     mc: PriceEstimate | None
 
@@ -431,8 +395,7 @@ class InfoValueReport:
 
     def row(self, regime: str, eta0: float | None = None) -> PriceRow:
         for r in self.rows:
-            cond_eta = None if r.conditioning is None else r.conditioning.eta0
-            if r.regime == regime and cond_eta == eta0:
+            if r.regime == regime and r.conditioning.eta0 == eta0:
                 return r
         raise KeyError((regime, eta0))
 
@@ -466,12 +429,9 @@ def info_value_report(e: IncomeStream, p: ModelParams, cfg: SimConfig,
         sd = math.sqrt(p.v + p.v_eps)
         grid = [float(eta) for eta in (p.m - 2.0 * sd, p.m, p.m + 2.0 * sd)]
 
-    def build_row(regime: str, cond: Conditioning | None) -> PriceRow:
+    def build_row(regime: str, cond: Conditioning) -> PriceRow:
         sol = sols.for_regime(regime)
-        try:
-            cf = closed_form_price(e, regime, p, sols, cond, rule)
-        except GateError:
-            cf = None
+        cf = closed_form_price(e, regime, p, sols, cond, rule)
         cf_val = None if cf is None else float(cf)
         mc = None
         if with_mc:
@@ -487,8 +447,7 @@ def info_value_report(e: IncomeStream, p: ModelParams, cfg: SimConfig,
     keys = [("merton", None), ("uninformed", None), ("timing", None)]
     if sols.signal is not None:
         keys += [("signal", None)] + [("signal", eta) for eta in grid]
-    rows = {(regime, eta): build_row(regime, None if eta is None
-                                     else Conditioning(eta0=eta))
+    rows = {(regime, eta): build_row(regime, Conditioning(eta0=eta))
             for regime, eta in keys}
     base = rows["uninformed", None].best()
     signal = rows.get(("signal", None))

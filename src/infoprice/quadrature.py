@@ -153,14 +153,12 @@ def psi_double_integral(psi: Callable, a_coef: float, p: ModelParams,
     """E[psi(X1 + X2) (1 + a (e^X1 - 1))^(-R)], X1 ~ N(m, v), X2 ~ N(0, v_eps).
 
     Nested Gauss-Hermite: outer over the jump size X1, inner over the signal
-    noise X2. Degenerate noise (v_eps = 0) is refused; the caller must use the
-    one-dimensional reduction in that case.
+    noise X2. With noiseless signals (v_eps = 0) every noise node is 0, so
+    this is the one-dimensional integral over X1.
     """
     a_coef = float(a_coef)
     if not 0.0 <= a_coef <= 1.0:
         raise ValueError(f"a_coef must be in [0, 1], got {a_coef}")
-    if not p.v_eps > 0.0:
-        raise ValueError("v_eps must be > 0; with a noiseless signal use the 1-D reduction")
     x1 = rule.points(p.m, p.v)                  # jump sizes
     x2 = rule.points(0.0, p.v_eps)              # noise
     psi_grid = _values_at(psi, x1[:, None] + x2[None, :])

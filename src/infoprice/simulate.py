@@ -53,6 +53,7 @@ import numpy as np
 from .agents import REGIMES, posterior_of_jump
 from .errors import SimulationError
 from .model import (
+    Conditioning,
     ConstantStream,
     ExpUntilFirstJumpStream,
     IncomeStream,
@@ -94,12 +95,14 @@ class SimConfig:
     regime: str = "uninformed"
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be > 0")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
         if not 0.0 < self.dt <= self.horizon:
             raise ValueError("need 0 < dt <= horizon")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
 
@@ -183,6 +186,7 @@ def _scenarios(p: ModelParams, horizon: float, seed: int, ids: np.ndarray,
                pin_t1, pin_eta0) -> _Scenarios:
     """Scenario tables of paths ids; only the generator calls are per path.
     With lam = 0 every path has the one time +inf, size 0 and signal m."""
+    pin = Conditioning(t1=pin_t1, eta0=pin_eta0)
     P = len(ids)
     if p.lam == 0.0:
         return _Scenarios(np.full((P, 1), math.inf), np.zeros((P, 1)),
@@ -196,8 +200,8 @@ def _scenarios(p: ModelParams, horizon: float, seed: int, ids: np.ndarray,
     for row, pid in zip(gaps, ids):
         _POOL.get_block(seed, pid, _PURPOSE_GAPS, 0).standard_exponential(out=row)
     gaps *= 1.0 / p.lam
-    if pin_t1 is not None:
-        gaps[:, 0] = pin_t1
+    if pin.t1 is not None:
+        gaps[:, 0] = pin.t1
     times = np.cumsum(gaps, axis=1)
     longer = {}
     for i in np.flatnonzero(~(times[:, -1] > horizon)).tolist():
@@ -229,11 +233,11 @@ def _scenarios(p: ModelParams, horizon: float, seed: int, ids: np.ndarray,
                 out=zj[a - i:b - i - 1])
     sizes = p.m + math.sqrt(p.v) * z[0::2]
     signals = sizes + math.sqrt(p.v_eps) * z[1::2]
-    if pin_eta0 is not None:
-        m_post, v_post = posterior_of_jump(pin_eta0, p)
+    if pin.eta0 is not None:
+        m_post, v_post = posterior_of_jump(pin.eta0, p)
         first = ends - counts
         sizes[first] = m_post + math.sqrt(v_post) * z[2 * first]
-        signals[first] = pin_eta0
+        signals[first] = pin.eta0
     tables = []
     for flat, fill, mask in ((sizes, 0.0, within), (signals, p.m, within),
                              (zj, 0.0, col < counts[:, None] - 1)):
@@ -253,13 +257,12 @@ def draw_scenario(p: ModelParams, cfg: SimConfig, path_index: int,
     and signals align with the times. With lam = 0 the times are a single
     +inf sentinel and the other arrays are empty. Pinned values replace the
     corresponding draw; a pinned first signal redraws the first jump size
-    from its Gaussian posterior using the same underlying normal.
+    from its Gaussian posterior using the same underlying normal. A pin that
+    Conditioning rejects raises ValueError, at lam = 0 as well.
     """
-    if pin_t1 is not None and not pin_t1 > 0.0:
-        raise ValueError("pinned first jump time must be > 0")
+    scen = _scenarios(p, cfg.horizon, cfg.seed, np.array([path_index]), pin_t1, pin_eta0)
     if p.lam == 0.0:
         return np.array([math.inf]), np.array([]), np.array([])
-    scen = _scenarios(p, cfg.horizon, cfg.seed, np.array([path_index]), pin_t1, pin_eta0)
     return scen.times[0], scen.sizes[0], scen.signals[0]
 
 

@@ -419,9 +419,12 @@ class TestPosterior:
             lo, hi = sorted((canon.m, eta))
             assert lo <= mean <= hi
 
-    def test_degenerate_rejected(self, canon):
-        with pytest.raises(ValueError):
-            posterior_of_jump(0.1, with_fields(canon, v_eps=0.0))
+    @pytest.mark.parametrize("eta", [-0.3, 0.0, 0.1])
+    def test_noiseless_posterior_is_the_signal(self, canon, eta):
+        # N(eta, 0) up to the rounding of v eta / v
+        mean, var = posterior_of_jump(eta, with_fields(canon, v_eps=0.0))
+        assert mean == pytest.approx(eta, rel=1e-15, abs=0.0)
+        assert var == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +440,10 @@ class TestSignalInsider:
         with pytest.raises(GateError):
             solve_signal_insider(with_fields(canon, mu=0.30), rule64, grid_size=41)
 
-    @pytest.mark.parametrize("fields", [dict(R=0.8), dict(mu=0.30)])
+    @pytest.mark.parametrize("fields", [dict(R=0.8), dict(mu=0.30), dict(v_eps=0.0)])
     def test_gate_is_the_validate_flag(self, canon, rule64, fields):
-        # R <= 1, or a diffusion fraction outside (0, 1): the solver raises
-        # the signal_regime_gate flag's own message
+        # R <= 1, a diffusion fraction outside (0, 1) or noiseless signals:
+        # the solver raises the signal_regime_gate flag's own message
         p = with_fields(canon, **fields)
         flag, = [f for f in validate_params(p).failures()
                  if f.name == "signal_regime_gate"]
@@ -730,7 +733,7 @@ class TestSolveAll:
         sols = solve_all(p, rule64)
         assert sols.signal is None
         assert None not in (sols.uninformed, sols.timing, sols.merton)
-        with pytest.raises(GateError, match="'signal' was not solvable"):
+        with pytest.raises(GateError, match="'signal' was not solved: not listed, or gated"):
             sols.for_regime("signal")
 
     def test_unlisted_failure_is_not_reached(self, canon, rule64):
@@ -740,3 +743,5 @@ class TestSolveAll:
             solve_all(p, rule64)
         sols = solve_all(p, rule64, regimes=("uninformed", "merton"))
         assert sols.timing is None and sols.uninformed is not None
+        with pytest.raises(GateError, match="'timing' was not solved: not listed"):
+            sols.for_regime("timing")

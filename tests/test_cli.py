@@ -34,6 +34,13 @@ def cfg_path(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def noiseless_cfg(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "noiseless.cfg"
+    path.write_text(CANON_CFG.replace("v_eps = 0.02", "v_eps = 0"))
+    return str(path)
+
+
 def run_cli(*args, env=None):
     proc = subprocess.run([sys.executable, "-m", "infoprice.cli", *args],
                           capture_output=True, text=True, timeout=600,
@@ -141,10 +148,11 @@ class TestPrice:
                 "--horizon", "3", *FAST)
         code, out, err = run_cli(*args, "--regime", "all", *pin)
         assert code == 0, err
-        records = json.loads(out)["records"]
+        payload = json.loads(out)
+        records = payload["records"]
         assert {r["regime"] for r in records} == {"uninformed", "timing", "signal"}
         value = float(pin[1])
-        for r in records:
+        for r in records + payload["prices"]:
             want = None
             if r["regime"] == regime:
                 want = {"t1": value if pin[0] == "--t1" else None,
@@ -230,6 +238,45 @@ class TestValidate:
         assert "PASS\toverall" in out
         assert "FAIL" not in out
 
+    def test_noiseless_signal_fails_the_gate(self, noiseless_cfg):
+        # the gate is one check, v_eps > 0 included; the rest still pass
+        code, out, err = run_cli("validate", "--config", noiseless_cfg,
+                                 "--paths", "4000", "--grid-size", "61")
+        assert code == 1, out + err
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed[0].startswith("FAIL\tparams.signal_regime_gate\t")
+        assert failed[0].endswith("v_eps=0")
+        assert failed[1].startswith("FAIL\toverall\t")
+        assert len(failed) == 2
+
+
+class TestNoiselessSignal:
+    """v_eps = 0 gates only the signal insider: every other regime prices."""
+
+    def test_compare_post_jump_stream(self, noiseless_cfg):
+        code, out, err = run_cli("compare", "--config", noiseless_cfg, "--stream",
+                                 "post_jump_signal:tanh", "--horizon", "10",
+                                 "--with-mc", *FAST)
+        assert code == 0, err
+        payload = json.loads(out)
+        rows = {r["regime"]: r for r in payload["rows"]}
+        assert set(rows) == {"merton", "uninformed", "timing"}
+        assert math.isnan(payload["signal_information_value"])
+        for regime in ("uninformed", "timing"):
+            row = rows[regime]
+            assert abs(row["mc_mean"] - row["closed_form"]) <= \
+                3 * row["mc_std_error"] + math.exp(-10.0)
+
+    def test_price_uninformed_post_jump_stream(self, noiseless_cfg):
+        code, out, err = run_cli("price", "--config", noiseless_cfg, "--stream",
+                                 "post_jump_signal:tanh", "--regime", "uninformed",
+                                 "--horizon", "10", *FAST)
+        assert code == 0, err
+        entry, = json.loads(out)["prices"]
+        mc = entry["mc"]
+        assert abs(mc["mean"] - entry["closed_form"]) <= \
+            3 * mc["std_error"] + mc["truncation_bound"]
+
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 PROBE = """
@@ -310,6 +357,16 @@ class TestErrorPaths:
         name = pin[0][2:]
         assert err == f"usage error: {name} must be finite" + (
             " and > 0" if name == "t1" else "") + f", got {float(pin[1])}\n"
+
+
+    @pytest.mark.parametrize("flag", [("--horizon", "inf"), ("--seed", "-1"),
+                                      ("--seed", str(2**64))])
+    def test_bad_horizon_or_seed_exits_2(self, cfg_path, flag):
+        code, out, err = run_cli("price", "--config", cfg_path, "--stream",
+                                 "constant:1", "--paths", "100", "--horizon", "2",
+                                 *flag)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: {flag[0][2:]} must be ")
 
 
 class TestNonFiniteParams:

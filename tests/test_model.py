@@ -66,6 +66,13 @@ class TestValidateParams:
             == ["all_finite"]
         assert report.flags[0].message.endswith("; not finite: mu")
 
+    def test_noiseless_signal_fails_only_the_gate(self, canon):
+        # v_eps = 0 is admissible, but the signal insider needs noisy signals
+        failures = validate_params(with_fields(canon, v_eps=0.0)).failures()
+        assert [f.name for f in failures] == ["signal_regime_gate"]
+        assert "v_eps > 0" in failures[0].message
+        assert failures[0].message.endswith("v_eps=0")
+
     def test_require_valid_params_returns_the_report(self, canon):
         # the signal solver reads its gate from this report
         assert require_valid_params(canon) == validate_params(canon)

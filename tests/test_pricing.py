@@ -173,6 +173,32 @@ class TestClosedForms:
         assert closed_form_price(E2, "merton", canon, sols) is None
         assert closed_form_price(E3, "merton", canon, sols) is None
 
+    def test_merton_rule_after_the_lam_zero_case(self, canon, rule64):
+        # with no jumps the post-jump stream never starts, so it is worth 0.0
+        # under every regime, merton included; the pre-jump stream still has
+        # no merton price and neither jump-keyed stream a merton bound
+        p0 = with_fields(canon, lam=0.0)
+        sols0 = solve_all(p0, rule64, grid_size=41)
+        for regime in pricing.REGIMES:
+            assert closed_form_price(E3, regime, p0, sols0) == 0.0
+        assert closed_form_price(E2, "merton", p0, sols0) is None
+        for e in (E2, E3):
+            with pytest.raises(GateError, match="merton benchmark has no jump"):
+                truncation_bound(e, "merton", p0, sols0, 5.0)
+
+    def test_unsolved_regime_raises_gate_error(self, canon, rule64):
+        # at v_eps = 0 the signal regime is gated; the others still price
+        p = with_fields(canon, v_eps=0.0)
+        sols0 = solve_all(p, rule64, grid_size=41)
+        assert sols0.signal is None
+        for e in (E2, E3):
+            with pytest.raises(GateError, match="'signal' was not solved"):
+                closed_form_price(e, "signal", p, sols0)
+        dbl = psi_double_integral(np.tanh, sols0.uninformed.q_bar1, p, rule64)
+        assert closed_form_price(E3, "uninformed", p, sols0, rule=rule64) == \
+            pytest.approx(p.lam / (p.lam + 1.0 - alpha_coef(sols0.uninformed, p))
+                          * dbl, rel=1e-15)
+
     def test_scalar_psi_matches_vectorized(self, canon, sols):
         # a psi written for scalars reduces an array to one float, so the
         # closed form must call it once per signal
@@ -239,7 +265,7 @@ class TestPriceMc:
                         regime="timing")
         est = price_mc(E3, sols.timing, canon, cfg, sols=sols)
         want = closed_form_price(E3, "timing", canon, sols)
-        assert abs(est.mean - want) <= est.tolerance(3.0)
+        assert abs(est.mean - want) <= 3 * est.std_error + est.truncation_bound
 
     def test_post_jump_signal_renewal_factor(self, canon, rule64):
         # at dense the q* = 1 corner binds, e^{rt} Y is not a martingale and
@@ -252,7 +278,7 @@ class TestPriceMc:
         for cond in (Conditioning(eta0=0.1), None):
             est = price_mc(E3, sols.signal, p, cfg, cond, sols=sols)
             want = closed_form_price(E3, "signal", p, sols, cond)
-            assert abs(est.mean - want) <= est.tolerance(3.0)
+            assert abs(est.mean - want) <= 3 * est.std_error + est.truncation_bound
 
     def test_quick_example2_uninformed(self, canon, sols):
         cfg = SimConfig(horizon=22.0, dt=0.02, n_paths=20_000, seed=17,
@@ -304,6 +330,12 @@ class TestWorkerCount:
     def test_default(self, monkeypatch):
         monkeypatch.delenv("INFOPRICE_WORKERS", raising=False)
         assert n_workers() == min(2, os.cpu_count() or 1)
+
+    def test_explicit_count(self, monkeypatch):
+        # an explicit count overrides INFOPRICE_WORKERS, under the same cap
+        monkeypatch.setenv("INFOPRICE_WORKERS", "two")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert [n_workers(w) for w in (1, 2, 3, 1000, 0, -5)] == [1, 2, 3, 3, 1, 1]
 
     def test_not_an_integer(self, monkeypatch):
         monkeypatch.setenv("INFOPRICE_WORKERS", "two")
@@ -459,6 +491,18 @@ class TestInfoValueReport:
         assert report.signal_conditional_values == ()
         assert report.timing_information_value == \
             report.row("timing").closed_form - report.row("uninformed").closed_form
+
+    def test_unpinned_rows_hold_an_empty_conditioning(self, canon, sols):
+        cfg = SimConfig(horizon=2.0, dt=0.5, n_paths=50, seed=0,
+                        regime="uninformed")
+        report = info_value_report(E2, canon, cfg, sols=sols, with_mc=True)
+        pins = [(r.regime, r.conditioning) for r in report.rows]
+        assert pins[:4] == [(regime, Conditioning()) for regime in
+                            ("merton", "uninformed", "timing", "signal")]
+        assert [c.eta0 for _, c in pins[4:]] == [
+            eta for eta, _ in report.signal_conditional_values]
+        assert report.row("uninformed").mc.conditioning == Conditioning()
+        assert report.row("signal", pins[4][1].eta0).mc.conditioning == pins[4][1]
 
     def test_constant_stream_invariance(self, canon, sols):
         cfg = SimConfig(horizon=10.0, dt=0.1, n_paths=100, seed=0,

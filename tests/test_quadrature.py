@@ -200,11 +200,16 @@ class TestPsiDoubleIntegral:
             canon.m, canon.v, 0.0, canon.v_eps, n_panels=800)
         assert abs(got - want) < 1e-7 * max(1.0, abs(want))
 
-    def test_rejects_degenerate_noise(self, rule64):
+    @pytest.mark.parametrize("a", [0.0, 0.3])
+    def test_noiseless_is_one_dimensional(self, rule64, a):
+        # v_eps = 0 puts every noise node at 0, leaving the integral over X1
         p = ModelParams(mu=0.10, r=0.05, sigma=0.20, lam=0.5, m=-0.05,
                         v=0.01, rho=0.10, R=2.0, v_eps=0.0)
-        with pytest.raises(ValueError):
-            psi_double_integral(np.tanh, 0.5, p, rule64)
+        got = psi_double_integral(np.tanh, a, p, rule64)
+        want = expect_gaussian(
+            lambda x: np.tanh(x) * (1.0 + a * np.expm1(x)) ** (-p.R),
+            p.m, p.v, rule64)
+        assert abs(got - want) <= 1e-15
 
     def test_order_doubling_stable(self, canon):
         r64, r128 = gauss_hermite(64), gauss_hermite(128)

@@ -10,6 +10,7 @@ import dataclasses
 import math
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -560,6 +561,63 @@ class TestCheckRegime:
         cfg = SimConfig(horizon=1.0, dt=0.5, n_paths=2, seed=1, regime="timing")
         with pytest.raises(TypeError, match="got UninformedSolution"):
             path_integrals(canon, sols.uninformed, cfg, ConstantStream(1.0))
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_a_horizon_that_is_not_finite_and_positive(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite and > 0"):
+            SimConfig(horizon=horizon, dt=0.1, n_paths=1, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_a_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+            SimConfig(horizon=1.0, dt=0.1, n_paths=1, seed=seed)
+
+    def test_accepts_the_64_bit_extremes(self, canon, sol_uninformed):
+        for seed in (0, 2**64 - 1):
+            cfg = SimConfig(horizon=1.0, dt=0.5, n_paths=2, seed=seed)
+            assert np.all(np.isfinite(path_integrals(canon, sol_uninformed, cfg,
+                                                     ConstantStream(1.0))))
+
+
+BAD_PINS = [dict(pin_t1=math.nan), dict(pin_t1=math.inf), dict(pin_t1=0.0),
+            dict(pin_eta0=math.nan), dict(pin_eta0=math.inf),
+            dict(pin_eta0=-math.inf), dict(pin_t1=1.0, pin_eta0=0.1)]
+
+
+class TestEnginePins:
+    """Every engine entry point checks its pin through Conditioning."""
+
+    @pytest.mark.parametrize("pin", BAD_PINS)
+    @pytest.mark.parametrize("entry", ["path_integrals", "deflator_at_times",
+                                       "simulate_path", "draw_scenario"])
+    def test_bad_pin_raises_value_error(self, canon, sols, entry, pin):
+        regime = "timing" if "pin_t1" in pin else "signal"
+        sol = sols.for_regime(regime)
+        cfg = SimConfig(horizon=2.0, dt=0.5, n_paths=3, seed=1, regime=regime)
+        call = {"path_integrals": lambda: path_integrals(
+                    canon, sol, cfg, ConstantStream(1.0), **pin),
+                "deflator_at_times": lambda: deflator_at_times(
+                    canon, sol, cfg, [1.0], **pin),
+                "simulate_path": lambda: simulate_path(canon, sol, cfg, 0, **pin),
+                "draw_scenario": lambda: draw_scenario(canon, cfg, 0, **pin)}[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize("pin", BAD_PINS)
+    def test_bad_pin_raises_without_jumps(self, canon, pin):
+        cfg = SimConfig(horizon=2.0, dt=0.5, n_paths=1, seed=1)
+        with pytest.raises(ValueError):
+            draw_scenario(with_fields(canon, lam=0.0), cfg, 0, **pin)
+
+    def test_good_pin_without_jumps_keeps_the_sentinel(self, canon):
+        cfg = SimConfig(horizon=2.0, dt=0.5, n_paths=1, seed=1)
+        t, s, g = draw_scenario(with_fields(canon, lam=0.0), cfg, 0, pin_t1=1.0)
+        assert t.tolist() == [math.inf]
+        assert s.size == 0 and g.size == 0
 
 
 class TestBulkEngine:
