@@ -30,16 +30,14 @@ from .agents import (  # noqa: F401
     SignalInsiderSolution,
     TimingInsiderSolution,
     UninformedSolution,
+    deflator,
     posterior_of_jump,
     q_bar_signal,
-    signal_deflator,
     solve_all,
     solve_merton,
     solve_signal_insider,
     solve_timing_insider,
     solve_uninformed,
-    timing_deflator,
-    uninformed_deflator,
 )
 from .simulate import (  # noqa: F401
     PathRecord,
@@ -52,7 +50,6 @@ from .simulate import (  # noqa: F401
 from .pricing import (  # noqa: F401
     InfoValueReport,
     PriceEstimate,
-    alpha_coef,
     beta_coef,
     closed_form_price,
     info_value_report,

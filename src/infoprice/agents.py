@@ -29,6 +29,10 @@ the prior N(m, v) (g1 up to a constant); a_star with h = 0, 1 and the prior
 R > 0, so one kernel, _argmax_exposure, solves all three. signal_terms
 gives the signal insider's per-signal (q*, h, beta, kappa) that pricing uses.
 
+The four state-price densities share one form, Y_t = s e^(-rho t) w^(-R)
+along the agent's optimal wealth w, and differ only in the value scale s:
+A1, A_M, f(T_next - t) or h(eta_t). deflator evaluates it for any solution.
+
 Each solved object is immutable, and its class attribute `regime` names its
 slot in RegimeSolutions; evaluation helpers are pure functions.
 """
@@ -58,16 +62,13 @@ __all__ = [
     "RegimeSolutions",
     "g1_of_q",
     "solve_uninformed",
-    "uninformed_deflator",
     "solve_merton",
-    "merton_deflator",
     "solve_timing_insider",
-    "timing_deflator",
     "posterior_of_jump",
     "solve_signal_insider",
     "q_bar_signal",
     "signal_terms",
-    "signal_deflator",
+    "deflator",
     "solve_all",
     "REGIMES",
 ]
@@ -135,14 +136,6 @@ def _pre_jump_rate(q: float, scale: float, p: ModelParams) -> float:
         + 0.5 * (p.R + 1.0) * p.sigma**2 * q * q)
 
 
-def uninformed_deflator(sol: UninformedSolution, p: ModelParams,
-                        t: float, w: float) -> float:
-    """State-price density A1 e^(-rho t) w^(-R) at time t and wealth w."""
-    if not w > 0.0:
-        raise ValueError(f"wealth must be > 0, got {w}")
-    return sol.A1 * math.exp(-p.rho * t) * w ** (-p.R)
-
-
 # ---------------------------------------------------------------------------
 # Merton (jump-free) benchmark
 # ---------------------------------------------------------------------------
@@ -152,8 +145,15 @@ class MertonSolution:
     regime: ClassVar[str] = "merton"
     A_M: float
     kappa: float                # market price of risk (mu - r)/sigma
-    gamma_M_merton: float       # consumption rate A_M^(-1/R)
+    gamma_M_merton: float       # consumption rate gamma_M = A_M^(-1/R)
     merton_fraction: float      # (mu - r)/(sigma^2 R)
+
+
+def _merton_rate(p: ModelParams) -> float:
+    """gamma_M = (rho + (R-1)(r + (mu-r)^2/(2 sigma^2 R)))/R, the Merton
+    consumption rate, which the timing insider consumes at between jumps."""
+    return (p.rho + (p.R - 1.0) * (p.r + (p.mu - p.r) ** 2
+                                   / (2.0 * p.R * p.sigma**2))) / p.R
 
 
 def solve_merton(p: ModelParams) -> MertonSolution:
@@ -165,20 +165,9 @@ def solve_merton(p: ModelParams) -> MertonSolution:
         raise IllPosedError(
             f"rho + (R-1)(r + kappa^2/(2R)) = {denom:.6g} <= 0: "
             "diffusion-only value function undefined")
-    a_m = (p.R / denom) ** p.R
-    return MertonSolution(
-        A_M=a_m,
-        kappa=kappa,
-        gamma_M_merton=a_m ** (-1.0 / p.R),
-        merton_fraction=p.merton_fraction,
-    )
-
-
-def merton_deflator(sol: MertonSolution, p: ModelParams, t: float, w: float) -> float:
-    """A_M e^(-rho t) w^(-R); equals 1 at t=0 for w = A_M^(1/R)."""
-    if not w > 0.0:
-        raise ValueError(f"wealth must be > 0, got {w}")
-    return sol.A_M * math.exp(-p.rho * t) * w ** (-p.R)
+    return MertonSolution(A_M=(p.R / denom) ** p.R, kappa=kappa,
+                          gamma_M_merton=_merton_rate(p),
+                          merton_fraction=p.merton_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +274,7 @@ def solve_timing_insider(p: ModelParams, rule: QuadratureRule) -> TimingInsiderS
     if a_star < INTERIOR_TOL:
         a_star = 0.0
     g_star = g_of_q(a_star, p, rule)
-    gamma_m = (p.rho + (p.R - 1.0) * (p.r + (p.mu - p.r) ** 2
-                                      / (2.0 * p.R * p.sigma**2))) / p.R
+    gamma_m = _merton_rate(p)
     if p.R < 1.0:
         gate_den = p.lam + p.R * gamma_m
         if gate_den <= 0.0 or p.lam * g_star / gate_den >= 1.0:
@@ -335,17 +323,6 @@ def solve_timing_insider(p: ModelParams, rule: QuadratureRule) -> TimingInsiderS
     a2 = _exp_average_of_f(gamma_m, f0 ** (1.0 / p.R), p.R, p.lam)
     return TimingInsiderSolution(a_star=a_star, gamma_M=gamma_m, f0=f0, A2=a2,
                                  g_at_a_star=g_star, R=p.R)
-
-
-def timing_deflator(sol: TimingInsiderSolution, p: ModelParams, t: float,
-                    w: float, time_of_next_jump: float) -> float:
-    """f(T_next - t) e^(-rho t) w^(-R); equals 1 at t=0 for w = f(T1)^(1/R)."""
-    if not w > 0.0:
-        raise ValueError(f"wealth must be > 0, got {w}")
-    if not time_of_next_jump > t:
-        raise ValueError("time_of_next_jump must exceed t")
-    return float(np.exp(sol.log_f(time_of_next_jump - t))
-                 * math.exp(-p.rho * t) * w ** (-p.R))
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +569,7 @@ def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
     a3 = a1
     trace: list[float] = [a3]
 
-    a3_prev, g_prev = None, None
-    converged = False
+    a3_prev = g_prev = None
     for outer in range(_OUTER_STEPS):
         h_new, q = system.solve_grid(a3, h, q)
         a3_new = system.average_h(h_new)
@@ -604,24 +580,20 @@ def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
         tol = _OUTER_TOL * max(1.0, a3)
         if abs(gap) <= tol and h_change <= tol:
             a3 = a3_new
-            converged = True
             break
         if outer == 0 and a3_new > a1 * (1.0 + 1e-8):
             raise ConvergenceError(
                 f"maximal-solution selection failed: first iterate {a3_new:.6g} "
                 f"exceeds the uninformed anchor A1={a1:.6g}")
-        # secant step on G(a3) = step(a3) - a3 once two iterates exist
-        if a3_prev is not None and abs((a3_new - a3) - g_prev) > 0.0:
-            g_cur = a3_new - a3
-            denom = g_cur - g_prev
-            candidate = a3 - g_cur * (a3 - a3_prev) / denom if denom != 0.0 else a3_new
-            if 0.0 < candidate <= a1 * (1.0 + 1e-12):
-                a3_prev, g_prev = a3, g_cur
-                a3 = candidate
-                continue
-        a3_prev, g_prev = a3, a3_new - a3
-        a3 = a3_new
-    if not converged:
+        # the secant step on G(a3) = step(a3) - a3 where two distinct gaps
+        # exist and it stays in (0, A1], else the plain step
+        step = a3_new
+        if g_prev is not None and gap != g_prev:
+            secant = a3 - gap * (a3 - a3_prev) / (gap - g_prev)
+            if 0.0 < secant <= a1 * (1.0 + 1e-12):
+                step = secant
+        a3_prev, g_prev, a3 = a3, gap, step
+    else:
         raise ConvergenceError(
             f"signal system not converged in {_OUTER_STEPS} outer iterations "
             f"(last A3 gap {gap:.3g})")
@@ -676,12 +648,29 @@ def q_bar_signal(sol: SignalInsiderSolution, p: ModelParams, eta: float,
     return float(signal_terms(sol, p, np.array([float(eta)]), rule)[0][0])
 
 
-def signal_deflator(sol: SignalInsiderSolution, p: ModelParams, t: float,
-                    w: float, eta_t: float) -> float:
-    """e^(-rho t) h(eta_t) w^(-R); equals 1 at t=0 for w = h(eta_0)^(1/R)."""
+# ---------------------------------------------------------------------------
+# State-price density
+# ---------------------------------------------------------------------------
+
+def deflator(sol, p: ModelParams, t: float, w: float, next_jump: float = math.inf,
+             signal: float | None = None) -> float:
+    """State-price density s e^(-rho t) w^(-R) at time t and wealth w, with
+    the value scale s of sol's regime: A1, A_M, f(next_jump - t) or
+    h(signal), the signal held at t; 1 at t = 0 for w = s^(1/R). ValueError
+    for w <= 0, next_jump <= t (timing) or no signal (signal)."""
     if not w > 0.0:
         raise ValueError(f"wealth must be > 0, got {w}")
-    return float(math.exp(-p.rho * t) * sol.h_at(eta_t) * w ** (-p.R))
+    if sol.regime == "timing":
+        if not next_jump > t:
+            raise ValueError("next_jump must exceed t")
+        scale = float(np.exp(sol.log_f(next_jump - t)))
+    elif sol.regime == "signal":
+        if signal is None:
+            raise ValueError("the signal insider's density needs its signal")
+        scale = float(sol.h_at(signal))
+    else:
+        scale = sol.A1 if sol.regime == "uninformed" else sol.A_M
+    return scale * math.exp(-p.rho * t) * w ** (-p.R)
 
 
 # ---------------------------------------------------------------------------
@@ -694,13 +683,16 @@ class RegimeSolutions:
     timing: TimingInsiderSolution | None
     signal: SignalInsiderSolution | None
     merton: MertonSolution | None
+    signal_gate: str | None = None      # the gate's message where it failed
 
     def for_regime(self, regime: str):
+        """The regime's solution, else GateError (the gate's message if gated)."""
         if regime not in REGIMES:
             raise ValueError(f"unknown regime {regime!r}")
         sol = getattr(self, regime)
         if sol is None:
-            raise GateError(f"regime {regime!r} was not solved: not listed, or gated")
+            raise GateError(self.signal_gate if regime == "signal" and self.signal_gate
+                            else f"regime {regime!r} was not solved: not listed")
         return sol
 
 
@@ -709,16 +701,17 @@ def solve_all(p: ModelParams, rule: QuadratureRule, grid_size: int = 201,
     """Solve the listed regimes (of REGIMES) in the order uninformed (also
     for signal, whose solve starts from it), timing, merton, signal, and
     leave the others None. A signal regime its gate rules out is None as
-    well, so for_regime raises GateError for it; other failures raise."""
+    well, with the gate's message kept for for_regime to raise; other
+    failures raise."""
     uninformed = (solve_uninformed(p, rule)
                   if {"uninformed", "signal"} & set(regimes) else None)
     timing = solve_timing_insider(p, rule) if "timing" in regimes else None
     merton = solve_merton(p) if "merton" in regimes else None
-    signal = None
+    signal = gate = None
     if "signal" in regimes:
         try:
             signal = solve_signal_insider(p, rule, grid_size, uninformed=uninformed)
-        except GateError:
-            pass
+        except GateError as exc:
+            gate = str(exc)
     return RegimeSolutions(uninformed=uninformed, timing=timing,
-                           signal=signal, merton=merton)
+                           signal=signal, merton=merton, signal_gate=gate)

@@ -54,8 +54,6 @@ from .agents import (
     REGIMES,
     RegimeSolutions,
     SignalInsiderSolution,
-    UninformedSolution,
-    _pre_jump_rate,
     signal_terms,
     solve_all,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "PriceRow",
     "price_mc",
     "closed_form_price",
-    "alpha_coef",
     "beta_coef",
     "truncation_bound",
     "estimate_to_dict",
@@ -125,12 +122,6 @@ def _check_conditioning(regime: str, conditioning: Conditioning | None) -> Condi
     return cond
 
 
-def alpha_coef(sol: UninformedSolution, p: ModelParams) -> float:
-    """Exponential growth rate of the pre-first-jump pricing factor for the
-    uninformed agent: r - rho + R(-r - q (mu-r) + A1^(-1/R) + (R+1) sigma^2 q^2 / 2)."""
-    return _pre_jump_rate(sol.q_bar1, sol.A1, p)
-
-
 def beta_coef(eta0: float, sol: SignalInsiderSolution, p: ModelParams,
               rule: QuadratureRule) -> float:
     """Signal-conditional analogue of alpha, with h(eta0) and q_bar(eta0)."""
@@ -170,7 +161,7 @@ def _pre_jump_tail(regime: str, p: ModelParams, sol, cond: Conditioning,
     The callers keep the merton benchmark, which has no jump, out.
     """
     if regime == "uninformed":
-        rate = p.lam - alpha_coef(sol, p)
+        rate = p.lam - sol.alpha
         if rate <= 0.0:
             raise DomainError(f"lam - alpha = {rate:.6g} <= 0: value diverges")
         return math.exp(-rate * horizon) / rate
@@ -333,7 +324,7 @@ def closed_form_price(e: IncomeStream, regime: str, p: ModelParams,
     if isinstance(e, ExpUntilFirstJumpStream):
         return _pre_jump_tail(regime, p, sol, cond, rule, 0.0)
     if regime == "uninformed":
-        denom = p.lam + 1.0 - alpha_coef(sol, p)
+        denom = p.lam + 1.0 - sol.alpha
         if denom <= 0.0:
             raise DomainError(f"lam + 1 - alpha = {denom:.6g} <= 0: value diverges")
         dbl = psi_double_integral(e.psi, sol.q_bar1, p, rule)
@@ -375,13 +366,6 @@ class PriceRow:
     closed_form: float | None
     mc: PriceEstimate | None
 
-    def best(self) -> float:
-        if self.closed_form is not None:
-            return self.closed_form
-        if self.mc is not None:
-            return self.mc.mean
-        raise ValueError("empty price row")
-
 
 @dataclass(frozen=True)
 class InfoValueReport:
@@ -414,8 +398,9 @@ def info_value_report(e: IncomeStream, p: ModelParams, cfg: SimConfig,
                       with_mc: bool = False) -> InfoValueReport:
     """Prices per regime plus timing/signal information values.
 
-    Closed forms are always computed where available; Monte Carlo runs are
-    added when with_mc is set (using cfg for every regime). The signal value
+    Closed forms are always computed where available, and the information
+    values are their differences; Monte Carlo runs are added beside them when
+    with_mc is set (using cfg for every regime). The signal value
     is averaged under the signal law and, for the two jump-keyed streams,
     also reported given eta0 at m and m +- 2 sd of the signal law. sols
     defaults to solve_all(p, rule); where the signal regime is gated (None)
@@ -443,19 +428,20 @@ def info_value_report(e: IncomeStream, p: ModelParams, cfg: SimConfig,
         return PriceRow(regime=regime, conditioning=cond,
                         closed_form=cf_val, mc=mc)
 
-    # best() only where used: the merton row of a jump-keyed stream is empty
     keys = [("merton", None), ("uninformed", None), ("timing", None)]
     if sols.signal is not None:
         keys += [("signal", None)] + [("signal", eta) for eta in grid]
     rows = {(regime, eta): build_row(regime, Conditioning(eta0=eta))
             for regime, eta in keys}
-    base = rows["uninformed", None].best()
+    # closed-form differences: only the merton row, which none reads, may lack one
+    base = rows["uninformed", None].closed_form
     signal = rows.get(("signal", None))
     return InfoValueReport(
         stream=_stream_label(e),
         rows=tuple(rows.values()),
-        timing_information_value=rows["timing", None].best() - base,
-        signal_information_value=math.nan if signal is None else signal.best() - base,
-        signal_conditional_values=tuple((eta, rows["signal", eta].best())
+        timing_information_value=rows["timing", None].closed_form - base,
+        signal_information_value=(math.nan if signal is None
+                                  else signal.closed_form - base),
+        signal_conditional_values=tuple((eta, rows["signal", eta].closed_form)
                                         for eta in grid if ("signal", eta) in rows),
     )

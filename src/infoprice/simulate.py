@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .agents import REGIMES, posterior_of_jump
+from .agents import REGIMES, deflator, posterior_of_jump
 from .errors import SimulationError
 from .model import (
     Conditioning,
@@ -70,7 +70,6 @@ __all__ = [
     "simulate_path",
     "path_integrals",
     "deflator_at_times",
-    "initial_wealth",
 ]
 
 _GAP_BLOCK = 16
@@ -270,21 +269,6 @@ def _check_regime(regime: str, sol) -> None:
     if getattr(sol, "regime", None) != regime:
         raise TypeError(f"regime {regime!r} needs its own solution, "
                         f"got {type(sol).__name__}")
-
-
-def initial_wealth(regime: str, sol, p: ModelParams, t1: float = math.inf,
-                   eta0: float | None = None) -> float:
-    """Per-regime normalizing initial wealth making the deflator start at 1."""
-    _check_regime(regime, sol)
-    if regime == "uninformed":
-        return sol.A1 ** (1.0 / p.R)
-    if regime == "merton":
-        return sol.A_M ** (1.0 / p.R)
-    if regime == "timing":
-        return float(np.exp(sol.log_f(t1) / p.R))
-    if eta0 is None:
-        raise ValueError("signal regime needs the initial signal eta0")
-    return float(sol.h_at(eta0)) ** (1.0 / p.R)
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +573,11 @@ def simulate_path(p: ModelParams, sol, cfg: SimConfig, path_index: int,
     cols = [np.concatenate(a) for a in zip(*parts)]
     order = np.argsort(cols[0], kind="stable")
     order = order[np.append(np.diff(cols[0][order]) != 0.0, True)]
-    grid, x_path, deflator, is_jump = (a[order] for a in cols)
+    grid, x_path, y, is_jump = (a[order] for a in cols)
     times, sizes, signals = (a[0] for a in tile.scen[:3])
-    w0 = initial_wealth(cfg.regime, sol, p, t1=float(times[0]),
-                        eta0=float(tile.eta0[0]))
-    return PathRecord(grid=grid, wealth=w0 * np.exp(x_path), deflator=deflator,
+    # the wealth at which the density starts at 1
+    w0 = deflator(sol, p, 0.0, 1.0, next_jump=float(times[0]),
+                  signal=float(tile.eta0[0])) ** (1.0 / p.R)
+    return PathRecord(grid=grid, wealth=w0 * np.exp(x_path), deflator=y,
                       is_jump=is_jump, jump_times=times, jump_sizes=sizes,
                       signals=signals)

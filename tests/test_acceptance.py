@@ -24,7 +24,6 @@ from infoprice.model import (
 )
 from infoprice.pricing import (
     Conditioning,
-    alpha_coef,
     beta_coef,
     closed_form_price,
     price_mc,
@@ -212,7 +211,7 @@ def test_criterion_8_degenerate_limits(canon, rule64):
     sig = solve_signal_insider(p_noise, rule64, uninformed=u2)
     h_var = float(sig.h_values.max() - sig.h_values.min())
     ok &= h_var < 1e-4 * u2.A1
-    alpha = alpha_coef(u2, p_noise)
+    alpha = u2.alpha
     betas = np.array([beta_coef(float(e), sig, p_noise, rule64)
                       for e in sig.eta_grid[::10]])
     beta_gap = float(np.max(np.abs(betas - alpha)))

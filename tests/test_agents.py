@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,18 +14,16 @@ from infoprice.agents import (
     RegimeSolutions,
     _MonotoneCubic,
     _exp_average_of_f,
+    deflator,
     g1_of_q,
     posterior_of_jump,
     q_bar_signal,
-    signal_deflator,
     signal_terms,
     solve_all,
     solve_merton,
     solve_signal_insider,
     solve_timing_insider,
     solve_uninformed,
-    timing_deflator,
-    uninformed_deflator,
 )
 from infoprice.errors import (
     BoundaryOptimumError,
@@ -130,17 +129,17 @@ class TestUninformed:
 
     def test_deflator_normalization(self, canon, sol_uninformed):
         w0 = canon.R / (canon.rho + (canon.R - 1.0) * sol_uninformed.g1_at_opt)
-        assert uninformed_deflator(sol_uninformed, canon, 0.0, w0) == \
+        assert deflator(sol_uninformed, canon, 0.0, w0) == \
             pytest.approx(1.0, rel=1e-12)
 
     def test_deflator_plugins(self, canon, sol_uninformed):
         a1 = sol_uninformed.A1
-        assert uninformed_deflator(sol_uninformed, canon, 0.0, 1.0) == \
+        assert deflator(sol_uninformed, canon, 0.0, 1.0) == \
             pytest.approx(a1, rel=1e-14)
-        assert uninformed_deflator(sol_uninformed, canon, 1.0, 2.0) == \
+        assert deflator(sol_uninformed, canon, 1.0, 2.0) == \
             pytest.approx(a1 * math.exp(-0.1) * 0.25, rel=1e-14)
         with pytest.raises(ValueError):
-            uninformed_deflator(sol_uninformed, canon, 0.0, 0.0)
+            deflator(sol_uninformed, canon, 0.0, 0.0)
 
 
 class TestMerton:
@@ -152,6 +151,14 @@ class TestMerton:
         assert sol_merton.merton_fraction == pytest.approx(0.625)
         assert sol_merton.gamma_M_merton == pytest.approx(
             sol_merton.A_M ** (-0.5), rel=1e-14)
+
+    @pytest.mark.parametrize("fields", [{}, dict(R=7.3, mu=0.21, sigma=0.37),
+                                        dict(R=1.4, rho=0.29, sigma=0.11)])
+    def test_one_consumption_rate(self, canon, rule64, fields):
+        # merton and the timing insider between jumps consume at one gamma_M
+        p = with_fields(canon, **fields)
+        assert solve_merton(p).gamma_M_merton == \
+            solve_timing_insider(p, rule64).gamma_M
 
     def test_zero_premium(self, canon):
         p = with_fields(canon, mu=canon.r)
@@ -326,18 +333,18 @@ class TestTimingInsider:
     def test_deflator_normalization(self, canon, sol_timing):
         t1 = 2.0
         w0 = float(sol_timing.f(t1)) ** (1.0 / canon.R)
-        assert timing_deflator(sol_timing, canon, 0.0, w0, t1) == \
+        assert deflator(sol_timing, canon, 0.0, w0, t1) == \
             pytest.approx(1.0, rel=1e-12)
 
     def test_deflator_plugin(self, canon, sol_timing):
         want = float(sol_timing.f(1.5)) * math.exp(-0.05)
-        assert timing_deflator(sol_timing, canon, 0.5, 1.0, 2.0) == \
+        assert deflator(sol_timing, canon, 0.5, 1.0, 2.0) == \
             pytest.approx(want, rel=1e-12)
 
     def test_deflator_far_jump_limit(self, canon, rule64):
         p0 = with_fields(canon, lam=0.0)
         sol = solve_timing_insider(p0, rule64)
-        got = timing_deflator(sol, p0, 0.0, 1.0, 1e12)
+        got = deflator(sol, p0, 0.0, 1.0, 1e12)
         assert got == pytest.approx(sol.gamma_M ** (-p0.R), rel=1e-9)
 
 
@@ -499,11 +506,11 @@ class TestSignalInsider:
         eta0 = canon.m
         h0 = float(sol_signal.h_at(eta0))
         w0 = h0 ** (1.0 / canon.R)
-        assert signal_deflator(sol_signal, canon, 0.0, w0, eta0) == \
+        assert deflator(sol_signal, canon, 0.0, w0, signal=eta0) == \
             pytest.approx(1.0, rel=1e-12)
-        assert signal_deflator(sol_signal, canon, 0.0, 1.0, eta0) == \
+        assert deflator(sol_signal, canon, 0.0, 1.0, signal=eta0) == \
             pytest.approx(h0, rel=1e-12)
-        assert signal_deflator(sol_signal, canon, 1.0, 1.0, eta0) == \
+        assert deflator(sol_signal, canon, 1.0, 1.0, signal=eta0) == \
             pytest.approx(math.exp(-0.1) * h0, rel=1e-12)
 
     def test_flat_extrapolation(self, sol_signal):
@@ -693,10 +700,46 @@ class TestSignalTerms:
 
 def test_each_solution_names_its_slot(sols):
     assert [f.name for f in dataclasses.fields(RegimeSolutions)] == [
-        "uninformed", "timing", "signal", "merton"]
+        "uninformed", "timing", "signal", "merton", "signal_gate"]
     for regime in REGIMES:
         assert sols.for_regime(regime).regime == regime
         assert type(getattr(sols, regime)).regime == regime
+
+
+# ---------------------------------------------------------------------------
+# deflator: the state-price density of all four agents
+# ---------------------------------------------------------------------------
+
+def value_scale(sol, p, t, next_jump, signal):
+    """s of Y = s e^(-rho t) w^(-R), read from each solution's own fields."""
+    if sol.regime == "timing":
+        return float(sol.f(next_jump - t))
+    if sol.regime == "signal":
+        return float(sol.h_at(signal))
+    return sol.A1 if sol.regime == "uninformed" else sol.A_M
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_deflator_of_each_regime(canon, sols, regime):
+    sol = sols.for_regime(regime)
+    kw = dict(next_jump=2.5, signal=canon.m + 0.1)
+    s0 = value_scale(sol, canon, 0.0, **kw)
+    assert deflator(sol, canon, 0.0, s0 ** (1.0 / canon.R), **kw) == \
+        pytest.approx(1.0, rel=1e-12)
+    for t, w in [(0.0, 1.0), (0.7, 0.4), (2.2, 3.0)]:
+        want = value_scale(sol, canon, t, **kw) * math.exp(-canon.rho * t) \
+            * w ** -canon.R
+        assert deflator(sol, canon, t, w, **kw) == pytest.approx(want, rel=1e-12)
+    for w in (0.0, -1.0):
+        with pytest.raises(ValueError, match="wealth must be > 0"):
+            deflator(sol, canon, 0.5, w, **kw)
+    if regime == "timing":
+        for t in (2.5, 3.0):
+            with pytest.raises(ValueError, match="next_jump must exceed t"):
+                deflator(sol, canon, t, 1.0, next_jump=2.5)
+    if regime == "signal":
+        with pytest.raises(ValueError, match="needs its signal"):
+            deflator(sol, canon, 0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +776,10 @@ class TestSolveAll:
         sols = solve_all(p, rule64)
         assert sols.signal is None
         assert None not in (sols.uninformed, sols.timing, sols.merton)
-        with pytest.raises(GateError, match="'signal' was not solved: not listed, or gated"):
+        gate = next(f for f in validate_params(p).flags
+                    if f.name == "signal_regime_gate")
+        assert not gate.passed
+        with pytest.raises(GateError, match=f"^{re.escape(gate.message)}$"):
             sols.for_regime("signal")
 
     def test_unlisted_failure_is_not_reached(self, canon, rule64):

@@ -277,6 +277,15 @@ class TestNoiselessSignal:
         assert abs(mc["mean"] - entry["closed_form"]) <= \
             3 * mc["std_error"] + mc["truncation_bound"]
 
+    def test_price_signal_reports_the_gate(self, noiseless_cfg):
+        # the gated regime fails with the gate's own message, as validate says
+        code, out, err = run_cli("price", "--config", noiseless_cfg, "--stream",
+                                 "constant:1", "--regime", "signal", "--horizon", "5",
+                                 *FAST)
+        assert (code, out) == (1, "")
+        assert err.startswith("domain error: signal-insider solve needs R > 1")
+        assert err.endswith("v_eps=0\n")
+
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 PROBE = """

@@ -12,8 +12,8 @@ import pytest
 from infoprice import pricing
 from infoprice.agents import (
     RegimeSolutions,
-    UninformedSolution,
     _MonotoneCubic,
+    _pre_jump_rate,
     posterior_of_jump,
     q_bar_signal,
     solve_all,
@@ -30,7 +30,6 @@ from infoprice.model import (
 )
 from infoprice.pricing import (
     Conditioning,
-    alpha_coef,
     beta_coef,
     closed_form_price,
     info_value_report,
@@ -60,9 +59,7 @@ class TestAlphaCoef:
     def test_term_cancellation_fixture(self, canon):
         # with rho = r and zero exposure only the consumption terms survive
         p = with_fields(canon, rho=canon.r)
-        synthetic = UninformedSolution(q_bar1=0.0, A1=100.0, alpha=0.0,
-                                       g1_at_opt=0.0)
-        got = alpha_coef(synthetic, p)
+        got = _pre_jump_rate(0.0, 100.0, p)
         assert got == pytest.approx(p.R * (-p.r + 100.0 ** (-1 / p.R)), rel=1e-14)
 
     def test_jump_moment_identity(self, canon, rule64, sol_uninformed):
@@ -71,12 +68,12 @@ class TestAlphaCoef:
         jump_rel = np.expm1(canon.m + math.sqrt(2 * canon.v) * rule64.nodes)
         chi = float(rule64.weights @ (1 + q * jump_rel) ** (-canon.R)) \
             / math.sqrt(math.pi)
-        assert alpha_coef(sol_uninformed, canon) == pytest.approx(
+        assert sol_uninformed.alpha == pytest.approx(
             canon.lam * (1.0 - chi), abs=1e-9)
 
     def test_mc_drift_oracle(self, canon, sol_uninformed):
         # jump-free segments of e^{rt} Y drift at rate alpha
-        alpha = alpha_coef(sol_uninformed, canon)
+        alpha = sol_uninformed.alpha
         q = sol_uninformed.q_bar1
         vol = canon.R * q * canon.sigma
         rng = np.random.default_rng(123)
@@ -99,7 +96,7 @@ class TestAlphaCoef:
         u0 = solve_uninformed(p0, rule64)
         wrapped = RegimeSolutions(uninformed=u0, timing=None, signal=None,
                                   merton=None)
-        assert alpha_coef(u0, p0) == pytest.approx(0.0, abs=1e-12)
+        assert u0.alpha == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(DomainError):
             closed_form_price(E2, "uninformed", p0, wrapped)
 
@@ -114,7 +111,7 @@ class TestBetaCoef:
         p = with_fields(canon, v_eps=1e8)
         u = solve_uninformed(p, rule64)
         sol = solve_signal_insider(p, rule64, grid_size=101, uninformed=u)
-        alpha = alpha_coef(u, p)
+        alpha = u.alpha
         sd = math.sqrt(p.v + p.v_eps)
         betas = [beta_coef(p.m + k * sd, sol, p, rule64) for k in (-2, 0, 2)]
         assert max(abs(b - alpha) for b in betas) < 1e-3
@@ -128,7 +125,7 @@ class TestClosedForms:
                 == pytest.approx(20.0, rel=1e-14)
 
     def test_exp_until_jump_uninformed(self, canon, sols):
-        alpha = alpha_coef(sols.uninformed, canon)
+        alpha = sols.uninformed.alpha
         want = 1.0 / (canon.lam - alpha)
         got = closed_form_price(E2, "uninformed", canon, sols)
         assert got == pytest.approx(want, rel=1e-12)
@@ -158,7 +155,7 @@ class TestClosedForms:
                 pytest.approx(0.0, abs=1e-15)
 
     def test_post_jump_uninformed_structure(self, canon, rule64, sols):
-        alpha = alpha_coef(sols.uninformed, canon)
+        alpha = sols.uninformed.alpha
         dbl = psi_double_integral(np.tanh, sols.uninformed.q_bar1, canon, rule64)
         want = canon.lam / (canon.lam + 1.0 - alpha) * dbl
         assert closed_form_price(E3, "uninformed", canon, sols) == \
@@ -192,11 +189,11 @@ class TestClosedForms:
         sols0 = solve_all(p, rule64, grid_size=41)
         assert sols0.signal is None
         for e in (E2, E3):
-            with pytest.raises(GateError, match="'signal' was not solved"):
+            with pytest.raises(GateError, match="v_eps=0$"):
                 closed_form_price(e, "signal", p, sols0)
         dbl = psi_double_integral(np.tanh, sols0.uninformed.q_bar1, p, rule64)
         assert closed_form_price(E3, "uninformed", p, sols0, rule=rule64) == \
-            pytest.approx(p.lam / (p.lam + 1.0 - alpha_coef(sols0.uninformed, p))
+            pytest.approx(p.lam / (p.lam + 1.0 - sols0.uninformed.alpha)
                           * dbl, rel=1e-15)
 
     def test_scalar_psi_matches_vectorized(self, canon, sols):
@@ -459,7 +456,7 @@ class TestTruncationBounds:
         assert got == pytest.approx(2.0 * math.exp(-0.05 * 100.0) / 0.05, rel=1e-12)
 
     def test_exp_until_jump_uninformed(self, canon, sols):
-        rate = canon.lam - alpha_coef(sols.uninformed, canon)
+        rate = canon.lam - sols.uninformed.alpha
         got = truncation_bound(E2, "uninformed", canon, sols, 30.0)
         assert got == pytest.approx(math.exp(-rate * 30.0) / rate, rel=1e-12)
 
@@ -504,6 +501,22 @@ class TestInfoValueReport:
         assert report.row("uninformed").mc.conditioning == Conditioning()
         assert report.row("signal", pins[4][1].eta0).mc.conditioning == pins[4][1]
 
+    def test_values_with_mc_read_the_closed_forms(self, canon, sols):
+        cfg = SimConfig(horizon=2.0, dt=0.5, n_paths=50, seed=0,
+                        regime="uninformed")
+        report = info_value_report(E3, canon, cfg, sols=sols, with_mc=True)
+        # the merton row of a jump-keyed stream has neither price
+        assert report.row("merton").closed_form is report.row("merton").mc is None
+        assert all(row.mc is not None for row in report.rows[1:])
+        base = report.row("uninformed").closed_form
+        assert report.timing_information_value == \
+            report.row("timing").closed_form - base
+        assert report.signal_information_value == \
+            report.row("signal").closed_form - base
+        assert [v for _, v in report.signal_conditional_values] == [
+            report.row("signal", eta).closed_form
+            for eta, _ in report.signal_conditional_values]
+
     def test_constant_stream_invariance(self, canon, sols):
         cfg = SimConfig(horizon=10.0, dt=0.1, n_paths=100, seed=0,
                         regime="uninformed")
@@ -517,7 +530,7 @@ class TestInfoValueReport:
         cfg = SimConfig(horizon=10.0, dt=0.1, n_paths=100, seed=0,
                         regime="uninformed")
         report = info_value_report(E2, canon, cfg, sols=sols)
-        alpha = alpha_coef(sols.uninformed, canon)
+        alpha = sols.uninformed.alpha
         assert report.row("timing").closed_form == pytest.approx(1.0 / canon.lam)
         assert report.row("uninformed").closed_form == pytest.approx(
             1.0 / (canon.lam - alpha), rel=1e-12)

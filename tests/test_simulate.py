@@ -19,13 +19,11 @@ import pytest
 from infoprice import simulate
 from infoprice.agents import (
     REGIMES,
+    deflator,
     posterior_of_jump,
-    signal_deflator,
     solve_all,
     solve_signal_insider,
     solve_timing_insider,
-    timing_deflator,
-    uninformed_deflator,
 )
 from infoprice.errors import SimulationError
 from infoprice.model import (
@@ -40,7 +38,6 @@ from infoprice.simulate import (
     _grid_nodes,
     deflator_at_times,
     draw_scenario,
-    initial_wealth,
     path_integrals,
     path_rng,
     simulate_path,
@@ -330,8 +327,6 @@ def replay_points(p, sol, cfg, pid, regime):
     the deflator's left limit (equal to the right limit at regular nodes),
     and the jump count before and after each point.
     """
-    from infoprice.agents import merton_deflator
-
     times, sizes, signals = draw_scenario(p, cfg, pid)
     n_within = int(np.searchsorted(times, cfg.horizon, side="right"))
     zj = path_rng(cfg.seed, pid, 2).standard_normal(n_within) if n_within \
@@ -343,18 +338,9 @@ def replay_points(p, sol, cfg, pid, regime):
     t1 = times[0]
     eta = signals[0] if signals.size else p.m
     eta0 = eta
-    w = initial_wealth(regime, sol, p, t1=t1, eta0=eta0)
+    w = deflator(sol, p, 0.0, 1.0, next_jump=t1, signal=eta0) ** (1.0 / p.R)
     out_t, out_w, out_y, out_yl = [0.0], [w], [1.0], [1.0]
     out_jl, out_jr = [0], [0]
-
-    def deflator(t, w, nxt, eta):
-        if regime == "uninformed":
-            return uninformed_deflator(sol, p, t, w)
-        if regime == "timing":
-            return timing_deflator(sol, p, t, w, nxt)
-        if regime == "merton":
-            return merton_deflator(sol, p, t, w)
-        return signal_deflator(sol, p, t, w, eta)
 
     def controls(eta):
         if regime == "uninformed":
@@ -381,14 +367,14 @@ def replay_points(p, sol, cfg, pid, regime):
                 out_yl.append(float(np.exp(sol.log_f(0.0)))
                               * math.exp(-p.rho * tau) * w ** (-p.R))
             else:
-                out_yl.append(deflator(tau, w, None, eta))
+                out_yl.append(deflator(sol, p, tau, w, signal=eta))
             w = apply_jump(w, pj, sizes[j])
             j += 1
             eta = signals[j] if j < len(signals) else p.m
             nxt = times[j]
             out_t.append(tau)
             out_w.append(w)
-            out_y.append(deflator(tau, w, nxt, eta))
+            out_y.append(deflator(sol, p, tau, w, nxt, eta))
             out_jl.append(j - 1)
             out_jr.append(j)
             cur = tau
@@ -403,7 +389,7 @@ def replay_points(p, sol, cfg, pid, regime):
         w = wealth_step_exact(w, pi, cint, d, math.sqrt(d) * zs[k], p)
         out_t.append(t_hi)
         out_w.append(w)
-        out_y.append(deflator(t_hi, w, nxt, eta))
+        out_y.append(deflator(sol, p, t_hi, w, nxt, eta))
         out_yl.append(out_y[-1])
         out_jl.append(j)
         out_jr.append(j)
@@ -533,7 +519,7 @@ class TestSimulatePath:
         rec = simulate_path(canon, sols.uninformed, cfg, 9)
         for t, w, y in zip(rec.grid, rec.wealth, rec.deflator):
             assert y == pytest.approx(
-                uninformed_deflator(sols.uninformed, canon, t, w), rel=1e-10)
+                deflator(sols.uninformed, canon, t, w), rel=1e-10)
 
     def test_timing_deflator_renews(self, canon, sols):
         cfg = SimConfig(horizon=20.0, dt=0.25, n_paths=1, seed=6, regime="timing")
@@ -544,7 +530,7 @@ class TestSimulatePath:
             nxt = rec.jump_times[np.searchsorted(rec.jump_times, t, side="right")] \
                 if t < rec.jump_times[-1] else math.inf
             assert y == pytest.approx(
-                timing_deflator(sols.timing, canon, t, w, nxt), rel=1e-9)
+                deflator(sols.timing, canon, t, w, nxt), rel=1e-9)
 
 
 class TestCheckRegime:
