@@ -9,9 +9,10 @@ Four agents are supported.
 * ``timing`` -- learns, immediately after each jump, the exact time of the
   next one. Between jumps it invests the diffusion-only fraction and consumes
   at rate f(T_next - t)^(-1/R); at a jump it holds fraction a_star. f(0) is
-  the root, found by bisection, of a renewal equation whose Exp(lam) average
-  of f is a Gauss hypergeometric function (DLMF 15.6.1; scipy's hyp2f1,
-  imported on first use), and every solution has gamma_M > 0.
+  the root, found by bracketed Newton, of a renewal equation whose Exp(lam)
+  average of f is Euler's integral for a Gauss hypergeometric function
+  (DLMF 15.6.1), summed on a 32-node Gauss-Jacobi rule; every solution has
+  gamma_M > 0.
 * ``signal`` -- observes eta = xi + eps, a noisy read of the next jump's
   size. Its value scale h(eta) and average A3 solve a coupled system on an
   eta grid; exposure q_bar(eta) maximizes the jump-adjusted objective
@@ -52,7 +53,7 @@ from .errors import (
     IllPosedError,
 )
 from .model import ModelParams, require_valid_params
-from .quadrature import QuadratureRule, g_of_q
+from .quadrature import QuadratureRule, g_of_q, gauss_jacobi
 
 __all__ = [
     "UninformedSolution",
@@ -238,18 +239,25 @@ class TimingInsiderSolution:
                 - np.log1p(-self.btilde * np.exp(-g * s_lo)))
 
 
-def _exp_average_of_f(gamma: float, c0: float, R: float, lam: float) -> float:
-    """integral_0^inf lam e^(-lam s) f(s) ds with f(s)^(1/R) = (1 - btilde
-    e^(-gamma s))/gamma and gamma > 0.
+def _renewal_excess(gamma: float, c0: float, R: float, tail: np.ndarray,
+                    probs: np.ndarray) -> tuple[float, float]:
+    """E[f(T)]/f(0) - 1 for T ~ Exp(lam) and f(s)^(1/R) = (1 - btilde
+    e^(-gamma s))/gamma, gamma > 0, f(0) = c0^R, and its derivative in
+    log f(0).
 
-    Substituting u = e^(-gamma s) turns it into Euler's integral (DLMF
-    15.6.1): gamma^(-R) 2F1(-R, c; c + 1; btilde) with c = lam/gamma.
+    Substituting t = e^(-gamma s) turns E[f(T)] into Euler's integral (DLMF
+    15.6.1), gamma^(-R) 2F1(-R, c; c + 1; btilde) with c = lam/gamma: the
+    mean of gamma^(-R) (1 - btilde t)^R = f(0) (1 + (1 - t) btilde/(gamma
+    c0))^R under the density c t^(c-1) on [0, 1], which the rule (nodes
+    t_k, probs) = quadrature.gauss_jacobi(c) sums, given tail = 1 - t_k.
+    Each node's term is taken minus 1 (expm1 of R log1p), so the excess
+    keeps its relative accuracy where it is small, as it is at the renewal
+    root when g(a*) is near 1.
     """
-    # imported here so that only timing solves pay for loading scipy
-    from scipy.special import hyp2f1
-
-    c = lam / gamma
-    return gamma ** (-R) * float(hyp2f1(-R, c, c + 1.0, 1.0 - gamma * c0))
+    y = gamma * c0
+    log_base = np.log1p((1.0 - y) / y * tail)
+    return (float(probs @ np.expm1(R * log_base)),
+            -float(probs @ (np.exp((R - 1.0) * log_base) * tail)) / y)
 
 
 def solve_timing_insider(p: ModelParams, rule: QuadratureRule) -> TimingInsiderSolution:
@@ -266,8 +274,9 @@ def solve_timing_insider(p: ModelParams, rule: QuadratureRule) -> TimingInsiderS
     gamma_M > 0 on every return: R > 1 gives gamma_M > rho/R, and for R < 1
     the gate above fails whenever gamma_M <= 0 because g(a_star) >= g(0) = 1.
     f0 is the root of x = g(a_star) E[f(T)](x), T ~ Exp(lam), found by
-    bisection to a relative width of 1e-15 on a bracket grown from the Merton
-    A_M; a bracket that cannot be found raises ConvergenceError.
+    Newton's method in log x, kept inside a bracket grown from the Merton
+    A_M, to a relative step of 1e-15; a bracket that cannot be found raises
+    ConvergenceError.
     """
     require_valid_params(p)
     a_star = _prior_exposure(0.0, 1.0, p, rule)
@@ -291,36 +300,50 @@ def solve_timing_insider(p: ModelParams, rule: QuadratureRule) -> TimingInsiderS
         return TimingInsiderSolution(a_star=a_star, gamma_M=gamma_m, f0=f0,
                                      A2=f0, g_at_a_star=g_star, R=p.R)
 
-    def residual(x: float) -> float:
-        return g_star * _exp_average_of_f(gamma_m, x ** (1.0 / p.R), p.R, p.lam) - x
+    # c = lam/gamma_M and R stay fixed during the root search: one rule serves it
+    nodes, probs = gauss_jacobi(p.lam / gamma_m)
+    tail = 1.0 - nodes
+
+    def residual(x: float) -> tuple[float, float]:
+        """g(a*) E[f(T)](x)/x - 1 and its derivative in log x, with g(a*) - 1
+        and the excess apart so that rounding does not blur the root where
+        g(a*) is near 1."""
+        excess, slope = _renewal_excess(gamma_m, x ** (1.0 / p.R), p.R, tail, probs)
+        return (g_star - 1.0) + g_star * excess, g_star * slope
 
     # residual > 0 near x = 0 and < 0 for large x, with one sign change:
     # E[f(T)] grows like lam/(lam + R gamma_M) x < x/g(a*)
     lo = hi = solve_merton(p).A_M
     for _ in range(200):
-        if residual(lo) > 0.0:
+        if residual(lo)[0] > 0.0:
             break
         lo *= 0.5
     else:
         raise ConvergenceError(f"renewal root not bracketed below x={lo:.3g}")
     for _ in range(200):
-        if residual(hi) < 0.0:
+        if residual(hi)[0] < 0.0:
             break
         hi *= 2.0
     else:
         raise ConvergenceError(f"renewal root not bracketed above x={hi:.3g}")
+    # Newton in log x; each step shrinks the bracket, and a step that leaves
+    # it is replaced by the bracket's midpoint
+    x = 0.5 * (lo + hi)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) > 0.0:
-            lo = mid
+        r, slope = residual(x)
+        if r > 0.0:
+            lo = x
         else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
+            hi = x
+        f0 = x * math.exp(-r / slope)           # slope < 0
+        if not lo < f0 < hi:
+            f0 = 0.5 * (lo + hi)
+        if abs(f0 - x) <= 1e-15 * x:
             break
+        x = f0
     else:
-        raise ConvergenceError(f"renewal bisection not converged on [{lo:.6g}, {hi:.6g}]")
-    f0 = 0.5 * (lo + hi)
-    a2 = _exp_average_of_f(gamma_m, f0 ** (1.0 / p.R), p.R, p.lam)
+        raise ConvergenceError(f"renewal root not converged on [{lo:.6g}, {hi:.6g}]")
+    a2 = f0 * (1.0 + _renewal_excess(gamma_m, f0 ** (1.0 / p.R), p.R, tail, probs)[0])
     return TimingInsiderSolution(a_star=a_star, gamma_M=gamma_m, f0=f0, A2=a2,
                                  g_at_a_star=g_star, R=p.R)
 
@@ -418,15 +441,20 @@ _OUTER_TOL, _OUTER_STEPS = 1e-10, 200
 _GRID_HALFWIDTH_SD = 6.0
 
 
-def _exposure_slope(q, h, lam_a3, jump_rel, w, p):
+def _exposure_slope(q, h, lam_a3, jump_rel, w, p, base, xu):
     """F(q) and F'(q), the first and second q-derivatives of
     h phi1(q) + lam_a3 phi2(q; row), one per row of jump_rel
-    (x_k = e^(xi_k) - 1 at the posterior nodes)."""
-    base = 1.0 + q[:, None] * jump_rel
-    xu = jump_rel * base ** -p.R
+    (x_k = e^(xi_k) - 1 at the posterior nodes). base and xu are work
+    arrays of jump_rel's shape that receive 1 + q x_k and its terms."""
+    np.multiply(q[:, None], jump_rel, out=base)
+    base += 1.0
+    np.power(base, -p.R, out=xu)
+    xu *= jump_rel
     curv = p.sigma**2 * p.R
     f = h * ((p.mu - p.r) - curv * q) + lam_a3 * (xu @ w)
-    fp = -h * curv - lam_a3 * p.R * ((xu * jump_rel / base) @ w)
+    xu *= jump_rel
+    xu /= base
+    fp = -h * curv - lam_a3 * p.R * (xu @ w)
     return f, fp
 
 
@@ -438,18 +466,22 @@ def _argmax_exposure(h, lam_a3, jump_rel, w, p, q_start):
     F(q) = 0 from q_start, where each step shrinks a bracket of the root and
     a step that leaves the bracket is replaced by its midpoint. Stops each
     row at a step below 1e-14; raises ConvergenceError if some row needs
-    more than _NEWTON_STEPS steps.
+    more than _NEWTON_STEPS steps. The (rows x nodes) terms of every step
+    go to two work arrays allocated once per call, whose leading rows serve
+    the shrinking set of rows still iterating.
     """
     n = len(h)
-    f0 = _exposure_slope(np.zeros(n), h, lam_a3, jump_rel, w, p)[0]
-    f1 = _exposure_slope(np.ones(n), h, lam_a3, jump_rel, w, p)[0]
+    base, xu = np.empty_like(jump_rel), np.empty_like(jump_rel)
+    f0 = _exposure_slope(np.zeros(n), h, lam_a3, jump_rel, w, p, base, xu)[0]
+    f1 = _exposure_slope(np.ones(n), h, lam_a3, jump_rel, w, p, base, xu)[0]
     q = np.where(f0 <= 0.0, 0.0,
                  np.where(f1 >= 0.0, 1.0, np.clip(q_start, 0.0, 1.0)))
     rows = np.flatnonzero((f0 > 0.0) & (f1 < 0.0))
     lo, hi = np.zeros(rows.size), np.ones(rows.size)
     for _ in range(_NEWTON_STEPS):
         qa = q[rows]
-        f, fp = _exposure_slope(qa, h[rows], lam_a3, jump_rel[rows], w, p)
+        f, fp = _exposure_slope(qa, h[rows], lam_a3, jump_rel[rows], w, p,
+                                base[:rows.size], xu[:rows.size])
         lo = np.where(f > 0.0, qa, lo)          # F decreases: root above qa
         hi = np.where(f > 0.0, hi, qa)
         q_new = qa - f / fp                     # fp < 0 by concavity

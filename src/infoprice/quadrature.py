@@ -12,6 +12,10 @@ points mean + sqrt(2 var) x_i and probabilities w_i / sqrt(pi) from
 QuadratureRule.points and QuadratureRule.probs:
 
     E[f(X)] ~= sum_i w_i f(mean + sqrt(2 var) x_i) / sqrt(pi)
+
+gauss_jacobi gives the one non-Gaussian rule, for averages under the
+density c t^(c-1) on [0, 1] that the timing insider's renewal equation
+needs.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .model import ModelParams
 __all__ = [
     "QuadratureRule",
     "gauss_hermite",
+    "gauss_jacobi",
     "DEFAULT_ORDER",
     "default_rule",
     "expect_gaussian",
@@ -38,6 +43,7 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 64
+JACOBI_ORDER = 32
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -72,6 +78,24 @@ def gauss_hermite(order: int) -> QuadratureRule:
         raise ValueError(f"order must be in [1, 200], got {order}")
     nodes, weights = np.polynomial.hermite.hermgauss(int(order))
     return QuadratureRule(nodes=nodes, weights=weights, order=int(order))
+
+
+def gauss_jacobi(c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t_k and probabilities w_k (summing to 1) of the JACOBI_ORDER-point
+    Gauss rule for the density c t^(c-1) on [0, 1], c > 0: the Jacobi rule
+    with exponents (0, c - 1) moved to [0, 1], from the eigenvectors of its
+    three-term recurrence matrix (Golub and Welsch 1969). With b = c - 1 the
+    matrix has diagonal c/(c+1), then 1/2 + b^2/(2 s (s+2)) with s = 2n + b,
+    and off-diagonal n (n+b) / (s sqrt((s-1)(s+1))) for n = 1, 2, ...
+    """
+    b = c - 1.0
+    n = np.arange(1.0, JACOBI_ORDER)
+    s = 2.0 * n + b
+    diag = np.concatenate(([c / (c + 1.0)], 0.5 + 0.5 * b * b / (s * (s + 2.0))))
+    off = n * (n + b) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    probs = vectors[0] ** 2
+    return nodes, probs / probs.sum()
 
 
 def default_rule() -> QuadratureRule:

@@ -8,7 +8,8 @@ Hermite three-term recurrence for quadrature nodes, a discretized Bayes rule
 for the signal posterior, brute-force grids for argmax checks, the
 scalar wealth step and jump update that the hand replay of a path composes,
 the one-signal-at-a-time loop that the batched signal-law averages of
-the closed forms are checked against, and the one-path-at-a-time scenario
+the closed forms are checked against, the allocating exposure kernel that
+the in-place one is checked against, and the one-path-at-a-time scenario
 draw that the engine's batched tile draw is checked against.
 """
 
@@ -188,6 +189,18 @@ def apply_jump(w: float, pi_at_jump: float, xi: float) -> float:
     if not 0.0 <= pi_at_jump <= 1.0:
         raise ValueError(f"jump exposure must be in [0, 1], got {pi_at_jump}")
     return w * (1.0 + pi_at_jump * math.expm1(xi))
+
+
+def exposure_slope_allocating(q, h, lam_a3, jump_rel, w, p, base=None, xu=None):
+    """The exposure kernel's F(q) and F'(q) written with fresh temporaries,
+    as before the kernel took work arrays (which this ignores): the
+    reference that the in-place kernel must match bit for bit."""
+    base = 1.0 + q[:, None] * jump_rel
+    xu = jump_rel * base ** -p.R
+    curv = p.sigma**2 * p.R
+    f = h * ((p.mu - p.r) - curv * q) + lam_a3 * (xu @ w)
+    fp = -h * curv - lam_a3 * p.R * ((xu * jump_rel / base) @ w)
+    return f, fp
 
 
 def signal_law_average(f, p, rule) -> float:

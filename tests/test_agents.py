@@ -1,19 +1,27 @@
 """Regime solvers: limits, oracles, deflator normalizations, orderings."""
 
 import dataclasses
+import hashlib
 import math
+import os
+import random
 import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infoprice import agents
 from infoprice.agents import (
     REGIMES,
     RegimeSolutions,
     _MonotoneCubic,
-    _exp_average_of_f,
+    _renewal_excess,
     deflator,
     g1_of_q,
     posterior_of_jump,
@@ -34,11 +42,12 @@ from infoprice.errors import (
 from infoprice.model import validate_params
 from infoprice.optimize import maximize_bounded
 from infoprice.pricing import beta_coef
-from infoprice.quadrature import g_of_q, g_of_q_many, phi2_many
+from infoprice.quadrature import g_of_q, g_of_q_many, gauss_jacobi, phi2_many
 
 from .oracles import (
     bisection_root,
     discretized_bayes_posterior,
+    exposure_slope_allocating,
     gauss_laguerre_exp_average,
     grid_argmax,
 )
@@ -46,6 +55,13 @@ from .oracles import (
 
 def with_fields(p, **kw):
     return dataclasses.replace(p, **kw)
+
+
+def average_excess(gamma, c0, R, c):
+    """E[f(T)]/f(0) - 1 on the rule of c = lam/gamma, as the timing solve
+    takes it."""
+    nodes, probs = gauss_jacobi(c)
+    return _renewal_excess(gamma, c0, R, 1.0 - nodes, probs)[0]
 
 
 # Parameter box of the uninformed and timing properties (r and rho as in
@@ -226,8 +242,9 @@ class TestTimingInsider:
         sol = solve_timing_insider(p, rule64)
 
         def residual(x):
-            return sol.g_at_a_star * _exp_average_of_f(
-                sol.gamma_M, x ** (1.0 / p.R), p.R, p.lam) - x
+            g = sol.g_at_a_star
+            return (g - 1.0) + g * average_excess(
+                sol.gamma_M, x ** (1.0 / p.R), p.R, p.lam / sol.gamma_M)
 
         # the solver's bracket: halve and double from the Merton A_M
         lo = hi = solve_merton(p).A_M
@@ -239,16 +256,34 @@ class TestTimingInsider:
         assert abs(sol.f0 - want) <= 1e-14 * want
 
     def test_exp_average_matches_simpson(self):
-        # 2F1 at a non-integer R and btilde < -1 against Simpson on Euler's
-        # integral, gamma^(-R) int_0^1 c u^(c-1) (1 - btilde u)^R du
+        # non-integer R against Simpson on Euler's integral gamma^(-R)
+        # int_0^1 c u^(c-1) (1 - btilde u)^R du, taken in s = u^c so that
+        # the integrand stays bounded for c < 1
         from .oracles import adaptive_simpson
-        gamma, lam, R = 0.07, 0.9, 2.7
-        c0 = 40.0                       # btilde = 1 - gamma c0 = -1.8
-        btilde, c = 1.0 - gamma * c0, lam / gamma
-        want = gamma ** (-R) * adaptive_simpson(
-            lambda u: c * u ** (c - 1.0) * (1.0 - btilde * u) ** R, 0.0, 1.0)
-        got = _exp_average_of_f(gamma, c0, R, lam)
-        assert abs(got - want) < 1e-10 * want
+        gamma, R = 0.07, 2.7
+        for c in (0.05, 0.5, 0.9 / 0.07, 67.0, 250.0):
+            for btilde in (-1.8, 0.5, 0.9):
+                c0 = (1.0 - btilde) / gamma
+                want = gamma ** (-R) * adaptive_simpson(
+                    lambda s: (1.0 - btilde * s ** (1.0 / c)) ** R, 0.0, 1.0,
+                    tol=1e-14 * (1.0 - btilde) ** R)
+                got = c0 ** R * (1.0 + average_excess(gamma, c0, R, c))
+                assert abs(got - want) <= 1e-12 * want, (c, btilde)
+
+    @pytest.mark.parametrize("R", [1, 2, 5, 15])
+    @pytest.mark.parametrize("c", [0.05, 1.0, 0.9 / 0.07, 250.0])
+    @pytest.mark.parametrize("btilde", [-3.0, -1.8, 0.0, 0.5, 0.9])
+    def test_exp_average_matches_binomial_sum(self, R, c, btilde):
+        # integer R: E[(1 - btilde t)^R] = sum_n C(R, n) (-btilde)^n c/(c + n)
+        # under the density c t^(c-1), summed in exact rational arithmetic
+        # because the terms alternate and cancel for btilde > 0
+        gamma = 0.07
+        c0 = (1.0 - btilde) / gamma
+        bt, cf = Fraction(1.0 - gamma * c0), Fraction(c)
+        want = gamma ** (-R) * float(sum(
+            math.comb(R, n) * (-bt) ** n * cf / (cf + n) for n in range(R + 1)))
+        got = c0 ** R * (1.0 + average_excess(gamma, c0, float(R), c))
+        assert abs(got - want) <= 1e-12 * want
 
     @PROPERTY
     @given(**BOX)
@@ -266,10 +301,6 @@ class TestTimingInsider:
         assert abs(sol.f0 - sol.g_at_a_star * sol.A2) <= 1e-9 * max(1.0, sol.f0)
         assert sol.gamma_M > 0.0
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "scipy.special.hyp2f1 carries relative errors up to 8e-9 at R 8.9, "
-        "c = lam/gamma_M 67, b~ 0.795, so the renewal residual is noise at "
-        "the bisection's end point"))
     def test_renewal_identity_at_high_risk_aversion(self, canon, rule64):
         p = with_fields(canon, mu=-0.049050456331459706, sigma=0.28781961554920016,
                         lam=4.909742250504175, m=0.2438480834766812,
@@ -277,6 +308,35 @@ class TestTimingInsider:
                         R=8.902369054088405)
         sol = solve_timing_insider(p, rule64)
         assert abs(sol.f0 - sol.g_at_a_star * sol.A2) <= 1e-9 * max(1.0, sol.f0)
+
+    def test_renewal_identity_over_seeded_sweep(self, canon, rule64):
+        """1000 draws of a box wider than the property's (R up to 15, lam up
+        to 8): each solve raises a DomainError subclass or meets the renewal
+        identity that `infoprice validate` checks."""
+        rng = random.Random(0)
+        misses = []
+        for _ in range(1000):
+            p = with_fields(canon, mu=rng.uniform(-0.05, 0.2),
+                            sigma=rng.uniform(0.1, 0.4), lam=rng.uniform(0.01, 8.0),
+                            m=rng.uniform(-0.3, 0.5), v=rng.uniform(0.001, 0.1),
+                            rho=rng.uniform(0.02, 0.3), R=rng.uniform(0.3, 15.0))
+            try:
+                sol = solve_timing_insider(p, rule64)
+            except DomainError:
+                continue
+            if not abs(sol.f0 - sol.g_at_a_star * sol.A2) <= 1e-9 * max(1.0, sol.f0):
+                misses.append(p)
+        assert misses == []
+
+    @pytest.mark.parametrize("lam", [20.0, 50.0])
+    def test_high_jump_rate_at_low_risk_aversion(self, canon, rule64, lam):
+        # a* = 0 makes jumps harmless, so f is the constant gamma_M^(-R);
+        # c = lam/gamma_M is 229 and 571 here
+        p = with_fields(canon, lam=lam, R=0.5)
+        sol = solve_timing_insider(p, rule64)
+        assert sol.a_star == 0.0
+        assert abs(sol.f0 - sol.g_at_a_star * sol.A2) <= 1e-9 * max(1.0, sol.f0)
+        assert sol.f0 == pytest.approx(sol.gamma_M ** (-p.R), rel=1e-12)
 
     def test_interior_optimum_fixture(self, canon, rule64):
         p = with_fields(canon, **INTERIOR_TIMING)
@@ -389,6 +449,84 @@ class TestExposureKernel:
         brute = grid_argmax(lambda xs: g_of_q_many(xs, p, rule64) / (1.0 - p.R),
                             0.0, 1.0, n=200_001)
         assert abs(a - brute) <= 1e-5
+
+
+# The benchmark's three parameter sets, and the fingerprints (sha256 of the
+# bytes of A3, h_values and q_bar_values, first 16 hex digits) of their
+# signal solves as the exposure kernel gave them before it took work
+# arrays, recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64 (AVX-512).
+SIGNAL_SETS = {"canon": {}, "interior": INTERIOR_TIMING,
+               "dense": dict(lam=2.0, m=0.0, v=0.01)}
+SIGNAL_FINGERPRINTS = {"canon": "145d2c8810888237", "interior": "ba0ae7799bbfc8e5",
+                       "dense": "df835ed0e267aa37"}
+
+
+def signal_fingerprint(sol) -> str:
+    digest = hashlib.sha256(np.float64(sol.A3).tobytes())
+    digest.update(sol.h_values.tobytes())
+    digest.update(sol.q_bar_values.tobytes())
+    return digest.hexdigest()[:16]
+
+
+FAULT_PROBE = """
+import resource, sys
+sys.modules["scipy"] = None
+from infoprice.agents import solve_signal_insider
+from infoprice.model import ModelParams
+from infoprice.quadrature import gauss_hermite
+p, rule = ModelParams(**{fields!r}), gauss_hermite(64)
+solve_signal_insider(p, rule)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+solve_signal_insider(p, rule)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestExposureWorkArrays:
+    """The exposure kernel's (rows x nodes) terms live in two work arrays
+    per _argmax_exposure call; the bits are those of fresh temporaries."""
+
+    @pytest.mark.parametrize("fields", SIGNAL_SETS.values(), ids=SIGNAL_SETS)
+    def test_bits_match_the_allocating_kernel(self, canon, rule64, fields,
+                                              monkeypatch):
+        p = with_fields(canon, **fields)
+        got = solve_signal_insider(p, rule64)
+        monkeypatch.setattr(agents, "_exposure_slope", exposure_slope_allocating)
+        want = solve_signal_insider(p, rule64)
+        assert got.A3 == want.A3
+        assert np.array_equal(got.h_values, want.h_values)
+        assert np.array_equal(got.q_bar_values, want.q_bar_values)
+        eta = np.linspace(p.m - 1.0, p.m + 1.0, 301)
+        for a, b in zip(signal_terms(got, p, eta, rule64),
+                        signal_terms(want, p, eta, rule64)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", SIGNAL_SETS)
+    def test_bits_match_the_recorded_fingerprint(self, canon, rule64, name,
+                                                 monkeypatch):
+        p = with_fields(canon, **SIGNAL_SETS[name])
+        got = signal_fingerprint(solve_signal_insider(p, rule64))
+        monkeypatch.setattr(agents, "_exposure_slope", exposure_slope_allocating)
+        if signal_fingerprint(solve_signal_insider(p, rule64)) != SIGNAL_FINGERPRINTS[name]:
+            pytest.skip("numpy or BLAS here rounds the allocating kernel "
+                        "differently from the recording")
+        assert got == SIGNAL_FINGERPRINTS[name]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts Linux minor page faults")
+    def test_warm_solve_takes_no_fresh_pages(self, canon):
+        """A fresh interpreter without scipy: the second of two signal
+        solves at canon makes fewer than 100 minor page faults (about 2800
+        when every Newton step allocated its (201 x 64) temporaries, which
+        glibc returned to the system between steps)."""
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             FAULT_PROBE.format(fields=dataclasses.asdict(canon))],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 100
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,7 @@ def scipy_modules_after(call):
 
 
 class TestColdStart:
-    """scipy is loaded only by the timing insider's solve."""
+    """No command loads scipy."""
 
     def test_import_loads_no_scipy(self):
         assert scipy_modules_after("0") == [0, []]
@@ -318,12 +318,15 @@ class TestColdStart:
                 f'"0.1", "--config", {cfg_path!r}, "--out", os.devnull])')
         assert scipy_modules_after(call) == [0, []]
 
-    def test_solve_loads_scipy_special(self, cfg_path):
+    def test_solve_loads_no_scipy(self, cfg_path):
         call = (f'cli.main(["solve", "--config", {cfg_path!r}, '
                 f'"--out", os.devnull])')
-        code, modules = scipy_modules_after(call)
-        assert code == 0
-        assert "scipy.special" in modules
+        assert scipy_modules_after(call) == [0, []]
+
+    def test_compare_exp_until_jump_loads_no_scipy(self, cfg_path):
+        call = (f'cli.main(["compare", "--stream", "exp_until_jump", '
+                f'"--config", {cfg_path!r}, "--out", os.devnull])')
+        assert scipy_modules_after(call) == [0, []]
 
 
 class TestErrorPaths:

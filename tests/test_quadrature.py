@@ -10,6 +10,7 @@ from infoprice.quadrature import (
     expect_gaussian,
     g_of_q,
     gauss_hermite,
+    gauss_jacobi,
     phi2,
     psi_double_integral,
 )
@@ -57,6 +58,23 @@ class TestGaussHermite:
     def test_order_out_of_range(self, order):
         with pytest.raises(ValueError):
             gauss_hermite(order)
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("c", [0.01, 0.05, 1.0, 250.0, 1e6])
+    def test_probability_rule_with_exact_moments(self, c):
+        nodes, probs = gauss_jacobi(c)
+        assert np.all((nodes > 0.0) & (nodes < 1.0)) and np.all(probs >= 0.0)
+        assert abs(probs.sum() - 1.0) <= 1e-15
+        # E[t^n] = c/(c + n) under c t^(c-1), exact up to degree 2 * 32 - 1
+        for n in (1, 7, 63):
+            assert abs(probs @ nodes ** n - c / (c + n)) <= 1e-13 * c / (c + n)
+
+    def test_uniform_density_is_gauss_legendre(self):
+        nodes, probs = gauss_jacobi(1.0)
+        x, w = np.polynomial.legendre.leggauss(32)
+        assert np.max(np.abs(nodes - 0.5 * (x + 1.0))) <= 1e-15
+        assert np.max(np.abs(probs - 0.5 * w)) <= 1e-15
 
 
 class TestPointsAndProbs:
