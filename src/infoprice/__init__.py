@@ -50,7 +50,6 @@ from .simulate import (  # noqa: F401
 from .pricing import (  # noqa: F401
     InfoValueReport,
     PriceEstimate,
-    beta_coef,
     closed_form_price,
     info_value_report,
     price_mc,

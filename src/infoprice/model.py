@@ -8,12 +8,11 @@ and discounts consumption at rate ``rho``. A noisy observer sees
 ``eta = xi + eps`` with ``eps ~ N(0, v_eps)`` independent of everything else.
 
 Three income streams make up the stream API: ConstantStream,
-ExpUntilFirstJumpStream and PostFirstJumpSignalStream. The simulation engine
-and the pricing layer dispatch on their types, and each has a closed form and
-an analytic truncation bound. Their constructors reject a payoff scale that
-is not finite; the solvers and the pricing entry points reject parameters
-that fail a hard check of validate_params, a NaN or infinite value included,
-with ParameterError.
+ExpUntilFirstJumpStream and PostFirstJumpSignalStream. Each has its report
+`label`, `jump_keyed` and its integrand `values(r, t, jumps, psi0)`, e_t
+after `jumps` jumps, where only the post-jump stream reads psi0 (its psi_at).
+Constructors reject a payoff scale that is not finite; solvers and pricing
+entry points raise ParameterError where validate_params fails a hard check.
 
 Two admissibility rules have their one owner here: the signal_regime_gate
 flag of validate_params is the signal insider's whole gate, v_eps > 0
@@ -28,9 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
-from .errors import ConfigError, ParameterError, StreamGuardError
+import numpy as np
+
+from .errors import ConfigError, ParameterError, SimulationError, StreamGuardError
 
 __all__ = [
     "ModelParams",
@@ -43,6 +44,7 @@ __all__ = [
     "ConstantStream",
     "ExpUntilFirstJumpStream",
     "PostFirstJumpSignalStream",
+    "require_stream",
     "read_params_file",
     "CONFIG_KEYS",
     "HARD_CHECKS",
@@ -183,15 +185,32 @@ class Conditioning:
 # Income streams
 # ---------------------------------------------------------------------------
 
+def _values_at(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f at every point of x: one call on the array, or a scalar loop where
+    f does not return x's shape (f is not vectorized)."""
+    values = np.asarray(f(x), dtype=float)
+    if values.shape != x.shape:
+        values = np.array([float(f(a)) for a in x.ravel()]).reshape(x.shape)
+    return values
+
+
 @dataclass(frozen=True)
 class ConstantStream:
     """e_t = level, a deterministic perpetual payment rate."""
 
     level: float
+    jump_keyed: ClassVar[bool] = False
 
     def __post_init__(self):
         if not math.isfinite(self.level):
             raise StreamGuardError("constant stream level must be finite")
+
+    @property
+    def label(self) -> str:
+        return f"constant:{self.level:g}"
+
+    def values(self, r: float, t, jumps, psi0):
+        return self.level
 
 
 @dataclass(frozen=True)
@@ -202,6 +221,12 @@ class ExpUntilFirstJumpStream:
     because it stops at the first jump; the pricing layer checks the decay
     rate that this requires (lam - alpha > 0 and its analogues).
     """
+
+    jump_keyed: ClassVar[bool] = True
+    label: ClassVar[str] = "exp_until_jump"
+
+    def values(self, r: float, t, jumps, psi0):
+        return np.where(jumps == 0, np.exp(r * t), 0.0)
 
 
 @dataclass(frozen=True)
@@ -215,13 +240,35 @@ class PostFirstJumpSignalStream:
     psi: Callable[[float], float]
     psi_bound: float
     psi_name: str = "psi"
+    jump_keyed: ClassVar[bool] = True
 
     def __post_init__(self):
         if not (math.isfinite(self.psi_bound) and self.psi_bound >= 0.0):
             raise StreamGuardError("psi_bound must be a finite nonnegative constant")
 
+    @property
+    def label(self) -> str:
+        return f"post_jump_signal:{self.psi_name}"
+
+    def psi_at(self, eta0: np.ndarray) -> np.ndarray:
+        """psi at the first signals of a set of paths, the psi0 of values;
+        raises SimulationError where one exceeds psi_bound."""
+        psi0 = _values_at(self.psi, eta0)
+        if np.any(np.abs(psi0) > self.psi_bound * (1.0 + 1e-12)):
+            raise SimulationError("psi exceeded its declared bound")
+        return psi0
+
+    def values(self, r: float, t, jumps, psi0):
+        return np.where(jumps >= 1, psi0 * np.exp((r - 1.0) * t), 0.0)
+
 
 IncomeStream = ConstantStream | ExpUntilFirstJumpStream | PostFirstJumpSignalStream
+
+
+def require_stream(e) -> None:
+    """Raise TypeError for anything that is not one of the three streams."""
+    if not isinstance(e, IncomeStream):
+        raise TypeError(f"not an income stream: {e!r}")
 
 
 # ---------------------------------------------------------------------------

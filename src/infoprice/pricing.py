@@ -17,7 +17,8 @@ cross-checked against:
 These three streams are the whole stream API (see `model`). The pre-jump
 stream's closed form and its truncation bound are one tail integral of the
 deflated stream, taken from 0 and from the horizon. Every pricing entry point
-raises ParameterError when the parameters fail a hard check.
+raises ParameterError when the parameters fail a hard check and TypeError for
+anything that is not one of the three streams.
 
 For the two insiders the post-first-jump closed forms include the deflator
 renewal factor across T1: A2/f0 = 1/g(a_star) for the timing insider and
@@ -60,15 +61,16 @@ from .agents import (
 from .errors import DomainError, GateError
 from .model import (
     Conditioning,
-    ConstantStream,
     ExpUntilFirstJumpStream,
     IncomeStream,
     ModelParams,
     PostFirstJumpSignalStream,
+    _values_at,
+    require_stream,
     require_valid_params,
 )
-from .quadrature import QuadratureRule, _values_at, default_rule, psi_double_integral
-from .simulate import SimConfig, path_integrals
+from .quadrature import QuadratureRule, default_rule, psi_double_integral
+from .simulate import SimConfig, _check_regime, path_integrals
 
 __all__ = [
     "Conditioning",
@@ -77,7 +79,6 @@ __all__ = [
     "PriceRow",
     "price_mc",
     "closed_form_price",
-    "beta_coef",
     "truncation_bound",
     "estimate_to_dict",
     "info_value_report",
@@ -114,18 +115,17 @@ class PriceEstimate:
     conditioning: Conditioning = Conditioning()
 
 
-def _check_conditioning(regime: str, conditioning: Conditioning | None) -> Conditioning:
+def _check_entry(e: IncomeStream, regime: str, p: ModelParams,
+                 conditioning: Conditioning | None) -> Conditioning:
+    """The checks of every pricing entry point, in order: the pin, the hard
+    parameter checks and the stream type. Returns the pin."""
     cond = conditioning or Conditioning()
     if cond.regime not in (None, regime):
         raise ValueError(f"{cond} is only meaningful for the {cond.regime} insider, "
                          f"not the {regime} regime")
+    require_valid_params(p)
+    require_stream(e)
     return cond
-
-
-def beta_coef(eta0: float, sol: SignalInsiderSolution, p: ModelParams,
-              rule: QuadratureRule) -> float:
-    """Signal-conditional analogue of alpha, with h(eta0) and q_bar(eta0)."""
-    return float(signal_terms(sol, p, np.array([float(eta0)]), rule)[2][0])
 
 
 def _signal_law(p: ModelParams, rule: QuadratureRule, cond: Conditioning):
@@ -209,12 +209,9 @@ def truncation_bound(e: IncomeStream, regime: str, p: ModelParams,
     GateError for a jump-keyed stream under the merton benchmark.
     """
     rule = rule or default_rule()
-    cond = _check_conditioning(regime, conditioning)
-    require_valid_params(p)
-    if isinstance(e, ConstantStream):
+    cond = _check_entry(e, regime, p, conditioning)
+    if not e.jump_keyed:
         return abs(e.level) * math.exp(-p.r * horizon) / p.r
-    if not isinstance(e, (ExpUntilFirstJumpStream, PostFirstJumpSignalStream)):
-        raise TypeError(f"not an income stream: {e!r}")
     if regime == "merton":
         raise GateError("the merton benchmark has no jump to key this stream on")
     if isinstance(e, ExpUntilFirstJumpStream):
@@ -251,13 +248,15 @@ def price_mc(e: IncomeStream, sol, p: ModelParams, cfg: SimConfig,
     for any worker count). `sols` is only needed to compute the truncation
     bound for streams whose tail rate involves other constants; if omitted
     it is reconstructed for the regimes required. `workers` defaults to
-    INFOPRICE_WORKERS, and `n_workers` caps either at the CPU count.
+    INFOPRICE_WORKERS, and `n_workers` caps either at the CPU count. `sol`
+    must be the solution of cfg.regime (TypeError otherwise).
     """
     regime = cfg.regime
-    cond = _check_conditioning(regime, conditioning)
-    if sols is None:
-        sols = _solutions_for_bound(sol)
-    # also the parameter, stream-type and merton-gate checks
+    _check_regime(regime, sol)
+    cond = conditioning or Conditioning()
+    if sols is None:    # sol in its own slot is all that the bound reads
+        sols = RegimeSolutions(**{r: sol if r == regime else None for r in REGIMES})
+    # also the entry checks and the merton gate
     bound = truncation_bound(e, regime, p, sols, cfg.horizon, cond, rule)
 
     workers = n_workers(workers)
@@ -285,12 +284,6 @@ def price_mc(e: IncomeStream, sol, p: ModelParams, cfg: SimConfig,
                          regime=regime, conditioning=cond)
 
 
-def _solutions_for_bound(sol) -> RegimeSolutions:
-    """Wrap a single regime solution so truncation_bound can read it."""
-    regime = getattr(sol, "regime", None)
-    return RegimeSolutions(**{r: sol if r == regime else None for r in REGIMES})
-
-
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
@@ -309,19 +302,16 @@ def closed_form_price(e: IncomeStream, regime: str, p: ModelParams,
     anything that is not one of the three streams.
     """
     rule = rule or default_rule()
-    cond = _check_conditioning(regime, conditioning)
-    require_valid_params(p)
-
-    if isinstance(e, ConstantStream):
+    cond = _check_entry(e, regime, p, conditioning)
+    if not e.jump_keyed:
         return e.level / p.r
-    if not isinstance(e, (ExpUntilFirstJumpStream, PostFirstJumpSignalStream)):
-        raise TypeError(f"not an income stream: {e!r}")
-    if isinstance(e, PostFirstJumpSignalStream) and p.lam <= 0.0:
-        return 0.0      # the stream never starts, under every regime
+    pre_jump = isinstance(e, ExpUntilFirstJumpStream)
+    if not pre_jump and p.lam <= 0.0:
+        return 0.0      # the post-jump stream never starts, under every regime
     if regime == "merton":
         return None
     sol = sols.for_regime(regime)
-    if isinstance(e, ExpUntilFirstJumpStream):
+    if pre_jump:
         return _pre_jump_tail(regime, p, sol, cond, rule, 0.0)
     if regime == "uninformed":
         denom = p.lam + 1.0 - sol.alpha
@@ -384,14 +374,6 @@ class InfoValueReport:
         raise KeyError((regime, eta0))
 
 
-def _stream_label(e: IncomeStream) -> str:
-    if isinstance(e, ConstantStream):
-        return f"constant:{e.level:g}"
-    if isinstance(e, ExpUntilFirstJumpStream):
-        return "exp_until_jump"
-    return f"post_jump_signal:{e.psi_name}"
-
-
 def info_value_report(e: IncomeStream, p: ModelParams, cfg: SimConfig,
                       sols: RegimeSolutions | None = None,
                       rule: QuadratureRule | None = None,
@@ -406,11 +388,12 @@ def info_value_report(e: IncomeStream, p: ModelParams, cfg: SimConfig,
     defaults to solve_all(p, rule); where the signal regime is gated (None)
     its rows are left out and its value is NaN.
     """
+    require_stream(e)
     rule = rule or default_rule()
     if sols is None:
         sols = solve_all(p, rule)
     grid = []
-    if isinstance(e, (ExpUntilFirstJumpStream, PostFirstJumpSignalStream)):
+    if e.jump_keyed:
         sd = math.sqrt(p.v + p.v_eps)
         grid = [float(eta) for eta in (p.m - 2.0 * sd, p.m, p.m + 2.0 * sd)]
 
@@ -437,7 +420,7 @@ def info_value_report(e: IncomeStream, p: ModelParams, cfg: SimConfig,
     base = rows["uninformed", None].closed_form
     signal = rows.get(("signal", None))
     return InfoValueReport(
-        stream=_stream_label(e),
+        stream=e.label,
         rows=tuple(rows.values()),
         timing_information_value=rows["timing", None].closed_form - base,
         signal_information_value=(math.nan if signal is None

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, _values_at
 
 __all__ = [
     "QuadratureRule",
@@ -100,15 +100,6 @@ def gauss_jacobi(c: float) -> tuple[np.ndarray, np.ndarray]:
 
 def default_rule() -> QuadratureRule:
     return gauss_hermite(DEFAULT_ORDER)
-
-
-def _values_at(f: Callable, x: np.ndarray) -> np.ndarray:
-    """f at every point of x: one call on the array, or a scalar loop where
-    f does not return x's shape (f is not vectorized)."""
-    values = np.asarray(f(x), dtype=float)
-    if values.shape != x.shape:
-        values = np.array([float(f(a)) for a in x.ravel()]).reshape(x.shape)
-    return values
 
 
 def expect_gaussian(f: Callable, mean: float, var: float, rule: QuadratureRule) -> float:

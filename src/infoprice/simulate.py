@@ -6,8 +6,7 @@ proportional consumption rate, so each step is advanced by the exact strong
 solution; the only discretization in the whole engine is the trapezoid used
 by the pricing integral. Jump times are explicit integration nodes, so
 integrands that jump are captured with left/right limits. The integrand is
-the deflator times one of the three income streams of `model`, evaluated for
-all paths of a chunk at once by dispatching on the stream's type.
+the deflator times the `values` of one of the three streams of `model`.
 
 Randomness is counter-based and keyed per path: path `i` of a run with seed
 `s` draws from four independent Philox streams keyed by (s, 4 i + purpose),
@@ -54,13 +53,11 @@ from .agents import REGIMES, deflator, posterior_of_jump
 from .errors import SimulationError
 from .model import (
     Conditioning,
-    ConstantStream,
-    ExpUntilFirstJumpStream,
     IncomeStream,
     ModelParams,
     PostFirstJumpSignalStream,
+    require_stream,
 )
-from .quadrature import _values_at
 
 __all__ = [
     "SimConfig",
@@ -275,29 +272,6 @@ def _check_regime(regime: str, sol) -> None:
 # Engine
 # ---------------------------------------------------------------------------
 
-class _StreamEval:
-    """Values of one of the three income streams at (time, jump count)."""
-
-    def __init__(self, stream: IncomeStream, p: ModelParams, eta0: np.ndarray):
-        self.stream = stream
-        self.r = p.r
-        if isinstance(stream, PostFirstJumpSignalStream):
-            psi0 = _values_at(stream.psi, eta0)
-            if np.any(np.abs(psi0) > stream.psi_bound * (1.0 + 1e-12)):
-                raise SimulationError("psi exceeded its declared bound")
-            self.psi0 = psi0
-        elif not isinstance(stream, (ConstantStream, ExpUntilFirstJumpStream)):
-            raise TypeError(f"not an income stream: {stream!r}")
-
-    def values(self, t, jc, rows):
-        """e_t after jc jumps; psi(eta_0) is read at self.psi0[rows]."""
-        if isinstance(self.stream, ConstantStream):
-            return self.stream.level
-        if isinstance(self.stream, ExpUntilFirstJumpStream):
-            return np.where(jc == 0, np.exp(self.r * t), 0.0)
-        return np.where(jc >= 1, self.psi0[rows] * np.exp((self.r - 1.0) * t), 0.0)
-
-
 # One tile over one step block: node times (column 0 repeats the last block's
 # end), log-wealth and deflator there, the flat segment index at each node
 # (None if not needed), the block's events (indices into the tile's event
@@ -472,20 +446,23 @@ class _Tile:
         """Composite-grid trapezoid of deflator times stream, per path: node
         weights times the integrand, plus, in each jump cell, its sum over
         sub-intervals less its regular term."""
-        streams = _StreamEval(stream, self.p, self.eta0)
-        constant = isinstance(stream, ConstantStream)
+        r, keyed = self.p.r, stream.jump_keyed
+        psi0 = np.zeros(len(self.ids))     # read by the post-jump stream alone
+        if isinstance(stream, PostFirstJumpSignalStream):
+            psi0 = stream.psi_at(self.eta0)
         acc = np.zeros(len(self.ids))
-        for b in self.blocks(counts=not constant):
-            jc = None if constant else b.seg - self.row0[:, None]
+        for b in self.blocks(counts=keyed):
+            jc = b.seg - self.row0[:, None] if keyed else None
             node_i = b.y
-            node_i *= streams.values(b.t, jc, np.s_[:, None])
+            node_i *= stream.values(r, b.t, jc, psi0[:, None])
             half = 0.5 * np.diff(b.t)
             if b.ev.size:
                 ev = b.ev
                 er, ec, tau = self.er[ev], self.cell[ev] - b.k0, self.tau[ev]
                 first, last = self.first[ev], self.last[ev]
-                i_left = b.y_left * streams.values(tau, self.ej[ev], er)
-                i_right = b.y_right * streams.values(tau, self.ej[ev] + 1, er)
+                psi_ev = psi0[er]
+                i_left = b.y_left * stream.values(r, tau, self.ej[ev], psi_ev)
+                i_right = b.y_right * stream.values(r, tau, self.ej[ev] + 1, psi_ev)
                 start = np.where(first, node_i[er, ec], np.roll(i_right, 1))
                 lr, lc = er[last], ec[last]
                 lo, hi = node_i[lr, lc], node_i[lr, lc + 1]
@@ -527,6 +504,7 @@ def path_integrals(p: ModelParams, sol, cfg: SimConfig, stream: IncomeStream,
     path_offset + n_paths (default: all of cfg.n_paths) in order, and each
     path's value does not depend on the slice it is computed in.
     """
+    require_stream(stream)
     total = cfg.n_paths if n_paths is None else n_paths
     out = np.empty(total)
     for lo, tile in _tiles(p, sol, cfg, _grid_nodes(cfg), path_offset, total,

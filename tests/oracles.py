@@ -10,7 +10,8 @@ scalar wealth step and jump update that the hand replay of a path composes,
 the one-signal-at-a-time loop that the batched signal-law averages of
 the closed forms are checked against, the allocating exposure kernel that
 the in-place one is checked against, and the one-path-at-a-time scenario
-draw that the engine's batched tile draw is checked against.
+draw that the engine's batched tile draw is checked against. beta_coef is
+not an oracle but a test helper: it reads the package's own batched value.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from infoprice.agents import signal_terms
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12,
@@ -201,6 +204,12 @@ def exposure_slope_allocating(q, h, lam_a3, jump_rel, w, p, base=None, xu=None):
     f = h * ((p.mu - p.r) - curv * q) + lam_a3 * (xu @ w)
     fp = -h * curv - lam_a3 * p.R * ((xu * jump_rel / base) @ w)
     return f, fp
+
+
+def beta_coef(eta0: float, sol, p, rule) -> float:
+    """The signal insider's pre-jump rate beta(eta0), the signal-conditional
+    analogue of alpha, as agents.signal_terms gives it at the one signal."""
+    return float(signal_terms(sol, p, np.array([float(eta0)]), rule)[2][0])
 
 
 def signal_law_average(f, p, rule) -> float:

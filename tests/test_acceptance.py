@@ -24,7 +24,6 @@ from infoprice.model import (
 )
 from infoprice.pricing import (
     Conditioning,
-    beta_coef,
     closed_form_price,
     price_mc,
 )
@@ -32,6 +31,7 @@ from infoprice.quadrature import g_of_q, g_of_q_many, phi2, phi2_many, psi_doubl
 from infoprice.simulate import SimConfig, deflator_at_times
 
 from .oracles import (
+    beta_coef,
     discretized_bayes_posterior,
     gaussian_expect_simpson,
     gauss_laguerre_exp_average,

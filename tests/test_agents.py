@@ -41,10 +41,10 @@ from infoprice.errors import (
 )
 from infoprice.model import validate_params
 from infoprice.optimize import maximize_bounded
-from infoprice.pricing import beta_coef
 from infoprice.quadrature import g_of_q, g_of_q_many, gauss_jacobi, phi2_many
 
 from .oracles import (
+    beta_coef,
     bisection_root,
     discretized_bayes_posterior,
     exposure_slope_allocating,

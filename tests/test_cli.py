@@ -229,6 +229,14 @@ class TestCompare:
         assert timing_row["closed_form"] is not None
         assert timing_row["mc_mean"] is None
 
+    def test_psi_table_stream_label(self, cfg_path, tmp_path):
+        table = tmp_path / "psi.tsv"
+        table.write_text("-1.0 0.0\n0.0 0.5\n1.0 1.0\n")
+        code, out, err = run_cli("compare", "--config", cfg_path, "--stream",
+                                 f"post_jump_signal:pwl@{table}", *FAST)
+        assert code == 0, err
+        assert json.loads(out)["stream"] == f"post_jump_signal:pwl@{table}"
+
 
 class TestValidate:
     def test_validate_passes(self, cfg_path):

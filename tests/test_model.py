@@ -3,12 +3,14 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from infoprice.errors import ConfigError, StreamGuardError
 from infoprice.model import (
     CONFIG_KEYS,
     ConstantStream,
+    ExpUntilFirstJumpStream,
     ModelParams,
     PostFirstJumpSignalStream,
     read_params_file,
@@ -88,6 +90,31 @@ class TestStreamGuard:
     def test_psi_bound_must_be_finite(self):
         with pytest.raises(StreamGuardError):
             PostFirstJumpSignalStream(psi=math.tanh, psi_bound=math.nan)
+
+
+class TestStreamValues:
+    # e_t at times t after `jumps` jumps; psi0 is each path's psi(eta_0)
+    t, jumps = np.array([0.5, 1.0, 2.0]), np.array([0, 1, 2])
+    psi0 = np.array([0.3, -0.2, 0.1])
+
+    def test_constant(self):
+        e = ConstantStream(2.5)
+        assert not e.jump_keyed
+        assert e.values(0.05, self.t, None, self.psi0) == 2.5
+
+    def test_exp_until_jump(self):
+        e = ExpUntilFirstJumpStream()
+        assert e.jump_keyed
+        got = e.values(0.05, self.t, self.jumps, self.psi0)
+        assert got.tolist() == pytest.approx([math.exp(0.05 * 0.5), 0.0, 0.0], rel=1e-15)
+
+    def test_post_jump_signal(self):
+        e = PostFirstJumpSignalStream(psi=np.tanh, psi_bound=1.0)
+        assert e.jump_keyed
+        got = e.values(0.05, self.t, self.jumps, self.psi0)
+        assert got.tolist() == pytest.approx(
+            [0.0, -0.2 * math.exp(-0.95), 0.1 * math.exp(-0.95 * 2.0)], rel=1e-15)
+        assert e.psi_at(self.psi0).tolist() == np.tanh(self.psi0).tolist()
 
 
 class TestConfigFile:

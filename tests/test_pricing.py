@@ -22,7 +22,7 @@ from infoprice.agents import (
     solve_timing_insider,
     solve_uninformed,
 )
-from infoprice.errors import DomainError, GateError, ParameterError
+from infoprice.errors import DomainError, GateError, ParameterError, SimulationError
 from infoprice.model import (
     ConstantStream,
     ExpUntilFirstJumpStream,
@@ -30,7 +30,6 @@ from infoprice.model import (
 )
 from infoprice.pricing import (
     Conditioning,
-    beta_coef,
     closed_form_price,
     info_value_report,
     n_workers,
@@ -38,9 +37,9 @@ from infoprice.pricing import (
     truncation_bound,
 )
 from infoprice.quadrature import gauss_hermite, psi_double_integral
-from infoprice.simulate import SimConfig
+from infoprice.simulate import SimConfig, path_integrals
 
-from .oracles import signal_law_average
+from .oracles import beta_coef, signal_law_average
 
 
 def with_fields(p, **kw):
@@ -448,6 +447,38 @@ class TestInvalidInputs:
                 truncation_bound(e, "uninformed", canon, sols, 10.0)
             with pytest.raises(TypeError):
                 price_mc(e, sols.uninformed, canon, cfg, sols=sols)
+            with pytest.raises(TypeError):
+                info_value_report(e, canon, cfg, sols=sols)
+            with pytest.raises(TypeError):
+                path_integrals(canon, sols.uninformed, cfg, e)
+
+    @pytest.mark.parametrize("stream", [ConstantStream(1.0), E2],
+                             ids=["constant", "exp_until_jump"])
+    def test_solution_of_another_regime_raises_before_forking(
+            self, canon, sols, monkeypatch, stream):
+        # cfg.regime is uninformed by default, sol is the timing insider's:
+        # the mismatch is reported here, not from inside the workers or as
+        # the uninformed regime missing from the bound's solutions
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(pricing, "ProcessPoolExecutor", no_pool)
+        cfg = SimConfig(horizon=2.0, dt=0.5, n_paths=4096, seed=1)
+        with pytest.raises(TypeError, match="^regime 'uninformed' needs its own "
+                           "solution, got TimingInsiderSolution$") as info:
+            price_mc(stream, sols.timing, canon, cfg, workers=2)
+        assert info.value.__cause__ is None
+
+    @pytest.mark.parametrize("regime", ["uninformed", "timing", "signal"])
+    def test_psi_beyond_its_bound_raises(self, canon, sols, regime):
+        e = PostFirstJumpSignalStream(psi=lambda x: np.full_like(x, 2.0),
+                                      psi_bound=1.0, psi_name="two")
+        cfg = SimConfig(horizon=2.0, dt=0.5, n_paths=10, seed=1, regime=regime)
+        sol = sols.for_regime(regime)
+        with pytest.raises(SimulationError, match="^psi exceeded its declared bound$"):
+            path_integrals(canon, sol, cfg, e)
+        with pytest.raises(SimulationError, match="^psi exceeded its declared bound$"):
+            price_mc(e, sol, canon, cfg, sols=sols)
 
 
 class TestTruncationBounds:
@@ -516,6 +547,13 @@ class TestInfoValueReport:
         assert [v for _, v in report.signal_conditional_values] == [
             report.row("signal", eta).closed_form
             for eta, _ in report.signal_conditional_values]
+
+    @pytest.mark.parametrize("stream, label", [
+        (ConstantStream(1.0), "constant:1"), (ConstantStream(-2.5), "constant:-2.5"),
+        (E2, "exp_until_jump"), (E3, "post_jump_signal:tanh")])
+    def test_stream_label(self, canon, sols, stream, label):
+        cfg = SimConfig(horizon=2.0, dt=0.5, n_paths=10, seed=0)
+        assert info_value_report(stream, canon, cfg, sols=sols).stream == label
 
     def test_constant_stream_invariance(self, canon, sols):
         cfg = SimConfig(horizon=10.0, dt=0.1, n_paths=100, seed=0,
