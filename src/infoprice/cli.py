@@ -231,9 +231,9 @@ def cmd_price(args) -> int:
                 raise
             continue
         if cf is not None:
-            rows.append(estimate_to_dict(args.stream, regime, "closed_form",
+            rows.append(estimate_to_dict(stream.label, regime, "closed_form",
                                          cf, regime_cond))
-        rows.append(estimate_to_dict(args.stream, regime, "mc", est.mean,
+        rows.append(estimate_to_dict(stream.label, regime, "mc", est.mean,
                                      regime_cond, est))
         results.append({
             "regime": regime,
@@ -247,7 +247,7 @@ def cmd_price(args) -> int:
         })
     payload = {
         "version": __version__,
-        "stream": args.stream,
+        "stream": stream.label,
         "seed": args.seed,
         "dt": args.dt,
         "conditioning": {"t1": args.t1, "eta0": args.eta0},

@@ -9,8 +9,10 @@ and discounts consumption at rate ``rho``. A noisy observer sees
 
 Three income streams make up the stream API: ConstantStream,
 ExpUntilFirstJumpStream and PostFirstJumpSignalStream. Each has its report
-`label`, `jump_keyed` and its integrand `values(r, t, jumps, psi0)`, e_t
-after `jumps` jumps, where only the post-jump stream reads psi0 (its psi_at).
+`label`, `jump_keyed` and its integrand `values(r, t, jumps, psi0, out)`,
+e_t after `jumps` jumps, where only the post-jump stream reads psi0 (its
+psi_at) and a jump-keyed stream writes into the (values, mask) buffers
+`out` when it is given.
 Constructors reject a payoff scale that is not finite; solvers and pricing
 entry points raise ParameterError where validate_params fails a hard check.
 
@@ -194,6 +196,15 @@ def _values_at(f: Callable, x: np.ndarray) -> np.ndarray:
     return values
 
 
+def _buffers(out, *args):
+    """The (values, mask) pair `out` that a jump-keyed stream's values
+    writes into, or a fresh pair of the arguments' broadcast shape."""
+    if out is not None:
+        return out
+    shape = np.broadcast_shapes(*map(np.shape, args))
+    return np.empty(shape), np.empty(shape, dtype=bool)
+
+
 @dataclass(frozen=True)
 class ConstantStream:
     """e_t = level, a deterministic perpetual payment rate."""
@@ -209,7 +220,7 @@ class ConstantStream:
     def label(self) -> str:
         return f"constant:{self.level:g}"
 
-    def values(self, r: float, t, jumps, psi0):
+    def values(self, r: float, t, jumps, psi0, out=None):
         return self.level
 
 
@@ -225,8 +236,11 @@ class ExpUntilFirstJumpStream:
     jump_keyed: ClassVar[bool] = True
     label: ClassVar[str] = "exp_until_jump"
 
-    def values(self, r: float, t, jumps, psi0):
-        return np.where(jumps == 0, np.exp(r * t), 0.0)
+    def values(self, r: float, t, jumps, psi0, out=None):
+        vals, off = _buffers(out, t, jumps)
+        np.copyto(vals, np.exp(r * t))
+        np.copyto(vals, 0.0, where=np.not_equal(jumps, 0, out=off))
+        return vals
 
 
 @dataclass(frozen=True)
@@ -258,8 +272,11 @@ class PostFirstJumpSignalStream:
             raise SimulationError("psi exceeded its declared bound")
         return psi0
 
-    def values(self, r: float, t, jumps, psi0):
-        return np.where(jumps >= 1, psi0 * np.exp((r - 1.0) * t), 0.0)
+    def values(self, r: float, t, jumps, psi0, out=None):
+        vals, off = _buffers(out, t, jumps, psi0)
+        np.multiply(psi0, np.exp((r - 1.0) * t), out=vals)
+        np.copyto(vals, 0.0, where=np.less(jumps, 1, out=off))
+        return vals
 
 
 IncomeStream = ConstantStream | ExpUntilFirstJumpStream | PostFirstJumpSignalStream

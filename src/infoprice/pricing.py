@@ -65,7 +65,6 @@ from .model import (
     IncomeStream,
     ModelParams,
     PostFirstJumpSignalStream,
-    _values_at,
     require_stream,
     require_valid_params,
 )
@@ -193,7 +192,7 @@ def _post_jump_signal(e: PostFirstJumpSignalStream, p: ModelParams,
                           " <= 0: value diverges")
     m1 = float(w @ (h / rate)[-len(w):]) / resolvent
     k = len(eta0)
-    psi = _values_at(e.psi, eta0)
+    psi = e.psi_at(eta0)
     return float(w0 @ (psi * (m1 / h[:k]) * p.lam / rate[:k] * kappa[:k]))
 
 
@@ -298,8 +297,10 @@ def closed_form_price(e: IncomeStream, regime: str, p: ModelParams,
     Raises DomainError when the formula's convergence condition
     (lam - alpha > 0, lam + 1 - alpha > 0, the beta analogues, a positive
     denominator of M_1) fails, GateError where `sols` holds no solution for
-    the regime, ParameterError when p fails a hard check, and TypeError for
-    anything that is not one of the three streams.
+    the regime, ParameterError when p fails a hard check, SimulationError
+    where psi exceeds its bound at a signal it is evaluated at (as the
+    engine does), and TypeError for anything that is not one of the three
+    streams.
     """
     rule = rule or default_rule()
     cond = _check_entry(e, regime, p, conditioning)
@@ -317,11 +318,11 @@ def closed_form_price(e: IncomeStream, regime: str, p: ModelParams,
         denom = p.lam + 1.0 - sol.alpha
         if denom <= 0.0:
             raise DomainError(f"lam + 1 - alpha = {denom:.6g} <= 0: value diverges")
-        dbl = psi_double_integral(e.psi, sol.q_bar1, p, rule)
+        dbl = psi_double_integral(e.psi_at, sol.q_bar1, p, rule)
         return p.lam / denom * dbl
     if regime == "timing":
         # e^(-T1) averages to lam/(lam + 1) over T1 ~ Exp(lam)
-        dbl = psi_double_integral(e.psi, sol.a_star, p, rule)
+        dbl = psi_double_integral(e.psi_at, sol.a_star, p, rule)
         weight = (math.exp(-cond.t1) if cond.t1 is not None
                   else p.lam / (p.lam + 1.0))
         return weight * (sol.A2 / sol.f0) * dbl

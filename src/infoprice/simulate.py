@@ -37,6 +37,14 @@ normals) and log1p(pi expm1(xi)) terms plus the remainder after its last
 jump (on the cell's step normal). The trapezoid is a weighted row sum with
 each jump cell's term replaced by its sub-intervals, from each right limit
 to the next left limit.
+
+Each call of path_integrals, deflator_at_times or simulate_path has one
+workspace, and every (paths, nodes) array of its block passes is written
+into it with out=: log-wealth, the deflator, the segment index, the
+gathered controls, the jump counts and the stream's values and mask. A
+short last tile or block takes a contiguous view of the same buffers, so a
+call (a forked worker's job) faults its pages in once, not once per tile,
+and the arrays of a _Block are valid only until the next block.
 """
 
 from __future__ import annotations
@@ -276,22 +284,44 @@ def _check_regime(regime: str, sol) -> None:
 # end), log-wealth and deflator there, the flat segment index at each node
 # (None if not needed), the block's events (indices into the tile's event
 # arrays), log-wealth at their cells' left nodes and the deflator at both
-# limits of each jump.
+# limits of each jump. x, y and seg live in the call's workspace, which the
+# next block overwrites.
 _Block = namedtuple("_Block", "k0 t x y seg ev x_cell y_left y_right")
 
 
-def _at(table, idx):
-    """A per-segment table at flat segment indices (a scalar passes)."""
-    return table if np.ndim(table) == 0 else np.take(table, idx)
+class _Workspace:
+    """The (paths, nodes) arrays of one engine call, one flat buffer per
+    name. A request is a contiguous view of a buffer's first elements, made
+    on first use and grown when a request is larger, so the tiles and
+    blocks of the call write into the same pages. Every engine call makes
+    its own, so calls on other threads share nothing."""
+
+    def __init__(self):
+        self._bufs = {}
+
+    def __call__(self, name: str, shape, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size:
+            buf = self._bufs[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
-def _on_cells(table, seg, scale):
-    """A per-segment table on each cell (its left node's segment) times scale."""
+def _at(table, idx, out=None):
+    """A per-segment table at flat segment indices (a scalar passes). The
+    indices are in range, where mode "clip" takes the elements "raise"
+    does; "raise" would write out through a fresh copy of it."""
+    return table if np.ndim(table) == 0 else np.take(table, idx, out=out, mode="clip")
+
+
+def _on_cells(table, seg, scale, out):
+    """A per-segment table on each cell (its left node's segment) times
+    scale, a view of out (paths, nodes)."""
     if np.ndim(table) == 0:
         return table * scale
-    out = np.take(table, seg)[:, :-1]     # take() is slow with a view as index
-    out *= scale
-    return out
+    cells = _at(table, seg, out)[:, :-1]     # take() is slow with a view as index
+    cells *= scale
+    return cells
 
 
 class _Tile:
@@ -375,55 +405,63 @@ class _Tile:
         self.c_left = self.log_regime(fe, tau, er) - p.rho * tau
         self.c_right = self.log_regime(fe + 1, tau, er) - p.rho * tau
 
-    def log_term(self, t_next, t):
+    def log_term(self, t_next, t, out=None):
         """Timing: L = log1p(-btilde e^(-gamma (t_next - t))), which enters
         both the consumption integral and log f(t_next - t)."""
-        u = np.subtract(t_next, t)
+        u = np.subtract(t_next, t, out=out)
         np.exp(np.multiply(u, -self.gamma, out=u), out=u)
         return np.log1p(np.multiply(u, -self.btilde, out=u), out=u)
 
     def log_regime(self, seg, t, rows, L=None):
         """The regime's factor of log Y less its value at time 0: R (L - L_0)
-        for the timing insider, log h(eta) - log h(eta_0) for the signal one."""
+        for the timing insider, log h(eta) - log h(eta_0) for the signal one.
+        A given L is spent: the timing insider's log_term at seg, or the
+        signal insider's buffer for the gather."""
         if not self.timing:
-            return _at(self.lh, seg)
+            return _at(self.lh, seg, L)
         if L is None:
             L = self.log_term(np.take(self.tnext, seg), t)
         L -= self.L0[rows]      # in place: a given L is spent
         L *= self.p.R
         return L
 
-    def blocks(self, counts: bool = False):
-        """The tile's _Block for each step block in time order; `counts`
-        asks for the node segments where the controls do not need them."""
+    def blocks(self, ws: _Workspace, counts: bool = False):
+        """The tile's _Block for each step block in time order, its
+        (paths, nodes) arrays in ws and so valid until the next block;
+        `counts` asks for the node segments where the controls do not need
+        them."""
         p, nodes, P = self.p, self.nodes, len(self.ids)
         x0, seg0 = np.zeros(P), self.row0
         for blk, k0 in enumerate(range(0, len(nodes) - 1, _BLOCK_STEPS)):
             t = nodes[k0:k0 + _BLOCK_STEPS + 1]
             W, dt = len(t) - 1, np.diff(t)
+            shape = (P, W + 1)
             ev = np.flatnonzero((self.cell >= k0) & (self.cell < k0 + W))
             er, ec, last = self.er[ev], self.cell[ev] - k0, self.last[ev]
             lr, lc = er[last], ec[last]
             seg = None
             if self.segmented or counts:
-                seg = np.zeros((P, W + 1), dtype=np.int64)
+                seg = ws("seg", shape, np.int64)
+                seg.fill(0)
                 np.add.at(seg, (er, ec + 1), 1)
                 seg[:, 0] += seg0
                 np.cumsum(seg, axis=1, out=seg)
                 seg0 = seg[:, -1].copy()
 
-            x = np.empty((P, W + 1))
+            x = ws("x", shape)
             x[:, 0] = x0
             inc = x[:, 1:]
             for i, pid in enumerate(self.ids.tolist()):
                 _POOL.get_block(self.seed, pid, _PURPOSE_STEPNORM,
                                 blk).standard_normal(out=inc[i])
             z_last = inc[lr, lc]
-            inc *= _on_cells(self.volc, seg, np.sqrt(dt))
-            inc += _on_cells(self.net, seg, dt)
-            L = None
+            # one buffer for the gathers, each spent before the next is made
+            gather = ws("gather", shape)
+            inc *= _on_cells(self.volc, seg, np.sqrt(dt), gather)
+            inc += _on_cells(self.net, seg, dt, gather)
+            L = gather if self.segmented else None
             if self.timing:
-                L = self.log_term(np.take(self.tnext, seg), t)
+                self.log_term(_at(self.tnext, seg, L), t, out=L)
                 inc += L[:, 1:]
                 inc -= L[:, :-1]
             last = ev[last]
@@ -432,7 +470,7 @@ class _Tile:
             x0 = x[:, -1].copy()
             if not np.all(np.isfinite(x0)):
                 raise SimulationError("non-finite wealth during simulation")
-            y = x * -p.R
+            y = np.multiply(x, -p.R, out=ws("y", shape))
             y -= p.rho * t
             if self.segmented:
                 y += self.log_regime(seg, t, np.s_[:, None], L)
@@ -442,7 +480,7 @@ class _Tile:
                          np.exp(self.c_left[ev] - p.R * (x_cell + self.pre[ev])),
                          np.exp(self.c_right[ev] - p.R * (x_cell + self.post[ev])))
 
-    def integrals(self, stream: IncomeStream) -> np.ndarray:
+    def integrals(self, stream: IncomeStream, ws: _Workspace) -> np.ndarray:
         """Composite-grid trapezoid of deflator times stream, per path: node
         weights times the integrand, plus, in each jump cell, its sum over
         sub-intervals less its regular term."""
@@ -451,10 +489,15 @@ class _Tile:
         if isinstance(stream, PostFirstJumpSignalStream):
             psi0 = stream.psi_at(self.eta0)
         acc = np.zeros(len(self.ids))
-        for b in self.blocks(counts=keyed):
-            jc = b.seg - self.row0[:, None] if keyed else None
-            node_i = b.y
-            node_i *= stream.values(r, b.t, jc, psi0[:, None])
+        for b in self.blocks(ws, counts=keyed):
+            node_i, jc, out = b.y, None, None
+            if keyed:
+                # the block's seg and gathers are spent: they take the jump
+                # counts and the values
+                jc = b.seg
+                jc -= self.row0[:, None]
+                out = ws("gather", jc.shape), ws("mask", jc.shape, bool)
+            node_i *= stream.values(r, b.t, jc, psi0[:, None], out)
             half = 0.5 * np.diff(b.t)
             if b.ev.size:
                 ev = b.ev
@@ -506,10 +549,10 @@ def path_integrals(p: ModelParams, sol, cfg: SimConfig, stream: IncomeStream,
     """
     require_stream(stream)
     total = cfg.n_paths if n_paths is None else n_paths
-    out = np.empty(total)
+    out, ws = np.empty(total), _Workspace()
     for lo, tile in _tiles(p, sol, cfg, _grid_nodes(cfg), path_offset, total,
                            pin_t1, pin_eta0):
-        out[lo:lo + len(tile.ids)] = tile.integrals(stream)
+        out[lo:lo + len(tile.ids)] = tile.integrals(stream, ws)
     return out
 
 
@@ -527,9 +570,9 @@ def deflator_at_times(p: ModelParams, sol, cfg: SimConfig,
         raise ValueError("checkpoint times must lie in [0, horizon]")
     nodes = np.union1d([0.0, cfg.horizon], times)
     cols = np.searchsorted(nodes, times)
-    out = np.empty((cfg.n_paths, len(times)))
+    out, ws = np.empty((cfg.n_paths, len(times))), _Workspace()
     for lo, tile in _tiles(p, sol, cfg, nodes, 0, cfg.n_paths, pin_t1, pin_eta0):
-        for b in tile.blocks():
+        for b in tile.blocks(ws):
             here = (cols >= b.k0) & (cols < b.k0 + len(b.t))
             out[lo:lo + len(tile.ids), here] = b.y[:, cols[here] - b.k0]
     return out
@@ -542,10 +585,11 @@ def simulate_path(p: ModelParams, sol, cfg: SimConfig, path_index: int,
     tile = _Tile(p, sol, cfg, _grid_nodes(cfg), np.array([path_index]),
                  pin_t1, pin_eta0)
     parts = [(np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1, dtype=bool))]
-    for b in tile.blocks():
+    for b in tile.blocks(_Workspace()):
         parts.append((tile.tau[b.ev], b.x_cell + tile.post[b.ev], b.y_right,
                       np.ones(len(b.ev), dtype=bool)))
-        parts.append((b.t[1:], b.x[0, 1:], b.y[0, 1:],
+        # the next block overwrites b.x and b.y
+        parts.append((b.t[1:], b.x[0, 1:].copy(), b.y[0, 1:].copy(),
                       np.zeros(len(b.t) - 1, dtype=bool)))
     # jumps come before a node at the same time; keep the later of the two
     cols = [np.concatenate(a) for a in zip(*parts)]

@@ -238,6 +238,22 @@ class TestCompare:
         assert json.loads(out)["stream"] == f"post_jump_signal:pwl@{table}"
 
 
+class TestStreamLabel:
+    def test_price_and_compare_report_the_stream_label(self, cfg_path):
+        # the level as typed is not the label: both commands print constant:1
+        code, out, err = run_cli("price", "--config", cfg_path, "--stream",
+                                 "constant:1.0", "--regime", "merton",
+                                 "--horizon", "5", *FAST)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["stream"] == "constant:1"
+        assert {row["stream"] for row in payload["records"]} == {"constant:1"}
+        code, out, err = run_cli("compare", "--config", cfg_path, "--stream",
+                                 "constant:1.0", *FAST)
+        assert code == 0, err
+        assert json.loads(out)["stream"] == "constant:1"
+
+
 class TestValidate:
     def test_validate_passes(self, cfg_path):
         code, out, err = run_cli("validate", "--config", cfg_path,

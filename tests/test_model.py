@@ -116,6 +116,18 @@ class TestStreamValues:
             [0.0, -0.2 * math.exp(-0.95), 0.1 * math.exp(-0.95 * 2.0)], rel=1e-15)
         assert e.psi_at(self.psi0).tolist() == np.tanh(self.psi0).tolist()
 
+    @pytest.mark.parametrize("e", [ExpUntilFirstJumpStream(),
+                                   PostFirstJumpSignalStream(psi=np.tanh, psi_bound=1.0)])
+    def test_values_into_buffers(self, e):
+        # (paths, nodes) values written into the engine's buffers are the
+        # bits of fresh ones
+        t = np.linspace(0.0, 3.0, 5)
+        jumps = np.array([[0, 0, 0, 0, 0], [1, 1, 1, 1, 1], [0, 0, 1, 2, 2]])
+        vals, mask = np.full((3, 5), np.nan), np.ones((3, 5), dtype=bool)
+        got = e.values(0.05, t, jumps, self.psi0[:, None], (vals, mask))
+        assert got is vals
+        assert got.tobytes() == e.values(0.05, t, jumps, self.psi0[:, None]).tobytes()
+
 
 class TestConfigFile:
     def test_round_trip(self, canon, tmp_path):

@@ -479,6 +479,9 @@ class TestInvalidInputs:
             path_integrals(canon, sol, cfg, e)
         with pytest.raises(SimulationError, match="^psi exceeded its declared bound$"):
             price_mc(e, sol, canon, cfg, sols=sols)
+        # the closed form evaluates psi at the signals it averages over
+        with pytest.raises(SimulationError, match="^psi exceeded its declared bound$"):
+            closed_form_price(e, regime, canon, sols)
 
 
 class TestTruncationBounds:

@@ -7,11 +7,15 @@ match the engine's records node for node.
 """
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -477,6 +481,51 @@ class TestEngineAgainstScalarOps:
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (got, want)
 
 
+class TestMultiBlock:
+    """A grid of three step blocks (2048 + 2048 + 404 steps): the engine's
+    work arrays are reused from block to block and tile to tile, and every
+    value must still be the hand replay's."""
+
+    CFG = dict(horizon=45.0, dt=0.01, seed=99)
+    STREAM = {"merton": "constant:1", "uninformed": "exp_until_jump",
+              "timing": "post_jump_signal:tanh", "signal": "constant:1"}
+
+    @pytest.mark.parametrize("regime", ["uninformed", "timing", "signal", "merton"])
+    def test_simulate_path(self, canon, sols, regime):
+        cfg = SimConfig(n_paths=1, regime=regime, **self.CFG)
+        sol = sols.for_regime(regime)
+        rec = simulate_path(canon, sol, cfg, 3)
+        t, w, y = replay_path(canon, sol, cfg, 3, regime)
+        assert len(t) > 2 * _BLOCK + 1
+        assert np.allclose(rec.grid, t, rtol=0, atol=0)
+        assert np.allclose(rec.wealth, w, rtol=1e-10, atol=0)
+        assert np.allclose(rec.deflator, y, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("regime", ["uninformed", "timing", "signal", "merton"])
+    def test_path_integrals(self, canon, sols, regime):
+        # 300 paths: a full tile, then a short one that reuses its arrays
+        stream = STREAMS[self.STREAM[regime]]
+        cfg = SimConfig(n_paths=300, regime=regime, **self.CFG)
+        sol = sols.for_regime(regime)
+        got = path_integrals(canon, sol, cfg, stream)
+        for pid in (3, 260):
+            want = replay_integral(canon, sol, cfg, pid, regime, stream)
+            assert abs(got[pid] - want) <= 1e-10 * max(1.0, abs(want)), (pid, got[pid], want)
+
+    @pytest.mark.parametrize("regime", ["uninformed", "timing", "signal", "merton"])
+    def test_deflator_at_times(self, canon, sols, regime):
+        # checkpoints at every grid node: the same three blocks
+        cfg = SimConfig(n_paths=300, regime=regime, **self.CFG)
+        sol = sols.for_regime(regime)
+        nodes = _grid_nodes(cfg)
+        got = deflator_at_times(canon, sol, cfg, nodes)
+        for pid in (3, 260):
+            t, _, y, _, jl, jr = replay_points(canon, sol, cfg, pid, regime)
+            regular = jl == jr      # the grid nodes, not the jumps
+            assert np.array_equal(t[regular], nodes)
+            assert np.allclose(got[pid], y[regular], rtol=1e-9, atol=1e-12)
+
+
 class TestSimulatePath:
     @pytest.mark.parametrize("regime", ["uninformed", "timing", "signal", "merton"])
     def test_deflator_starts_at_one(self, canon, sols, regime):
@@ -680,6 +729,65 @@ class TestBulkEngine:
         m1, m2 = out[5.0].mean(), out[0.05].mean()
         se = math.sqrt(out[5.0].var(ddof=1) / 30_000 + out[0.05].var(ddof=1) / 30_000)
         assert abs(m1 - m2) <= 3 * se
+
+
+ENGINE_FAULT_PROBE = """
+import json, os, sys
+sys.modules["scipy"] = None
+import numpy as np
+from infoprice.agents import solve_all
+from infoprice.model import ExpUntilFirstJumpStream, ModelParams, PostFirstJumpSignalStream
+from infoprice.quadrature import gauss_hermite
+from infoprice.simulate import SimConfig, path_integrals
+p = ModelParams(**{fields!r})
+sols = solve_all(p, gauss_hermite(64))
+streams = [PostFirstJumpSignalStream(psi=np.tanh, psi_bound=1.0, psi_name="tanh"),
+           ExpUntilFirstJumpStream()]
+
+def run(regime, stream, n_paths):
+    cfg = SimConfig(horizon=25.0, dt=0.05, n_paths=n_paths, seed=3, regime=regime)
+    path_integrals(p, sols.for_regime(regime), cfg, stream)
+
+def child_faults(*job):
+    pid = os.fork()
+    if pid == 0:
+        run(*job)
+        os._exit(0)
+    _, status, usage = os.wait4(pid, 0)
+    assert status == 0, status
+    return usage.ru_minflt
+
+faults = {{}}
+for regime in ("uninformed", "timing", "signal"):
+    for stream in streams:
+        run(regime, stream, 1024)
+        faults[regime + " " + stream.label] = [child_faults(regime, stream, n)
+                                               for n in (1024, 4096)]
+print(json.dumps(faults))
+"""
+
+
+class TestEngineFaults:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts Linux minor page faults after fork")
+    def test_faults_do_not_grow_with_the_paths(self, dense):
+        """A fresh interpreter at dense warms each (regime, stream) pair,
+        then runs a 1024-path and a 4096-path path_integrals call each in a
+        forked child, as price_mc's workers do. The 4096-path child makes at
+        most 1.3x the minor page faults of the 1024-path one: the work
+        arrays are faulted in once per call, not once per 256-path tile
+        (2.8-3.3x when every tile allocated them). A call in the warm
+        process itself is not counted: it faults in its arrays again, or
+        none of them where the allocator kept the last call's pages."""
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             ENGINE_FAULT_PROBE.format(fields=dataclasses.asdict(dense))],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        for job, (small, large) in json.loads(proc.stdout).items():
+            assert large <= 1.3 * small, (job, small, large)
 
 
 PARAM_SETS = {
