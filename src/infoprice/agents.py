@@ -32,7 +32,9 @@ gives the signal insider's per-signal (q*, h, beta, kappa) that pricing uses.
 
 The four state-price densities share one form, Y_t = s e^(-rho t) w^(-R)
 along the agent's optimal wealth w, and differ only in the value scale s:
-A1, A_M, f(T_next - t) or h(eta_t). deflator evaluates it for any solution.
+A1, A_M, f(T_next - t) or h(eta_t). log_scale gives log s and deflator Y
+for any solution. Since the optimal consumption is c = s^(-1/R) w, Y_t is
+also e^(-rho t) (c_t/c_0)^(-R) along a path started at w = s^(1/R).
 
 Each solved object is immutable, and its class attribute `regime` names its
 slot in RegimeSolutions; evaluation helpers are pure functions.
@@ -69,6 +71,7 @@ __all__ = [
     "solve_signal_insider",
     "q_bar_signal",
     "signal_terms",
+    "log_scale",
     "deflator",
     "solve_all",
     "REGIMES",
@@ -181,13 +184,15 @@ class TimingInsiderSolution:
 
     f enters as f(time to next jump): consumption rate f(T_next - t)^(-1/R)
     and deflator factor f(T_next - t). Internally f(t)^(1/R) is affine in
-    e^(-gamma_M t), which makes f and its consumption integrals closed-form:
+    e^(-gamma_M t), which makes log f closed-form (log_scale):
 
         f(t)^(1/R) = (1 - btilde e^(-gamma_M t)) / gamma_M,
         btilde = 1 - gamma_M f0^(1/R).
 
-    gamma_M > 0 for every solution solve_timing_insider returns, so f stays
-    bounded and the formulas below need no other branch.
+    So between jumps the log of the optimal consumption f(T_next - t)^(-1/R)
+    w moves at the drift of log-wealth less gamma_M. gamma_M > 0 for every
+    solution solve_timing_insider returns, so f stays bounded and needs no
+    other branch.
     """
 
     regime: ClassVar[str] = "timing"
@@ -206,37 +211,6 @@ class TimingInsiderSolution:
     @property
     def btilde(self) -> float:
         return 1.0 - self.gamma_M * self.c0
-
-    def f_root(self, t):
-        """f(t)^(1/R), vectorized; stable for arbitrarily large t."""
-        t = np.asarray(t, dtype=float)
-        return (1.0 - self.btilde * np.exp(-self.gamma_M * t)) / self.gamma_M
-
-    def f(self, t):
-        """Renewal value function f(t) = f_root(t)^R."""
-        return self.f_root(t) ** self.R
-
-    def log_f(self, t):
-        """log f(t), stable for large t."""
-        t = np.asarray(t, dtype=float)
-        return self.R * (np.log1p(-self.btilde * np.exp(-self.gamma_M * t))
-                         - math.log(self.gamma_M))
-
-    def consumption_integral(self, t_next, a, b):
-        """Integral of f(t_next - u)^(-1/R) du over u in [a, b], closed form.
-
-        Vectorized over paths; requires a <= b <= t_next elementwise.
-        """
-        t_next = np.asarray(t_next, dtype=float)
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        g = self.gamma_M
-        s_hi = t_next - a
-        s_lo = t_next - b
-        # log((e^{g s_hi} - btilde)/(e^{g s_lo} - btilde)) without overflow
-        return (g * (b - a)
-                + np.log1p(-self.btilde * np.exp(-g * s_hi))
-                - np.log1p(-self.btilde * np.exp(-g * s_lo)))
 
 
 def _renewal_excess(gamma: float, c0: float, R: float, tail: np.ndarray,
@@ -684,25 +658,33 @@ def q_bar_signal(sol: SignalInsiderSolution, p: ModelParams, eta: float,
 # State-price density
 # ---------------------------------------------------------------------------
 
+def log_scale(sol, gap, signal):
+    """log s, the value scale of sol's regime in its state-price density:
+    log A1, log A_M, log f(gap) with gap = T_next - t the time to the next
+    jump (timing; stable for large gaps) or log h(signal), the signal held
+    (signal). Vectorized over gap and signal, which the other regimes do
+    not read."""
+    if sol.regime == "timing":
+        return sol.R * (np.log1p(-sol.btilde * np.exp(-sol.gamma_M * gap))
+                        - math.log(sol.gamma_M))
+    if sol.regime == "signal":
+        return np.log(sol.h_at(signal))
+    return math.log(sol.A1 if sol.regime == "uninformed" else sol.A_M)
+
+
 def deflator(sol, p: ModelParams, t: float, w: float, next_jump: float = math.inf,
              signal: float | None = None) -> float:
     """State-price density s e^(-rho t) w^(-R) at time t and wealth w, with
-    the value scale s of sol's regime: A1, A_M, f(next_jump - t) or
-    h(signal), the signal held at t; 1 at t = 0 for w = s^(1/R). ValueError
-    for w <= 0, next_jump <= t (timing) or no signal (signal)."""
+    the value scale s of sol's regime (log_scale): A1, A_M, f(next_jump - t)
+    or h(signal), the signal held at t; 1 at t = 0 for w = s^(1/R).
+    ValueError for w <= 0, next_jump <= t (timing) or no signal (signal)."""
     if not w > 0.0:
         raise ValueError(f"wealth must be > 0, got {w}")
-    if sol.regime == "timing":
-        if not next_jump > t:
-            raise ValueError("next_jump must exceed t")
-        scale = float(np.exp(sol.log_f(next_jump - t)))
-    elif sol.regime == "signal":
-        if signal is None:
-            raise ValueError("the signal insider's density needs its signal")
-        scale = float(sol.h_at(signal))
-    else:
-        scale = sol.A1 if sol.regime == "uninformed" else sol.A_M
-    return scale * math.exp(-p.rho * t) * w ** (-p.R)
+    if sol.regime == "timing" and not next_jump > t:
+        raise ValueError("next_jump must exceed t")
+    if sol.regime == "signal" and signal is None:
+        raise ValueError("the signal insider's density needs its signal")
+    return math.exp(float(log_scale(sol, next_jump - t, signal)) - p.rho * t) * w ** (-p.R)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Scenario generation and exact path simulation for all four regimes.
 
-Between jumps the optimal wealth of every agent follows a geometric SDE with
-a constant (or, for the timing insider, deterministically time-varying)
-proportional consumption rate, so each step is advanced by the exact strong
+The deflator is the marginal utility of optimal consumption, Y_t =
+e^(-rho t) (c_t/c_0)^(-R), and c = s^(-1/R) w for the regime's value scale s
+(agents.log_scale). So the engine simulates log consumption: between jumps
+it is a Brownian motion with a drift that is constant per segment, the
+timing insider's included, so each step is advanced by the exact strong
 solution; the only discretization in the whole engine is the trapezoid used
 by the pricing integral. Jump times are explicit integration nodes, so
 integrands that jump are captured with left/right limits. The integrand is
@@ -30,17 +32,17 @@ straight into (paths, jumps) arrays; the times, counts, sizes, signals and
 padding are then one pass over the tile, and draw_scenario is its one-path
 case. A path's controls are constant between its jumps, so they are
 (paths, segments) tables gathered at each node by the jump count before it.
-Log-wealth at the nodes is one cumsum of exact increments and the deflator
-one exp. The tile's in-horizon jumps (events) are handled at once: a grid
-cell with jumps takes as its increment their sub-steps (on the jump
-normals) and log1p(pi expm1(xi)) terms plus the remainder after its last
-jump (on the cell's step normal). The trapezoid is a weighted row sum with
-each jump cell's term replaced by its sub-intervals, from each right limit
-to the next left limit.
+Log consumption at the nodes is one cumsum of exact increments and the
+deflator one exp, with no per-node regime term. The tile's in-horizon jumps
+(events) are handled at once: a grid cell with jumps takes as its increment
+their sub-steps (on the jump normals), log1p(pi expm1(xi)) terms and steps
+of -log s/R, plus the remainder after its last jump (on the cell's step
+normal). The trapezoid is a weighted row sum with each jump cell's term
+replaced by its sub-intervals, from each right limit to the next left limit.
 
 Each call of path_integrals, deflator_at_times or simulate_path has one
 workspace, and every (paths, nodes) array of its block passes is written
-into it with out=: log-wealth, the deflator, the segment index, the
+into it with out=: log consumption, the deflator, the segment index, the
 gathered controls, the jump counts and the stream's values and mask. A
 short last tile or block takes a contiguous view of the same buffers, so a
 call (a forked worker's job) faults its pages in once, not once per tile,
@@ -57,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .agents import REGIMES, deflator, posterior_of_jump
+from .agents import REGIMES, log_scale, posterior_of_jump
 from .errors import SimulationError
 from .model import (
     Conditioning,
@@ -70,7 +72,6 @@ from .model import (
 __all__ = [
     "SimConfig",
     "PathRecord",
-    "path_rng",
     "draw_scenario",
     "simulate_path",
     "path_integrals",
@@ -130,23 +131,15 @@ class PathRecord:
     signals: np.ndarray
 
 
-def _philox_key(seed: int, path_index: int, purpose: int) -> np.ndarray:
-    return np.array([seed, (4 * path_index + purpose) % 2**64], dtype=np.uint64)
-
-
-def path_rng(seed: int, path_index: int, purpose: int) -> np.random.Generator:
-    """Counter-based generator for one (path, purpose) pair."""
-    return np.random.Generator(np.random.Philox(key=_philox_key(seed, path_index, purpose)))
-
-
 class _RngPool(threading.local):
     """Reusable Philox generators, one per purpose, re-keyed per path.
 
     get_block writes the Philox state from Python ints: key (seed,
     (4 i + purpose) mod 2^64), counter (0, 0, block, 0) and an empty buffer,
-    which is the state a fresh path_rng generator starts block 0 from. The
-    draws are the same as a fresh generator's, without the construction
-    cost (about 20 us; each path_rng construction also pulls OS entropy).
+    which is the state a fresh keyed Philox generator starts block 0 from
+    (tests/oracles.py builds those for the reference draws). The draws are
+    the same as a fresh generator's, without the construction cost (about
+    20 us; each construction also pulls OS entropy).
     Purposes get separate instances, made on first use, so interleaved use
     cannot cross streams. Every draw follows its re-key at once, so the
     engine shares one pool, _POOL, which is local to each thread.
@@ -159,7 +152,7 @@ class _RngPool(threading.local):
                   block: int) -> np.random.Generator:
         """Stream segment at counter word 2 = block: disjoint 2^128-draw
         segments of the same keyed stream, one per step block. Block 0 is
-        the start of the stream, which path_rng draws from."""
+        the start of the stream, which a fresh keyed generator draws from."""
         if self._gens[purpose] is None:     # the seed is overwritten below
             self._gens[purpose] = np.random.Generator(np.random.Philox(0))
         self._gens[purpose].bit_generator.state = {
@@ -281,11 +274,11 @@ def _check_regime(regime: str, sol) -> None:
 # ---------------------------------------------------------------------------
 
 # One tile over one step block: node times (column 0 repeats the last block's
-# end), log-wealth and deflator there, the flat segment index at each node
-# (None if not needed), the block's events (indices into the tile's event
-# arrays), log-wealth at their cells' left nodes and the deflator at both
-# limits of each jump. x, y and seg live in the call's workspace, which the
-# next block overwrites.
+# end), log consumption and deflator there, the flat segment index at each
+# node (None if not needed), the block's events (indices into the tile's
+# event arrays), log consumption at their cells' left nodes and the deflator
+# at both limits of each jump. x, y and seg live in the call's workspace,
+# which the next block overwrites.
 _Block = namedtuple("_Block", "k0 t x y seg ev x_cell y_left y_right")
 
 
@@ -327,6 +320,12 @@ def _on_cells(table, seg, scale, out):
 class _Tile:
     """One tile of paths: scenario, per-segment controls and jump events.
 
+    The state is log consumption x = log(c_t/c_0), where c = s^(-1/R) w for
+    the regime's value scale s (agents.log_scale), so the deflator is
+    exp(-R x - rho t) in every regime. Between jumps x moves at a constant
+    rate per segment, the log-wealth drift less cons: the timing insider's
+    f(T_next - t)^(-1/R) w grows at that drift less gamma_M, so its cons is
+    gamma_M. A jump adds its wealth term and -(log s_right - log s_left)/R.
     Tables are (paths, J) for the tile's most segments J, so row * J + s is
     the flat index of segment s. Event arrays hold the in-horizon jumps.
     """
@@ -342,31 +341,25 @@ class _Tile:
         self.eta0 = signals[:, 0].copy()
         self.row0 = np.arange(P) * J
 
-        self.timing = regime == "timing"
-        self.lh = 0.0   # signal: log h(eta_s) - log h(eta_0)
+        n_jumps = counts - 1        # the in-horizon jumps of each path
         if regime == "uninformed":
             pi0 = self.pij = sol.q_bar1
-            self.cons = sol.A1 ** (-1.0 / p.R)
-        elif regime == "merton":
-            pi0, self.pij, self.cons = sol.merton_fraction, 0.0, sol.gamma_M_merton
-        elif self.timing:
-            pi0, self.pij = p.merton_fraction, sol.a_star
-            self.tnext, self.gamma, self.btilde = times, sol.gamma_M, sol.btilde
-            self.L0 = self.log_term(times[:, 0], 0.0)
+            cons = sol.A1 ** (-1.0 / p.R)
+        elif regime == "merton":    # the jump-free benchmark: no events
+            pi0, self.pij, cons = sol.merton_fraction, 0.0, sol.gamma_M_merton
+            n_jumps = np.zeros_like(counts)
+        elif regime == "timing":
+            pi0, self.pij, cons = p.merton_fraction, sol.a_star, sol.gamma_M
         else:
             pi0 = self.pij = np.asarray(sol.q_bar_at(signals), dtype=float)
-            log_h = np.log(np.asarray(sol.h_at(signals), dtype=float))
-            self.cons = np.exp(-log_h / p.R)
-            self.lh = log_h - log_h[:, :1]
+            cons = np.exp(-log_scale(sol, None, signals) / p.R)
         self.drift = p.r + pi0 * (p.mu - p.r) - 0.5 * pi0 * pi0 * p.sigma**2
         self.volc = pi0 * p.sigma
-        # log-wealth drift net of consumption (for the timing insider, net of
-        # gamma; the rest of its consumption integral is a difference of L)
-        self.net = self.drift - (self.gamma if self.timing else self.cons)
-        self.segmented = self.timing or np.ndim(self.net) > 0
+        self.net = self.drift - cons
+        self.segmented = np.ndim(self.net) > 0
 
         # events: all of a jump that does not need the step normals
-        er, ej = np.nonzero((np.arange(J) < counts[:, None] - 1) & (regime != "merton"))
+        er, ej = np.nonzero(np.arange(J) < n_jumps[:, None])
         fe = er * J + ej
         tau = times.ravel()[fe]
         cell = np.clip(np.searchsorted(nodes, tau) - 1, 0, len(nodes) - 2)
@@ -377,13 +370,16 @@ class _Tile:
         prev = nodes[cell]
         prev[~first] = tau[np.flatnonzero(~first) - 1]
         d = tau - prev
-        cint = (sol.consumption_integral(tau, prev, tau) if self.timing
-                else _at(self.cons, fe) * d)
-        sub = (_at(self.drift, fe) * d - cint
+        sub = (_at(self.drift, fe) * d - _at(cons, fe) * d
                + _at(self.volc, fe) * np.sqrt(d) * jnorms.ravel()[fe])
-        total = sub + np.log1p(_at(self.pij, fe) * np.expm1(sizes.ravel()[fe]))
-        # log-wealth from the cell's left node to both limits of each jump:
-        # a per-path cumsum, differenced at the cell's first jump
+        # the value scale's step at the jump: s_left has the jump now and
+        # the signal held, s_right the next jump and the new signal
+        rescale = (log_scale(sol, 0.0, signals.ravel()[fe])
+                   - log_scale(sol, times.ravel()[fe + 1] - tau,
+                               signals.ravel()[fe + 1])) / p.R
+        total = sub + np.log1p(_at(self.pij, fe) * np.expm1(sizes.ravel()[fe])) + rescale
+        # log consumption from the cell's left node to both limits of each
+        # jump: a per-path cumsum, differenced at the cell's first jump
         csum = np.zeros((P, J + 1))
         csum[er, ej + 1] = total
         np.cumsum(csum, axis=1, out=csum)
@@ -394,36 +390,12 @@ class _Tile:
         # the remainder of a cell after its last jump, less its step-normal term
         self.d_rem, self.rem, self.rem_vol = np.zeros((3, len(er)))
         li, nxt = np.flatnonzero(last), fe[last] + 1
-        t_hi = nodes[cell[li] + 1]
-        self.d_rem[li] = t_hi - tau[li]
-        cint = (sol.consumption_integral(times.ravel()[nxt], tau[li], t_hi)
-                if self.timing else _at(self.cons, nxt) * self.d_rem[li])
-        self.rem[li] = _at(self.drift, nxt) * self.d_rem[li] - cint
+        self.d_rem[li] = nodes[cell[li] + 1] - tau[li]
+        self.rem[li] = (_at(self.drift, nxt) * self.d_rem[li]
+                        - _at(cons, nxt) * self.d_rem[li])
         self.rem_vol[li] = _at(self.volc, nxt) * np.sqrt(self.d_rem[li])
         self.er, self.ej, self.tau, self.cell = er, ej, tau, cell
         self.first, self.last, self.d = first, last, d
-        self.c_left = self.log_regime(fe, tau, er) - p.rho * tau
-        self.c_right = self.log_regime(fe + 1, tau, er) - p.rho * tau
-
-    def log_term(self, t_next, t, out=None):
-        """Timing: L = log1p(-btilde e^(-gamma (t_next - t))), which enters
-        both the consumption integral and log f(t_next - t)."""
-        u = np.subtract(t_next, t, out=out)
-        np.exp(np.multiply(u, -self.gamma, out=u), out=u)
-        return np.log1p(np.multiply(u, -self.btilde, out=u), out=u)
-
-    def log_regime(self, seg, t, rows, L=None):
-        """The regime's factor of log Y less its value at time 0: R (L - L_0)
-        for the timing insider, log h(eta) - log h(eta_0) for the signal one.
-        A given L is spent: the timing insider's log_term at seg, or the
-        signal insider's buffer for the gather."""
-        if not self.timing:
-            return _at(self.lh, seg, L)
-        if L is None:
-            L = self.log_term(np.take(self.tnext, seg), t)
-        L -= self.L0[rows]      # in place: a given L is spent
-        L *= self.p.R
-        return L
 
     def blocks(self, ws: _Workspace, counts: bool = False):
         """The tile's _Block for each step block in time order, its
@@ -459,26 +431,19 @@ class _Tile:
             gather = ws("gather", shape)
             inc *= _on_cells(self.volc, seg, np.sqrt(dt), gather)
             inc += _on_cells(self.net, seg, dt, gather)
-            L = gather if self.segmented else None
-            if self.timing:
-                self.log_term(_at(self.tnext, seg, L), t, out=L)
-                inc += L[:, 1:]
-                inc -= L[:, :-1]
             last = ev[last]
             inc[lr, lc] = self.post[last] + self.rem[last] + self.rem_vol[last] * z_last
             np.cumsum(x, axis=1, out=x)
             x0 = x[:, -1].copy()
             if not np.all(np.isfinite(x0)):
-                raise SimulationError("non-finite wealth during simulation")
+                raise SimulationError("non-finite consumption during simulation")
             y = np.multiply(x, -p.R, out=ws("y", shape))
             y -= p.rho * t
-            if self.segmented:
-                y += self.log_regime(seg, t, np.s_[:, None], L)
             np.exp(y, out=y)
-            x_cell = x[er, ec]
+            x_cell, c = x[er, ec], -p.rho * self.tau[ev]
             yield _Block(k0, t, x, y, seg, ev, x_cell,
-                         np.exp(self.c_left[ev] - p.R * (x_cell + self.pre[ev])),
-                         np.exp(self.c_right[ev] - p.R * (x_cell + self.post[ev])))
+                         np.exp(c - p.R * (x_cell + self.pre[ev])),
+                         np.exp(c - p.R * (x_cell + self.post[ev])))
 
     def integrals(self, stream: IncomeStream, ws: _Workspace) -> np.ndarray:
         """Composite-grid trapezoid of deflator times stream, per path: node
@@ -563,11 +528,14 @@ def deflator_at_times(p: ModelParams, sol, cfg: SimConfig,
     """Exact-in-distribution deflator samples at the requested times.
 
     Steps jump-to-jump between checkpoints (the exact scheme has no
-    discretization bias), returning an (n_paths, len(times)) array.
+    discretization bias), returning an (n_paths, len(times)) array whose
+    columns follow times, repeats included. ValueError unless times is a
+    non-empty list in [0, horizon].
     """
-    times = np.asarray(sorted({float(t) for t in times}))
-    if times[0] < 0 or times[-1] > cfg.horizon:
-        raise ValueError("checkpoint times must lie in [0, horizon]")
+    times = np.asarray(times, dtype=float)
+    inside = (times >= 0.0) & (times <= cfg.horizon)     # False for nan
+    if times.ndim != 1 or not times.size or not np.all(inside):
+        raise ValueError("checkpoint times must be a non-empty list in [0, horizon]")
     nodes = np.union1d([0.0, cfg.horizon], times)
     cols = np.searchsorted(nodes, times)
     out, ws = np.empty((cfg.n_paths, len(times))), _Workspace()
@@ -584,22 +552,22 @@ def simulate_path(p: ModelParams, sol, cfg: SimConfig, path_index: int,
     """Full record of a single path on its composite grid."""
     tile = _Tile(p, sol, cfg, _grid_nodes(cfg), np.array([path_index]),
                  pin_t1, pin_eta0)
-    parts = [(np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1, dtype=bool))]
-    for b in tile.blocks(_Workspace()):
+    parts = [(np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1, dtype=bool),
+              np.zeros(1, dtype=np.int64))]
+    for b in tile.blocks(_Workspace(), counts=True):
         parts.append((tile.tau[b.ev], b.x_cell + tile.post[b.ev], b.y_right,
-                      np.ones(len(b.ev), dtype=bool)))
-        # the next block overwrites b.x and b.y
+                      np.ones(len(b.ev), dtype=bool), tile.ej[b.ev] + 1))
+        # the next block overwrites b.x, b.y and b.seg
         parts.append((b.t[1:], b.x[0, 1:].copy(), b.y[0, 1:].copy(),
-                      np.zeros(len(b.t) - 1, dtype=bool)))
+                      np.zeros(len(b.t) - 1, dtype=bool), b.seg[0, 1:].copy()))
     # jumps come before a node at the same time; keep the later of the two
     cols = [np.concatenate(a) for a in zip(*parts)]
     order = np.argsort(cols[0], kind="stable")
     order = order[np.append(np.diff(cols[0][order]) != 0.0, True)]
-    grid, x_path, y, is_jump = (a[order] for a in cols)
+    grid, x_path, y, is_jump, seg = (a[order] for a in cols)
     times, sizes, signals = (a[0] for a in tile.scen[:3])
-    # the wealth at which the density starts at 1
-    w0 = deflator(sol, p, 0.0, 1.0, next_jump=float(times[0]),
-                  signal=float(tile.eta0[0])) ** (1.0 / p.R)
-    return PathRecord(grid=grid, wealth=w0 * np.exp(x_path), deflator=y,
+    # w = c s^(1/R), with c_0 = 1 where the density starts at 1
+    wealth = np.exp(x_path + log_scale(sol, times[seg] - grid, signals[seg]) / p.R)
+    return PathRecord(grid=grid, wealth=wealth, deflator=y,
                       is_jump=is_jump, jump_times=times, jump_sizes=sizes,
                       signals=signals)

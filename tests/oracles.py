@@ -10,8 +10,12 @@ scalar wealth step and jump update that the hand replay of a path composes,
 the one-signal-at-a-time loop that the batched signal-law averages of
 the closed forms are checked against, the allocating exposure kernel that
 the in-place one is checked against, and the one-path-at-a-time scenario
-draw that the engine's batched tile draw is checked against. beta_coef is
-not an oracle but a test helper: it reads the package's own batched value.
+draw that the engine's batched tile draw is checked against, on fresh
+keyed Philox generators (path_rng). The timing insider's renewal function
+f and its closed-form consumption integral live here too: the engine steps
+log consumption, which moves at a constant rate between jumps, so only the
+hand replay integrates the consumption rate. beta_coef is not an oracle
+but a test helper: it reads the package's own batched value.
 """
 
 from __future__ import annotations
@@ -220,6 +224,42 @@ def signal_law_average(f, p, rule) -> float:
     return float(rule.weights @ vals) / math.sqrt(math.pi)
 
 
+def _philox_key(seed: int, path_index: int, purpose: int) -> np.ndarray:
+    return np.array([seed, (4 * path_index + purpose) % 2**64], dtype=np.uint64)
+
+
+def path_rng(seed: int, path_index: int, purpose: int) -> np.random.Generator:
+    """Counter-based generator for one (path, purpose) pair: the start of
+    the documented per-path stream, built fresh."""
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, path_index, purpose)))
+
+
+def timing_f_root(sol, t):
+    """The timing insider's f(t)^(1/R) = (1 - btilde e^(-gamma_M t))/gamma_M,
+    vectorized; stable for arbitrarily large t."""
+    t = np.asarray(t, dtype=float)
+    return (1.0 - sol.btilde * np.exp(-sol.gamma_M * t)) / sol.gamma_M
+
+
+def timing_f(sol, t):
+    """The timing insider's renewal value function f(t) = f_root(t)^R."""
+    return timing_f_root(sol, t) ** sol.R
+
+
+def consumption_integral(sol, t_next, a, b):
+    """Integral of the timing insider's consumption rate f(t_next - u)^(-1/R)
+    du over u in [a, b], closed form; vectorized over paths, and requires
+    a <= b <= t_next elementwise."""
+    t_next, a, b = (np.asarray(x, dtype=float) for x in (t_next, a, b))
+    g = sol.gamma_M
+    s_hi = t_next - a
+    s_lo = t_next - b
+    # log((e^{g s_hi} - btilde)/(e^{g s_lo} - btilde)) without overflow
+    return (g * (b - a)
+            + np.log1p(-sol.btilde * np.exp(-g * s_hi))
+            - np.log1p(-sol.btilde * np.exp(-g * s_lo)))
+
+
 def scenario_reference(p, horizon: float, seed: int, path_index: int,
                        pin_t1=None, pin_eta0=None):
     """One path's scenario drawn the documented way, on fresh generators:
@@ -228,7 +268,6 @@ def scenario_reference(p, horizon: float, seed: int, path_index: int,
     normal and a signal-noise normal interleaved, then one pre-jump normal
     per in-horizon jump. Returns (times, sizes, signals, jump normals)."""
     from infoprice.agents import posterior_of_jump
-    from infoprice.simulate import path_rng
 
     gaps_gen = path_rng(seed, path_index, 0)
     mean = p.lam * horizon

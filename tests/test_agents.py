@@ -24,6 +24,7 @@ from infoprice.agents import (
     _renewal_excess,
     deflator,
     g1_of_q,
+    log_scale,
     posterior_of_jump,
     q_bar_signal,
     signal_terms,
@@ -46,10 +47,12 @@ from infoprice.quadrature import g_of_q, g_of_q_many, gauss_jacobi, phi2_many
 from .oracles import (
     beta_coef,
     bisection_root,
+    consumption_integral,
     discretized_bayes_posterior,
     exposure_slope_allocating,
     gauss_laguerre_exp_average,
     grid_argmax,
+    timing_f,
 )
 
 
@@ -230,7 +233,7 @@ class TestTimingInsider:
         sol = solve_timing_insider(p, rule64)
         # f0 = g(a*) A2 exactly at the root of the renewal equation
         assert abs(sol.f0 - sol.g_at_a_star * sol.A2) < 1e-9 * sol.f0
-        want = gauss_laguerre_exp_average(lambda s: float(sol.f(s)), p.lam)
+        want = gauss_laguerre_exp_average(lambda s: float(timing_f(sol, s)), p.lam)
         assert abs(sol.A2 - want) < 1e-10 * abs(want)
 
     @pytest.mark.parametrize("fields", [
@@ -371,11 +374,11 @@ class TestTimingInsider:
         assert sol.f0 == pytest.approx(gamma ** (-p0.R), rel=1e-12)
         assert sol.A2 == pytest.approx(gamma ** (-p0.R), rel=1e-12)
         ts = np.linspace(0.0, 50.0, 101)
-        assert np.max(np.abs(sol.f(ts) - sol.f0)) < 1e-9 * sol.f0
+        assert np.max(np.abs(timing_f(sol, ts) - sol.f0)) < 1e-9 * sol.f0
 
     def test_f_monotone(self, canon, rule64, sol_timing):
         ts = np.linspace(0.0, 60.0, 1001)
-        fv = np.asarray(sol_timing.f(ts))
+        fv = np.asarray(timing_f(sol_timing, ts))
         diffs = np.diff(fv)
         if sol_timing.c0 <= 1.0 / sol_timing.gamma_M:
             assert np.all(diffs >= -1e-12)
@@ -385,19 +388,19 @@ class TestTimingInsider:
     def test_consumption_integral_matches_simpson(self, canon, sol_timing):
         from .oracles import adaptive_simpson
         t_next, a, b = 3.0, 0.4, 2.9
-        got = float(sol_timing.consumption_integral(t_next, a, b))
+        got = float(consumption_integral(sol_timing, t_next, a, b))
         want = adaptive_simpson(
-            lambda u: float(sol_timing.f(t_next - u)) ** (-1.0 / canon.R), a, b)
+            lambda u: float(timing_f(sol_timing, t_next - u)) ** (-1.0 / canon.R), a, b)
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
     def test_deflator_normalization(self, canon, sol_timing):
         t1 = 2.0
-        w0 = float(sol_timing.f(t1)) ** (1.0 / canon.R)
+        w0 = float(timing_f(sol_timing, t1)) ** (1.0 / canon.R)
         assert deflator(sol_timing, canon, 0.0, w0, t1) == \
             pytest.approx(1.0, rel=1e-12)
 
     def test_deflator_plugin(self, canon, sol_timing):
-        want = float(sol_timing.f(1.5)) * math.exp(-0.05)
+        want = float(timing_f(sol_timing, 1.5)) * math.exp(-0.05)
         assert deflator(sol_timing, canon, 0.5, 1.0, 2.0) == \
             pytest.approx(want, rel=1e-12)
 
@@ -851,7 +854,7 @@ def test_each_solution_names_its_slot(sols):
 def value_scale(sol, p, t, next_jump, signal):
     """s of Y = s e^(-rho t) w^(-R), read from each solution's own fields."""
     if sol.regime == "timing":
-        return float(sol.f(next_jump - t))
+        return float(timing_f(sol, next_jump - t))
     if sol.regime == "signal":
         return float(sol.h_at(signal))
     return sol.A1 if sol.regime == "uninformed" else sol.A_M
@@ -878,6 +881,25 @@ def test_deflator_of_each_regime(canon, sols, regime):
     if regime == "signal":
         with pytest.raises(ValueError, match="needs its signal"):
             deflator(sol, canon, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_log_scale_of_each_regime(canon, sols, regime):
+    sol = sols.for_regime(regime)
+    gap = np.array([0.0, 0.4, 2.5, 60.0])
+    signal = canon.m + np.array([-0.3, 0.0, 0.1, 0.25])
+    got = log_scale(sol, gap, signal)
+    if regime == "timing":      # against the oracle's f = f_root^R
+        assert np.allclose(got, np.log(timing_f(sol, gap)), rtol=1e-14, atol=1e-14)
+    elif regime == "signal":
+        assert np.array_equal(got, np.log(sol.h_at(signal)))
+    else:
+        assert got == math.log(sol.A1 if regime == "uninformed" else sol.A_M)
+    # deflator is exp(log_scale - rho t) w^(-R)
+    for t, w, g, e in [(0.0, 1.0, 2.5, 0.1), (0.7, 0.4, 0.3, -0.2), (2.2, 3.0, 9.0, 0.0)]:
+        want = math.exp(float(log_scale(sol, g, e)) - canon.rho * t) * w ** -canon.R
+        assert deflator(sol, canon, t, w, next_jump=t + g, signal=e) == \
+            pytest.approx(want, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,16 @@ from infoprice.simulate import (
     deflator_at_times,
     draw_scenario,
     path_integrals,
-    path_rng,
     simulate_path,
 )
 
-from .oracles import apply_jump, scenario_reference, wealth_step_exact
+from .oracles import (
+    apply_jump,
+    consumption_integral,
+    path_rng,
+    scenario_reference,
+    wealth_step_exact,
+)
 
 _BLOCK = 2048   # step-normal block width, part of the stream convention
 
@@ -323,15 +328,16 @@ class TestStepPrimitives:
             apply_jump(1.0, 1.5, 0.1)
 
 
-def replay_points(p, sol, cfg, pid, regime):
-    """Recompose one path from raw streams and the scalar step operations.
+def replay_points(p, sol, cfg, pid, regime, pin="none"):
+    """Recompose one path from raw streams and the scalar step operations,
+    its scenario conditioned on PINS[pin].
 
     Returns the raw composite-grid points in time order, a jump and the node
     it may coincide with both kept: times, wealth and deflator (right limits),
     the deflator's left limit (equal to the right limit at regular nodes),
     and the jump count before and after each point.
     """
-    times, sizes, signals = draw_scenario(p, cfg, pid)
+    times, sizes, signals = draw_scenario(p, cfg, pid, *PINS[pin])
     n_within = int(np.searchsorted(times, cfg.horizon, side="right"))
     zj = path_rng(cfg.seed, pid, 2).standard_normal(n_within) if n_within \
         else np.empty(0)
@@ -364,12 +370,11 @@ def replay_points(p, sol, cfg, pid, regime):
             tau = times[j]
             pi, cons, pj = controls(eta)
             d = tau - cur
-            cint = (float(sol.consumption_integral(tau, cur, tau))
+            cint = (float(consumption_integral(sol, tau, cur, tau))
                     if regime == "timing" else cons * d)
             w = wealth_step_exact(w, pi, cint, d, math.sqrt(d) * zj[j], p)
             if regime == "timing":   # the next jump is now: f(0)
-                out_yl.append(float(np.exp(sol.log_f(0.0)))
-                              * math.exp(-p.rho * tau) * w ** (-p.R))
+                out_yl.append(sol.f0 * math.exp(-p.rho * tau) * w ** (-p.R))
             else:
                 out_yl.append(deflator(sol, p, tau, w, signal=eta))
             w = apply_jump(w, pj, sizes[j])
@@ -388,7 +393,7 @@ def replay_points(p, sol, cfg, pid, regime):
             nxt = math.inf
         else:
             nxt = times[j] if j < len(times) else math.inf
-        cint = (float(sol.consumption_integral(nxt, cur, t_hi))
+        cint = (float(consumption_integral(sol, nxt, cur, t_hi))
                 if regime == "timing" else cons * d)
         w = wealth_step_exact(w, pi, cint, d, math.sqrt(d) * zs[k], p)
         out_t.append(t_hi)
@@ -401,21 +406,21 @@ def replay_points(p, sol, cfg, pid, regime):
             np.array(out_yl), np.array(out_jl), np.array(out_jr))
 
 
-def replay_path(p, sol, cfg, pid, regime):
+def replay_path(p, sol, cfg, pid, regime, pin="none"):
     """The hand replay on the engine's record grid: times, wealth, deflator."""
-    t, w, y, _, _, _ = replay_points(p, sol, cfg, pid, regime)
+    t, w, y, _, _, _ = replay_points(p, sol, cfg, pid, regime, pin)
     # collapse duplicate times keeping the post-jump value, as the engine does
     keep = np.ones(len(t), dtype=bool)
     keep[:-1] = t[:-1] != t[1:]
     return t[keep], w[keep], y[keep]
 
 
-def replay_integral(p, sol, cfg, pid, regime, stream):
+def replay_integral(p, sol, cfg, pid, regime, stream, pin="none"):
     """Composite-grid trapezoid of deflator times stream on the hand replay:
     each sub-interval runs from a point's right limit to the next point's
     left limit."""
-    t, _, y, y_left, jc_left, jc_right = replay_points(p, sol, cfg, pid, regime)
-    eta0 = draw_scenario(p, cfg, pid)[2][0] if p.lam > 0.0 else p.m
+    t, _, y, y_left, jc_left, jc_right = replay_points(p, sol, cfg, pid, regime, pin)
+    eta0 = draw_scenario(p, cfg, pid, *PINS[pin])[2][0] if p.lam > 0.0 else p.m
 
     def value(u, jc):
         if isinstance(stream, ConstantStream):
@@ -429,6 +434,15 @@ def replay_integral(p, sol, cfg, pid, regime, stream):
     left = [yi * value(u, jc) for u, yi, jc in zip(t, y_left, jc_left)]
     return math.fsum(0.5 * (right[i] + left[i + 1]) * (t[i + 1] - t[i])
                      for i in range(len(t) - 1))
+
+
+# Each regime unconditioned, and each insider with its pin of PINS, whose
+# first jump's scale step meets the replaced draw; the ids of the
+# unconditioned cases are their regimes.
+REPLAY_CASES = [pytest.param(r, "none", id=r)
+                for r in ("uninformed", "timing", "signal", "merton")] + [
+    pytest.param("timing", "t1", id="timing-t1"),
+    pytest.param("signal", "eta0", id="signal-eta0")]
 
 
 class TestEngineAgainstScalarOps:
@@ -458,26 +472,27 @@ class TestEngineAgainstScalarOps:
         assert np.allclose(rec.deflator, y, rtol=1e-9, atol=1e-12)
 
     # lambda 2 with dt 1: up to 6 jumps share one grid cell on these paths
-    @pytest.mark.parametrize("regime", ["uninformed", "timing", "signal", "merton"])
+    @pytest.mark.parametrize("regime,pin", REPLAY_CASES)
     @pytest.mark.parametrize("pid", [3, 8, 11])
-    def test_replay_several_jumps_per_cell(self, dense, dense_sols, regime, pid):
+    def test_replay_several_jumps_per_cell(self, dense, dense_sols, regime, pin, pid):
         cfg = SimConfig(horizon=12.0, dt=1.0, n_paths=1, seed=99, regime=regime)
         sol = dense_sols.for_regime(regime)
-        rec = simulate_path(dense, sol, cfg, pid)
-        t, w, y = replay_path(dense, sol, cfg, pid, regime)
+        rec = simulate_path(dense, sol, cfg, pid, *PINS[pin])
+        t, w, y = replay_path(dense, sol, cfg, pid, regime, pin)
         assert np.allclose(rec.grid, t, rtol=0, atol=0)
         assert np.allclose(rec.wealth, w, rtol=1e-10, atol=0)
         assert np.allclose(rec.deflator, y, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("spec", list(STREAMS))
-    @pytest.mark.parametrize("regime", ["uninformed", "timing", "signal", "merton"])
+    @pytest.mark.parametrize("regime,pin", REPLAY_CASES)
     @pytest.mark.parametrize("pid", [3, 8, 11])
-    def test_path_integral_matches_replay(self, dense, dense_sols, spec, regime, pid):
+    def test_path_integral_matches_replay(self, dense, dense_sols, spec, regime, pin, pid):
         stream = STREAMS[spec]
         cfg = SimConfig(horizon=12.0, dt=1.0, n_paths=1, seed=99, regime=regime)
         sol = dense_sols.for_regime(regime)
-        got = path_integrals(dense, sol, cfg, stream, path_offset=pid, n_paths=1)[0]
-        want = replay_integral(dense, sol, cfg, pid, regime, stream)
+        got = path_integrals(dense, sol, cfg, stream, *PINS[pin],
+                             path_offset=pid, n_paths=1)[0]
+        want = replay_integral(dense, sol, cfg, pid, regime, stream, pin)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (got, want)
 
 
@@ -653,6 +668,25 @@ class TestEnginePins:
         t, s, g = draw_scenario(with_fields(canon, lam=0.0), cfg, 0, pin_t1=1.0)
         assert t.tolist() == [math.inf]
         assert s.size == 0 and g.size == 0
+
+
+class TestDeflatorAtTimes:
+    """The checkpoint list is checked, and the columns are the requested
+    times in their order."""
+
+    CFG = SimConfig(horizon=5.0, dt=0.5, n_paths=6, seed=8, regime="timing")
+
+    @pytest.mark.parametrize("times", [[], [math.nan], [1.0, math.nan],
+                                       [-0.5, 1.0], [5.5], [math.inf]])
+    def test_empty_non_finite_or_out_of_range_list_raises(self, canon, sols, times):
+        with pytest.raises(ValueError, match="non-empty list in \\[0, horizon\\]"):
+            deflator_at_times(canon, sols.timing, self.CFG, times)
+
+    def test_columns_follow_the_requested_order_with_repeats(self, canon, sols):
+        got = deflator_at_times(canon, sols.timing, self.CFG, [5.0, 1.0, 5.0, 0.0])
+        want = deflator_at_times(canon, sols.timing, self.CFG, [0.0, 1.0, 5.0])
+        assert got.shape == (6, 4)
+        assert np.array_equal(got, want[:, [2, 1, 2, 0]])
 
 
 class TestBulkEngine:
