@@ -27,8 +27,11 @@ Every exposure maximizes h phi1(q) + lam_a3 phi2(q; row) over [0, 1]: q_bar
 with h(eta), lam A3 and the posterior given eta; q_bar1 with h = 1, lam and
 the prior N(m, v) (g1 up to a constant); a_star with h = 0, 1 and the prior
 (g(a)/(1 - R)). CRRA utility makes this objective concave in q for every
-R > 0, so one kernel, _argmax_exposure, solves all three. signal_terms
-gives the signal insider's per-signal (q*, h, beta, kappa) that pricing uses.
+R > 0, so one kernel, _argmax_exposure, solves all three. Its corner tests
+F(0) <= 0 and F(1) >= 0 on the slope F are affine in (h, lam_a3) with
+per-row constants, which the signal system computes once per eta grid.
+signal_terms gives the signal insider's per-signal (q*, h, beta, kappa)
+that pricing uses.
 
 The four state-price densities share one form, Y_t = s e^(-rho t) w^(-R)
 along the agent's optimal wealth w, and differ only in the value scale s:
@@ -432,22 +435,37 @@ def _exposure_slope(q, h, lam_a3, jump_rel, w, p, base, xu):
     return f, fp
 
 
-def _argmax_exposure(h, lam_a3, jump_rel, w, p, q_start):
+def _corner_coefficients(jump_rel, w, p, work):
+    """(c0, c1) per row of jump_rel: F(0) = h (mu - r) + lam_a3 c0 and
+    F(1) = h ((mu - r) - sigma^2 R) + lam_a3 c1, by the operations of
+    _exposure_slope at q = 0 and q = 1. work is an array of jump_rel's
+    shape that receives (1 + x_k)^(-R) x_k."""
+    xu = np.add(jump_rel, 1.0, out=work)
+    np.power(xu, -p.R, out=xu)
+    xu *= jump_rel
+    return jump_rel @ w, xu @ w
+
+
+def _argmax_exposure(h, lam_a3, jump_rel, w, p, q_start, corners=None):
     """Maximizer over q in [0, 1] of h phi1(q) + lam_a3 phi2(q; row), per row.
 
     F, the objective's q-derivative, decreases (see the module docstring):
     q = 0 where F(0) <= 0, q = 1 where F(1) >= 0, and elsewhere Newton on
     F(q) = 0 from q_start, where each step shrinks a bracket of the root and
-    a step that leaves the bracket is replaced by its midpoint. Stops each
-    row at a step below 1e-14; raises ConvergenceError if some row needs
-    more than _NEWTON_STEPS steps. The (rows x nodes) terms of every step
-    go to two work arrays allocated once per call, whose leading rows serve
-    the shrinking set of rows still iterating.
+    a step that leaves the bracket is replaced by its midpoint. F(0) and
+    F(1) are affine in (h, lam_a3), so the corner tests take O(rows) work
+    from the rows' constants corners = (c0, c1) of _corner_coefficients,
+    which a caller solving one grid many times computes once; without them
+    this call computes them. Stops each row at a step below 1e-14; raises
+    ConvergenceError if some row needs more than _NEWTON_STEPS steps. The
+    (rows x nodes) terms of every Newton step go to two work arrays
+    allocated once per call, whose leading rows serve the shrinking set of
+    rows still iterating.
     """
-    n = len(h)
     base, xu = np.empty_like(jump_rel), np.empty_like(jump_rel)
-    f0 = _exposure_slope(np.zeros(n), h, lam_a3, jump_rel, w, p, base, xu)[0]
-    f1 = _exposure_slope(np.ones(n), h, lam_a3, jump_rel, w, p, base, xu)[0]
+    c0, c1 = corners if corners is not None else _corner_coefficients(jump_rel, w, p, xu)
+    f0 = h * (p.mu - p.r) + lam_a3 * c0
+    f1 = h * ((p.mu - p.r) - p.sigma**2 * p.R) + lam_a3 * c1
     q = np.where(f0 <= 0.0, 0.0,
                  np.where(f1 >= 0.0, 1.0, np.clip(q_start, 0.0, 1.0)))
     rows = np.flatnonzero((f0 > 0.0) & (f1 < 0.0))
@@ -495,6 +513,9 @@ class _SignalSystem:
         self.eta_grid = eta_grid
         # jump_rel[i, k] = e^{x_k} - 1 at posterior nodes for grid signal i
         self.jump_rel = np.expm1(rule.points(*posterior_of_jump(eta_grid, p)))
+        # the corner constants hold for every h and A3 on this grid
+        self.c0, self.c1 = _corner_coefficients(self.jump_rel, rule.probs, p,
+                                                np.empty_like(self.jump_rel))
 
     def _phi1(self, q):
         p = self.p
@@ -508,7 +529,11 @@ class _SignalSystem:
         lam_a3 = self.p.lam * a3
         jump_rel = self.jump_rel[rows]
         probs = self.rule.probs
-        q = _argmax_exposure(h, lam_a3, jump_rel, probs, self.p, q_start)
+        q = _argmax_exposure(h, lam_a3, jump_rel, probs, self.p, q_start,
+                             (self.c0[rows], self.c1[rows]))
+        # phi2 enters V itself, so unlike the corner constants it is taken
+        # over this call's rows: a product over another row set rounds some
+        # rows differently
         phi2 = ((1.0 + q[:, None] * jump_rel) ** one_r) @ probs / one_r
         return h * self._phi1(q) + lam_a3 * phi2, q
 

@@ -16,7 +16,6 @@ identical command, config and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -173,7 +172,7 @@ def cmd_solve(args) -> int:
     sols = _solve(p, args)
     payload = {
         "version": __version__,
-        "params": dict(zip(CONFIG_KEYS, dataclasses.astuple(p))),
+        "params": dict(zip(CONFIG_KEYS, vars(p).values())),
         "merton": {
             "A_M": sols.merton.A_M, "kappa": sols.merton.kappa,
             "gamma_M": sols.merton.gamma_M_merton,

@@ -28,7 +28,7 @@ immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -116,7 +116,7 @@ def validate_params(p: ModelParams) -> ValidationReport:
     def check(name: str, ok: bool, message: str) -> None:
         flags.append(CheckFlag(name, bool(ok), message))
 
-    bad = [k for k, x in zip(CONFIG_KEYS, astuple(p)) if not math.isfinite(x)]
+    bad = [k for k, x in zip(CONFIG_KEYS, vars(p).values()) if not math.isfinite(x)]
     check("all_finite", not bad, "every parameter must be finite"
           + (f"; not finite: {', '.join(bad)}" if bad else ""))
     check("no_arbitrage_sigma", p.sigma > 0.0,

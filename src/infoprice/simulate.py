@@ -568,6 +568,8 @@ def simulate_path(p: ModelParams, sol, cfg: SimConfig, path_index: int,
     times, sizes, signals = (a[0] for a in tile.scen[:3])
     # w = c s^(1/R), with c_0 = 1 where the density starts at 1
     wealth = np.exp(x_path + log_scale(sol, times[seg] - grid, signals[seg]) / p.R)
+    if p.lam == 0.0:        # drop the padding row, as draw_scenario does
+        sizes, signals = sizes[:0], signals[:0]
     return PathRecord(grid=grid, wealth=wealth, deflator=y,
                       is_jump=is_jump, jump_times=times, jump_sizes=sizes,
                       signals=signals)

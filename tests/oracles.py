@@ -9,7 +9,9 @@ for the signal posterior, brute-force grids for argmax checks, the
 scalar wealth step and jump update that the hand replay of a path composes,
 the one-signal-at-a-time loop that the batched signal-law averages of
 the closed forms are checked against, the allocating exposure kernel that
-the in-place one is checked against, and the one-path-at-a-time scenario
+the in-place one is checked against, the exposure maximizer that evaluates
+its corner tests by the slope in every call (which the per-grid corner
+constants are checked against), and the one-path-at-a-time scenario
 draw that the engine's batched tile draw is checked against, on fresh
 keyed Philox generators (path_rng). The timing insider's renewal function
 f and its closed-form consumption integral live here too: the engine steps
@@ -24,7 +26,9 @@ import math
 
 import numpy as np
 
+from infoprice import agents
 from infoprice.agents import signal_terms
+from infoprice.errors import ConvergenceError
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12,
@@ -208,6 +212,34 @@ def exposure_slope_allocating(q, h, lam_a3, jump_rel, w, p, base=None, xu=None):
     f = h * ((p.mu - p.r) - curv * q) + lam_a3 * (xu @ w)
     fp = -h * curv - lam_a3 * p.R * ((xu * jump_rel / base) @ w)
     return f, fp
+
+
+def argmax_exposure_slope_corners(h, lam_a3, jump_rel, w, p, q_start, corners=None):
+    """agents._argmax_exposure with F(0) and F(1) from _exposure_slope at
+    q = 0 and 1 on the rows of this call, as before the corner constants
+    (which this ignores) were computed once per grid: the reference whose
+    bits the constant-based corner tests must keep."""
+    n = len(h)
+    base, xu = np.empty_like(jump_rel), np.empty_like(jump_rel)
+    f0 = agents._exposure_slope(np.zeros(n), h, lam_a3, jump_rel, w, p, base, xu)[0]
+    f1 = agents._exposure_slope(np.ones(n), h, lam_a3, jump_rel, w, p, base, xu)[0]
+    q = np.where(f0 <= 0.0, 0.0,
+                 np.where(f1 >= 0.0, 1.0, np.clip(q_start, 0.0, 1.0)))
+    rows = np.flatnonzero((f0 > 0.0) & (f1 < 0.0))
+    lo, hi = np.zeros(rows.size), np.ones(rows.size)
+    for _ in range(agents._NEWTON_STEPS):
+        qa = q[rows]
+        f, fp = agents._exposure_slope(qa, h[rows], lam_a3, jump_rel[rows], w, p,
+                                       base[:rows.size], xu[:rows.size])
+        lo = np.where(f > 0.0, qa, lo)
+        hi = np.where(f > 0.0, hi, qa)
+        q_new = qa - f / fp
+        q[rows] = np.where((q_new >= lo) & (q_new <= hi), q_new, 0.5 * (lo + hi))
+        keep = np.abs(q[rows] - qa) > 1e-14
+        rows, lo, hi = rows[keep], lo[keep], hi[keep]
+        if not rows.size:
+            return q
+    raise ConvergenceError("exposure Newton not converged")
 
 
 def beta_coef(eta0: float, sol, p, rule) -> float:

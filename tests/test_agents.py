@@ -45,6 +45,7 @@ from infoprice.optimize import maximize_bounded
 from infoprice.quadrature import g_of_q, g_of_q_many, gauss_jacobi, phi2_many
 
 from .oracles import (
+    argmax_exposure_slope_corners,
     beta_coef,
     bisection_root,
     consumption_integral,
@@ -530,6 +531,55 @@ class TestExposureWorkArrays:
             capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 100
+
+
+# The benchmark's sets and others that move the corners: R, the noise, a
+# higher premium, and dense jumps at low risk aversion (where a* > 0).
+CORNER_SETS = {**SIGNAL_SETS, "R1.5": dict(R=1.5), "R3": dict(R=3.0),
+               "R5": dict(R=5.0), "v_eps0.5": dict(v_eps=0.5),
+               "R8_mu0.2": dict(R=8.0, mu=0.2), "lam3_R1.5": dict(lam=3.0, R=1.5, m=0.0)}
+
+
+class TestCornerCoefficients:
+    """The corner tests F(0) <= 0 and F(1) >= 0 read per-row constants that
+    the signal system computes once per grid."""
+
+    @pytest.mark.parametrize("fields", SIGNAL_SETS.values(), ids=SIGNAL_SETS)
+    def test_corners_are_the_slope_at_zero_and_one(self, canon, rule64, fields):
+        p = with_fields(canon, **fields)
+        sol = solve_signal_insider(p, rule64)
+        system = agents._SignalSystem(p, rule64, sol.eta_grid)
+        h, lam_a3, n = sol.h_values, p.lam * sol.A3, len(sol.eta_grid)
+        base, xu = np.empty_like(system.jump_rel), np.empty_like(system.jump_rel)
+
+        def slope_at(q):
+            return agents._exposure_slope(np.full(n, q), h, lam_a3, system.jump_rel,
+                                          rule64.probs, p, base, xu)[0]
+
+        assert np.array_equal(h * (p.mu - p.r) + lam_a3 * system.c0, slope_at(0.0))
+        assert np.array_equal(h * ((p.mu - p.r) - p.sigma**2 * p.R)
+                              + lam_a3 * system.c1, slope_at(1.0))
+
+    @pytest.mark.parametrize("fields", CORNER_SETS.values(), ids=CORNER_SETS)
+    def test_bits_match_the_slope_evaluated_corners(self, canon, rule64, fields,
+                                                    monkeypatch):
+        """A3, h, q_bar, signal_terms at 301 signals, q_bar1 and a* are
+        those of the kernel that evaluated both corners by the slope on
+        every call's rows."""
+        p = with_fields(canon, **fields)
+        eta = np.linspace(p.m - 1.0, p.m + 1.0, 301)
+
+        def solved():
+            sol = solve_signal_insider(p, rule64)
+            return (sol.A3, sol.h_values, sol.q_bar_values,
+                    *signal_terms(sol, p, eta, rule64),
+                    solve_uninformed(p, rule64).q_bar1,
+                    solve_timing_insider(p, rule64).a_star)
+
+        got = solved()
+        monkeypatch.setattr(agents, "_argmax_exposure", argmax_exposure_slope_corners)
+        for a, b in zip(got, solved(), strict=True):
+            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -559,6 +559,22 @@ class TestSimulatePath:
         assert np.array_equal(a.deflator, b.deflator)
         assert np.array_equal(a.grid, b.grid)
 
+    @pytest.mark.parametrize("lam,horizon", [(0.0, 2.0), (0.5, 20.0)])
+    def test_scenario_arrays_are_draw_scenarios(self, canon, rule64, lam, horizon):
+        """The record's jump times, sizes and signals are draw_scenario's
+        for the same path: at lam = 0 the +inf sentinel and no size or
+        signal (no padding row)."""
+        p = with_fields(canon, lam=lam)
+        sols = solve_all(p, rule64)
+        cfg = SimConfig(horizon=horizon, dt=0.5, n_paths=1, seed=1)
+        want = draw_scenario(p, cfg, 0)
+        assert len(want[1]) == (0 if lam == 0.0 else len(want[0]))
+        for regime in REGIMES:
+            rec = simulate_path(p, sols.for_regime(regime), dataclasses.replace(
+                cfg, regime=regime), 0)
+            for got, exp in zip((rec.jump_times, rec.jump_sizes, rec.signals), want):
+                assert np.array_equal(got, exp), regime
+
     def test_grid_contains_jump_times(self, canon, sol_uninformed):
         cfg = SimConfig(horizon=20.0, dt=0.25, n_paths=1, seed=3, regime="uninformed")
         rec = simulate_path(canon, sol_uninformed, cfg, 2)
