@@ -9,10 +9,11 @@ and discounts consumption at rate ``rho``. A noisy observer sees
 
 Three income streams make up the stream API: ConstantStream,
 ExpUntilFirstJumpStream and PostFirstJumpSignalStream. Each has its report
-`label`, `jump_keyed` and its integrand `values(r, t, jumps, psi0, out)`,
-e_t after `jumps` jumps, where only the post-jump stream reads psi0 (its
-psi_at) and a jump-keyed stream writes into the (values, mask) buffers
-`out` when it is given.
+`label`, `jump_keyed`, `ends_at_first_jump` (its integrand is zero from the
+first jump on, so the engine need not simulate a path past it) and its
+integrand `values(r, t, jumps, psi0, out)`, e_t after `jumps` jumps, where
+only the post-jump stream reads psi0 (its psi_at) and a jump-keyed stream
+writes into the (values, mask) buffers `out` when it is given.
 Constructors reject a payoff scale that is not finite; solvers and pricing
 entry points raise ParameterError where validate_params fails a hard check.
 
@@ -211,6 +212,7 @@ class ConstantStream:
 
     level: float
     jump_keyed: ClassVar[bool] = False
+    ends_at_first_jump: ClassVar[bool] = False
 
     def __post_init__(self):
         if not math.isfinite(self.level):
@@ -230,10 +232,14 @@ class ExpUntilFirstJumpStream:
 
     It grows as fast as the bank account, so it has a finite price only
     because it stops at the first jump; the pricing layer checks the decay
-    rate that this requires (lam - alpha > 0 and its analogues).
+    rate that this requires (lam - alpha > 0 and its analogues). It
+    ends_at_first_jump, so the engine stops a tile at the cell of its latest
+    first jump: every later node and jump cell would add exactly +0.0, and
+    the per-path values keep their bits (simulate says how).
     """
 
     jump_keyed: ClassVar[bool] = True
+    ends_at_first_jump: ClassVar[bool] = True
     label: ClassVar[str] = "exp_until_jump"
 
     def values(self, r: float, t, jumps, psi0, out=None):
@@ -255,6 +261,7 @@ class PostFirstJumpSignalStream:
     psi_bound: float
     psi_name: str = "psi"
     jump_keyed: ClassVar[bool] = True
+    ends_at_first_jump: ClassVar[bool] = False
 
     def __post_init__(self):
         if not (math.isfinite(self.psi_bound) and self.psi_bound >= 0.0):

@@ -47,6 +47,16 @@ gathered controls, the jump counts and the stream's values and mask. A
 short last tile or block takes a contiguous view of the same buffers, so a
 call (a forked worker's job) faults its pages in once, not once per tile,
 and the arrays of a _Block are valid only until the next block.
+
+A stream that ends_at_first_jump (exp_until_jump) is zero from T1 on, so
+path_integrals cuts a tile where every path jumps in the horizon: it draws
+T1 and the next time per path (the rescale at T1 reads both), their marks
+and T1's jump normal, and stops the block passes at the right node of the
+latest first-jump cell. The bits do not move: each draw kept is a prefix
+of its keyed stream, the nodes and jump cells past the stop would add
+exactly +0.0, and the cut block's pairwise row sum runs over the whole
+block on a zero tail. Any other tile runs the full grid, and the
+non-finite checks see only what is simulated.
 """
 
 from __future__ import annotations
@@ -100,6 +110,10 @@ class SimConfig:
     regime: str = "uninformed"
 
     def __post_init__(self):
+        for name in ("n_paths", "seed"):    # what operator.index accepts
+            if not hasattr(type(getattr(self, name)), "__index__"):
+                raise TypeError(f"{name} must be an integer, "
+                                f"got {getattr(self, name)!r}")
         if not 0.0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
         if not 0.0 < self.dt <= self.horizon:
@@ -175,14 +189,17 @@ def _gap_blocks(mean: float) -> int:
 # Scenario tables of a tile, (paths, J) for the most times J of any path:
 # row i holds its path's first counts[i] jump times (the last one beyond the
 # horizon), their sizes and signals and counts[i] - 1 jump normals, padded
-# with inf, 0, m and 0.
+# with inf, 0, m and 0. A tile cut at the first jump has J = 2 and counts 2:
+# T1, in the horizon, and the next time, wherever it is.
 _Scenarios = namedtuple("_Scenarios", "times sizes signals jnorms counts")
 
 
 def _scenarios(p: ModelParams, horizon: float, seed: int, ids: np.ndarray,
-               pin_t1, pin_eta0) -> _Scenarios:
+               pin_t1, pin_eta0, to_first_jump: bool = False) -> _Scenarios:
     """Scenario tables of paths ids; only the generator calls are per path.
-    With lam = 0 every path has the one time +inf, size 0 and signal m."""
+    With lam = 0 every path has the one time +inf, size 0 and signal m.
+    to_first_jump cuts the tables at the first two times where every path
+    jumps in the horizon; each draw kept is a prefix of the full tables'."""
     pin = Conditioning(t1=pin_t1, eta0=pin_eta0)
     P = len(ids)
     if p.lam == 0.0:
@@ -191,35 +208,42 @@ def _scenarios(p: ModelParams, horizon: float, seed: int, ids: np.ndarray,
                           np.ones(P, dtype=np.int64))
     ids = ids.tolist()
     # gaps come in blocks of 16 until one lands beyond the horizon; the
-    # first _gap_blocks are drawn in one call (scaling standard draws by
-    # 1/lam is exactly what exponential(1/lam) does)
-    gaps = np.empty((P, _GAP_BLOCK * _gap_blocks(p.lam * horizon)))
+    # first _gap_blocks (one block for a cut) are drawn in one call (scaling
+    # standard draws by 1/lam is exactly what exponential(1/lam) does)
+    n_blocks = 1 if to_first_jump else _gap_blocks(p.lam * horizon)
+    gaps = np.empty((P, _GAP_BLOCK * n_blocks))
     for row, pid in zip(gaps, ids):
         _POOL.get_block(seed, pid, _PURPOSE_GAPS, 0).standard_exponential(out=row)
     gaps *= 1.0 / p.lam
     if pin.t1 is not None:
         gaps[:, 0] = pin.t1
     times = np.cumsum(gaps, axis=1)
-    longer = {}
-    for i in np.flatnonzero(~(times[:, -1] > horizon)).tolist():
-        gen = _POOL.get_block(seed, ids[i], _PURPOSE_GAPS, 0)
-        gen.standard_exponential(gaps.shape[1])      # the draws already made
-        row, t = gaps[i], times[i]
-        while not t[-1] > horizon:
-            row = np.append(row, gen.standard_exponential(_GAP_BLOCK) * (1.0 / p.lam))
-            t = np.cumsum(row)
-        longer[i] = t
-    if longer:
-        width = max(len(t) for t in longer.values())
-        times = np.pad(times, ((0, 0), (0, width - times.shape[1])),
-                       constant_values=math.inf)
-        for i, t in longer.items():
-            times[i, :len(t)] = t
-    counts = (times <= horizon).sum(axis=1) + 1
-    J = int(counts.max())
+    if to_first_jump and np.all(times[:, 0] <= horizon):
+        times, counts = times[:, :2], np.full(P, 2)
+    else:
+        # the gap stream is sequential, so extending a shorter first draw
+        # gives the times a longer one would
+        longer = {}
+        for i in np.flatnonzero(~(times[:, -1] > horizon)).tolist():
+            gen = _POOL.get_block(seed, ids[i], _PURPOSE_GAPS, 0)
+            gen.standard_exponential(gaps.shape[1])      # the draws already made
+            row, t = gaps[i], times[i]
+            while not t[-1] > horizon:
+                row = np.append(row, gen.standard_exponential(_GAP_BLOCK) * (1.0 / p.lam))
+                t = np.cumsum(row)
+            longer[i] = t
+        if longer:
+            width = max(len(t) for t in longer.values())
+            times = np.pad(times, ((0, 0), (0, width - times.shape[1])),
+                           constant_values=math.inf)
+            for i, t in longer.items():
+                times[i, :len(t)] = t
+        counts = (times <= horizon).sum(axis=1) + 1
+        times = times[:, :int(counts.max())]
+    J = times.shape[1]
     col = np.arange(J)
     within = col < counts[:, None]
-    times = np.where(within, times[:, :J], math.inf)
+    times = np.where(within, times, math.inf)
 
     ends = np.cumsum(counts)
     z, zj = np.empty(2 * int(ends[-1])), np.empty(int(ends[-1]) - P)
@@ -328,14 +352,17 @@ class _Tile:
     gamma_M. A jump adds its wealth term and -(log s_right - log s_left)/R.
     Tables are (paths, J) for the tile's most segments J, so row * J + s is
     the flat index of segment s. Event arrays hold the in-horizon jumps.
+    to_first_jump cuts the tile where every path jumps in the horizon: its
+    events are the first jumps, and its blocks stop at node `stop`.
     """
 
     def __init__(self, p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray,
-                 ids: np.ndarray, pin_t1, pin_eta0):
+                 ids: np.ndarray, pin_t1, pin_eta0, to_first_jump: bool = False):
         regime = cfg.regime
         _check_regime(regime, sol)
         self.p, self.seed, self.nodes, self.ids = p, cfg.seed, nodes, ids
-        self.scen = _scenarios(p, cfg.horizon, cfg.seed, ids, pin_t1, pin_eta0)
+        self.scen = _scenarios(p, cfg.horizon, cfg.seed, ids, pin_t1, pin_eta0,
+                               to_first_jump)
         times, sizes, signals, jnorms, counts = self.scen
         P, J = times.shape
         self.eta0 = signals[:, 0].copy()
@@ -396,16 +423,22 @@ class _Tile:
         self.rem_vol[li] = _at(self.volc, nxt) * np.sqrt(self.d_rem[li])
         self.er, self.ej, self.tau, self.cell = er, ej, tau, cell
         self.first, self.last, self.d = first, last, d
+        # the last node simulated: the right node of the latest first-jump
+        # cell when every path jumps, whose events are then the first jumps
+        # (a merton tile has none)
+        self.stop = len(nodes) - 1
+        if to_first_jump and n_jumps.min() > 0:
+            self.stop = int(cell.max()) + 1
 
     def blocks(self, ws: _Workspace, counts: bool = False):
-        """The tile's _Block for each step block in time order, its
-        (paths, nodes) arrays in ws and so valid until the next block;
-        `counts` asks for the node segments where the controls do not need
-        them."""
+        """The tile's _Block for each step block in time order up to node
+        stop (the last block cut there), its (paths, nodes) arrays in ws and
+        so valid until the next block; `counts` asks for the node segments
+        where the controls do not need them."""
         p, nodes, P = self.p, self.nodes, len(self.ids)
         x0, seg0 = np.zeros(P), self.row0
-        for blk, k0 in enumerate(range(0, len(nodes) - 1, _BLOCK_STEPS)):
-            t = nodes[k0:k0 + _BLOCK_STEPS + 1]
+        for blk, k0 in enumerate(range(0, self.stop, _BLOCK_STEPS)):
+            t = nodes[k0:min(k0 + _BLOCK_STEPS, self.stop) + 1]
             W, dt = len(t) - 1, np.diff(t)
             shape = (P, W + 1)
             ev = np.flatnonzero((self.cell >= k0) & (self.cell < k0 + W))
@@ -482,6 +515,15 @@ class _Tile:
             weights = np.append(half, 0.0)
             weights[1:] += half
             node_i *= weights
+            width = min(len(self.nodes) - b.k0, _BLOCK_STEPS + 1)
+            if node_i.shape[1] < width:
+                # a block cut at the stop: its row sum is pairwise over the
+                # whole block, on a zero tail, so it rounds as the uncut
+                # block's does (the blocks after it add exactly +0.0)
+                row = ws("row", (len(node_i), width))
+                row[:, node_i.shape[1]:] = 0.0
+                row[:, :node_i.shape[1]] = node_i
+                node_i = row
             acc += node_i.sum(axis=1)
         if not np.all(np.isfinite(acc)):
             raise SimulationError("non-finite state at the end of simulation")
@@ -489,11 +531,11 @@ class _Tile:
 
 
 def _tiles(p: ModelParams, sol, cfg: SimConfig, nodes: np.ndarray, start: int,
-           count: int, pin_t1, pin_eta0):
+           count: int, pin_t1, pin_eta0, to_first_jump: bool = False):
     """(offset, _Tile) over paths start .. start + count, _TILE_PATHS a tile."""
     for lo in range(0, count, _TILE_PATHS):
         ids = np.arange(start + lo, start + min(lo + _TILE_PATHS, count))
-        yield lo, _Tile(p, sol, cfg, nodes, ids, pin_t1, pin_eta0)
+        yield lo, _Tile(p, sol, cfg, nodes, ids, pin_t1, pin_eta0, to_first_jump)
 
 
 def _grid_nodes(cfg: SimConfig) -> np.ndarray:
@@ -516,7 +558,7 @@ def path_integrals(p: ModelParams, sol, cfg: SimConfig, stream: IncomeStream,
     total = cfg.n_paths if n_paths is None else n_paths
     out, ws = np.empty(total), _Workspace()
     for lo, tile in _tiles(p, sol, cfg, _grid_nodes(cfg), path_offset, total,
-                           pin_t1, pin_eta0):
+                           pin_t1, pin_eta0, stream.ends_at_first_jump):
         out[lo:lo + len(tile.ids)] = tile.integrals(stream, ws)
     return out
 

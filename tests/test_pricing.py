@@ -276,6 +276,22 @@ class TestPriceMc:
             want = closed_form_price(E3, "signal", p, sols, cond)
             assert abs(est.mean - want) <= 3 * est.std_error + est.truncation_bound
 
+    @pytest.mark.parametrize("regime,cond", [
+        ("uninformed", None), ("timing", None), ("timing", Conditioning(t1=1.0)),
+        ("signal", None), ("signal", Conditioning(eta0=0.1))],
+        ids=["uninformed", "timing", "timing-t1", "signal", "signal-eta0"])
+    def test_exp_until_jump_at_dense(self, canon, rule64, regime, cond):
+        # at lam 2 the mean T1 is 0.5 y: the engine stops each tile at its
+        # latest first jump, well short of the horizon
+        p = with_fields(canon, **SETS["dense"])
+        sols = solve_all(p, rule64)
+        cfg = SimConfig(horizon=25.0, dt=0.05, n_paths=16_384, seed=13,
+                        regime=regime)
+        est = price_mc(E2, sols.for_regime(regime), p, cfg, cond, sols=sols)
+        want = closed_form_price(E2, regime, p, sols, cond)
+        assert est.std_error > 0.0
+        assert abs(est.mean - want) <= 4 * est.std_error + est.truncation_bound
+
     def test_quick_example2_uninformed(self, canon, sols):
         cfg = SimConfig(horizon=22.0, dt=0.02, n_paths=20_000, seed=17,
                         regime="uninformed")

@@ -541,6 +541,97 @@ class TestMultiBlock:
             assert np.allclose(got[pid], y[regular], rtol=1e-9, atol=1e-12)
 
 
+class FullHorizonExpUntilJump(ExpUntilFirstJumpStream):
+    """The reference for the first-jump cut: the same integrand, simulated
+    over the whole horizon."""
+
+    ends_at_first_jump = False
+
+
+class TestFirstJumpCut:
+    """A stream that ends at the first jump is simulated up to each tile's
+    latest first-jump cell only, and every per-path value keeps the bits of
+    the whole-horizon run."""
+
+    GRIDS = {"one_block": dict(horizon=25.0, dt=0.05),
+             "three_blocks": dict(horizon=45.0, dt=0.01)}
+
+    @staticmethod
+    def assert_bits_kept(p, sol, cfg, pins=(None, None)):
+        got = path_integrals(p, sol, cfg, ExpUntilFirstJumpStream(), *pins)
+        want = path_integrals(p, sol, cfg, FullHorizonExpUntilJump(), *pins)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("pin", list(PINS))
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("regime", ["uninformed", "timing", "signal", "merton"])
+    @pytest.mark.parametrize("name", ["canon", "dense"])
+    def test_bits_match_the_full_horizon(self, canon, sols, dense, dense_sols,
+                                         name, regime, grid, pin):
+        # 300 paths: a full tile, then a short one that reuses its arrays;
+        # the pinned T1 beyond the horizon falls back to the full grid
+        p, s = (canon, sols) if name == "canon" else (dense, dense_sols)
+        cfg = SimConfig(n_paths=300, seed=11, regime=regime, **self.GRIDS[grid])
+        self.assert_bits_kept(p, s.for_regime(regime), cfg, PINS[pin])
+
+    @pytest.mark.parametrize("regime", ["uninformed", "timing", "signal"])
+    def test_short_horizon_tiles_fall_back(self, canon, sols, regime):
+        # lam H = 5: at this seed two tiles hold a path without an
+        # in-horizon jump and run the full grid, the third is cut
+        cfg = SimConfig(horizon=10.0, dt=0.5, n_paths=768, seed=1, regime=regime)
+        sol = sols.for_regime(regime)
+        nodes = _grid_nodes(cfg)
+        tiles = [t for _, t in simulate._tiles(canon, sol, cfg, nodes, 0, 768,
+                                               None, None, True)]
+        assert [t.scen.counts.min() for t in tiles] == [1, 1, 2]
+        assert [t.stop for t in tiles] == [20, 20, 17]
+        self.assert_bits_kept(canon, sol, cfg)
+
+    @pytest.mark.parametrize("regime", ["uninformed", "timing", "signal", "merton"])
+    def test_no_jumps(self, canon, rule64, regime):
+        p0 = with_fields(canon, lam=0.0)
+        sol = solve_all(p0, rule64).for_regime(regime)
+        cfg = SimConfig(horizon=5.0, dt=0.05, n_paths=300, seed=2, regime=regime)
+        self.assert_bits_kept(p0, sol, cfg)
+
+    @pytest.mark.parametrize("pin", list(PINS))
+    def test_cut_scenario_is_a_prefix(self, dense, pin):
+        # T1 and the next time, their marks and T1's jump normal are the
+        # first draws of the full tables
+        ids = np.arange(5, 305)
+        full = simulate._scenarios(dense, 25.0, 17, ids, *PINS[pin])
+        cut = simulate._scenarios(dense, 25.0, 17, ids, *PINS[pin], True)
+        if pin == "t1_beyond":      # no path jumps in the horizon
+            assert all(np.array_equal(a, b) for a, b in zip(cut, full))
+            return
+        assert cut.times.shape == (300, 2) and np.all(cut.counts == 2)
+        for c, f in zip(cut[:3], full[:3]):
+            assert c.tobytes() == f[:, :2].copy().tobytes()
+        assert np.all(cut.jnorms[:, 1] == 0.0)
+        assert cut.jnorms[:, 0].tobytes() == full.jnorms[:, 0].tobytes()
+
+    def test_blocks_stop_at_the_latest_first_jump(self, dense, dense_sols,
+                                                  monkeypatch):
+        ends = []
+        blocks = _Tile.blocks
+
+        def spy(tile, ws, counts=False):
+            for b in blocks(tile, ws, counts):
+                ends.append(b.t[-1])
+                yield b
+
+        monkeypatch.setattr(_Tile, "blocks", spy)
+        cfg = SimConfig(n_paths=512, seed=3, regime="timing",
+                        **self.GRIDS["three_blocks"])
+        path_integrals(dense, dense_sols.timing, cfg, ExpUntilFirstJumpStream())
+        # at lam 2 a tile's latest first jump is a few years in: one block
+        # for each of the two tiles, cut there
+        assert len(ends) == 2 and max(ends) < 10.0
+        ends.clear()
+        path_integrals(dense, dense_sols.timing, cfg, FullHorizonExpUntilJump())
+        assert len(ends) == 6 and ends[-1] == 45.0
+
+
 class TestSimulatePath:
     @pytest.mark.parametrize("regime", ["uninformed", "timing", "signal", "merton"])
     def test_deflator_starts_at_one(self, canon, sols, regime):
@@ -639,6 +730,24 @@ class TestSimConfig:
     def test_rejects_a_seed_outside_64_bits(self, seed):
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
             SimConfig(horizon=1.0, dt=0.1, n_paths=1, seed=seed)
+
+    @pytest.mark.parametrize("field,value", [("seed", 1.5), ("seed", 1.9),
+                                             ("seed", 1.0), ("n_paths", 4096.0),
+                                             ("n_paths", np.float64(8.0))])
+    def test_rejects_a_path_count_or_seed_that_is_not_an_integer(self, field, value):
+        # a fractional seed used to run as its integer part, and a float
+        # path count failed deep in numpy
+        kw = dict(horizon=1.0, dt=0.1, n_paths=1, seed=1)
+        kw[field] = value
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
+            SimConfig(**kw)
+
+    def test_accepts_numpy_integers(self, canon, sol_uninformed):
+        cfg = SimConfig(horizon=1.0, dt=0.5, n_paths=np.int64(2), seed=np.uint64(5))
+        want = SimConfig(horizon=1.0, dt=0.5, n_paths=2, seed=5)
+        assert np.array_equal(
+            path_integrals(canon, sol_uninformed, cfg, ConstantStream(1.0)),
+            path_integrals(canon, sol_uninformed, want, ConstantStream(1.0)))
 
     def test_accepts_the_64_bit_extremes(self, canon, sol_uninformed):
         for seed in (0, 2**64 - 1):
