@@ -30,7 +30,6 @@ from .agents import (  # noqa: F401
     SignalInsiderSolution,
     TimingInsiderSolution,
     UninformedSolution,
-    deflator,
     posterior_of_jump,
     q_bar_signal,
     solve_all,

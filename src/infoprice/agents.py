@@ -35,8 +35,8 @@ that pricing uses.
 
 The four state-price densities share one form, Y_t = s e^(-rho t) w^(-R)
 along the agent's optimal wealth w, and differ only in the value scale s:
-A1, A_M, f(T_next - t) or h(eta_t). log_scale gives log s and deflator Y
-for any solution. Since the optimal consumption is c = s^(-1/R) w, Y_t is
+A1, A_M, f(T_next - t) or h(eta_t). log_scale gives log s for any
+solution. Since the optimal consumption is c = s^(-1/R) w, Y_t is
 also e^(-rho t) (c_t/c_0)^(-R) along a path started at w = s^(1/R).
 
 Each solved object is immutable, and its class attribute `regime` names its
@@ -75,7 +75,6 @@ __all__ = [
     "q_bar_signal",
     "signal_terms",
     "log_scale",
-    "deflator",
     "solve_all",
     "REGIMES",
 ]
@@ -344,8 +343,8 @@ class _MonotoneCubic:
     Fritsch-Butland weighted harmonic mean of the neighbouring secants inside
     (0 at a local extremum or flat secant) and shape-preserving three-point
     ends, as in scipy.interpolate.PchipInterpolator. The knots x must be
-    evenly spaced (a linspace), so a point's interval is one floor; it
-    evaluates only on [x[0], x[-1]], and callers clip."""
+    evenly spaced (a linspace), so a point's interval is one floor. Points
+    are clipped to [x[0], x[-1]]: the extrapolation is flat."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         if len(x) < 2:
@@ -367,12 +366,14 @@ class _MonotoneCubic:
                                   np.where(wild, 3.0 * m0, e))
         t = (d[:-1] + d[1:] - 2.0 * mk) / hk
         self.knots = x[:-1]
-        self.x0, self.inv_step = x[0], (len(x) - 1) / (x[-1] - x[0])
+        self.x0, self.x1 = x[0], x[-1]
+        self.inv_step = (len(x) - 1) / (x[-1] - x[0])
         # column i: the cubic in s = x - x[i] on [x[i], x[i+1]], highest
         # power first, so one take gathers all four coefficients
         self.coef = np.stack([t / hk, (mk - d[:-1]) / hk - t, d[:-1], y[:-1]])
 
     def __call__(self, xp):
+        xp = np.clip(xp, self.x0, self.x1)
         i = ((xp - self.x0) * self.inv_step).astype(np.intp)
         c = self.coef.take(i, axis=1, mode="clip")    # x[-1]: last interval
         s = xp - self.knots.take(i, mode="clip")
@@ -401,12 +402,10 @@ class SignalInsiderSolution:
 
     def h_at(self, eta):
         """Interpolated h with flat extrapolation."""
-        eta = np.clip(eta, self.eta_grid[0], self.eta_grid[-1])
         return self._h_interp(eta)
 
     def q_bar_at(self, eta):
         """Interpolated optimal exposure with flat extrapolation, in [0, 1]."""
-        eta = np.clip(eta, self.eta_grid[0], self.eta_grid[-1])
         return np.clip(self._q_interp(eta), 0.0, 1.0)
 
 
@@ -503,7 +502,8 @@ class _SignalSystem:
     V_i'(h) = phi1(q*), so r(h) = (1-1/R) V_i(h) - h^(1-1/R) has slope
     (1-1/R)(phi1(q*) - h^(-1/R)). r is convex, negative near 0 and positive
     for large h, so one batched Newton solve over the grid, started from the
-    previous outer iterate, finds every h_i. The caller drives the outer
+    previous outer iterate, finds every h_i once each h is right of the
+    minimum of its r (where the slope is positive). The caller drives the outer
     unknown A3 to its fixed point.
     """
 
@@ -540,8 +540,9 @@ class _SignalSystem:
     def solve_grid(self, a3: float, h_start: np.ndarray, q_start: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
         """h at every grid signal by batched Newton from h_start, each signal
-        stopping at a relative step below 1e-13; returns (h, q*) with q* the
-        exposures of the last Newton step."""
+        stopping at a relative step below 1e-13; a signal left of the minimum
+        of r doubles its h until it is right of it. Returns (h, q*) with q*
+        the exposures of the last Newton step."""
         one_m = 1.0 - 1.0 / self.p.R          # in (0, 1) for R > 1
         h, q = np.array(h_start, dtype=float), np.array(q_start, dtype=float)
         rows = np.arange(len(h))
@@ -549,9 +550,11 @@ class _SignalSystem:
             hr = h[rows]
             val, q[rows] = self.sup_values(hr, a3, q[rows], rows)
             slope = one_m * (self._phi1(q[rows]) - hr ** (-1.0 / self.p.R))
-            if not np.all(slope > 0.0):
-                raise ConvergenceError("h Newton slope is not positive")
-            h[rows] = hr - (one_m * val - hr ** one_m) / slope
+            # a slope <= 0 puts h left of the minimum of the convex r, whose
+            # root is then above h: such rows double h instead of stepping
+            left = slope <= 0.0
+            h[rows] = np.where(left, 2.0 * hr, hr - (one_m * val - hr ** one_m)
+                               / np.where(left, 1.0, slope))
             if not np.all(np.isfinite(h[rows]) & (h[rows] > 0.0)):
                 raise ConvergenceError("h Newton iterate left (0, inf)")
             rows = rows[np.abs(h[rows] - hr) > 1e-13 * hr]
@@ -564,9 +567,7 @@ class _SignalSystem:
         """A3 candidate: E[h(eta)] under eta ~ N(m, v + v_eps)."""
         p = self.p
         interp = _MonotoneCubic(self.eta_grid, h_values)
-        pts = np.clip(self.rule.points(p.m, p.v + p.v_eps),
-                      self.eta_grid[0], self.eta_grid[-1])
-        return float(self.rule.probs @ interp(pts))
+        return float(self.rule.probs @ interp(self.rule.points(p.m, p.v + p.v_eps)))
 
 
 def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
@@ -695,21 +696,6 @@ def log_scale(sol, gap, signal):
     if sol.regime == "signal":
         return np.log(sol.h_at(signal))
     return math.log(sol.A1 if sol.regime == "uninformed" else sol.A_M)
-
-
-def deflator(sol, p: ModelParams, t: float, w: float, next_jump: float = math.inf,
-             signal: float | None = None) -> float:
-    """State-price density s e^(-rho t) w^(-R) at time t and wealth w, with
-    the value scale s of sol's regime (log_scale): A1, A_M, f(next_jump - t)
-    or h(signal), the signal held at t; 1 at t = 0 for w = s^(1/R).
-    ValueError for w <= 0, next_jump <= t (timing) or no signal (signal)."""
-    if not w > 0.0:
-        raise ValueError(f"wealth must be > 0, got {w}")
-    if sol.regime == "timing" and not next_jump > t:
-        raise ValueError("next_jump must exceed t")
-    if sol.regime == "signal" and signal is None:
-        raise ValueError("the signal insider's density needs its signal")
-    return math.exp(float(log_scale(sol, next_jump - t, signal)) - p.rho * t) * w ** (-p.R)
 
 
 # ---------------------------------------------------------------------------

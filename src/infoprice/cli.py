@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .agents import REGIMES, RegimeSolutions, solve_all
+from .agents import REGIMES, solve_all
 from .errors import ConfigError, DomainError, GateError
 from .model import (
     CONFIG_KEYS,
@@ -38,12 +38,12 @@ from .model import (
 )
 from .pricing import (
     Conditioning,
+    PriceEstimate,
     closed_form_price,
-    estimate_to_dict,
     info_value_report,
     price_mc,
 )
-from .quadrature import gauss_hermite
+from .quadrature import expect_gaussian, g_of_q, gauss_hermite
 from .simulate import SimConfig, deflator_at_times
 
 # One documented block of defaults; flags override per run.
@@ -53,10 +53,10 @@ DEFAULTS = {
     "seed": 20_240,
     "rule_order": 64,       # Gauss-Hermite points
     "grid_size": 201,       # signal-insider eta grid over +-6 sd
-    "horizon": {            # per --stream prefix, years (tail bound < 1e-4)
-        "constant": 200.0,
-        "exp_until_jump": 25.0,
-        "post_jump_signal": 22.0,
+    "horizon": {            # per --stream prefix, years; truncation bound:
+        "constant": 200.0,          # e^(-rH)/r per unit level, 9.1e-4 at r 0.05
+        "exp_until_jump": 25.0,     # at most 7.5e-6 for the README's config
+        "post_jump_signal": 22.0,   # e^(-H) = 2.8e-10 per unit psi bound
     },
 }
 
@@ -128,7 +128,7 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
         def walk(prefix, obj):
             if isinstance(obj, dict):
                 for key in sorted(obj):
-                    walk(f"{prefix}{key}." if prefix else f"{key}.", obj[key]) \
+                    walk(f"{prefix}{key}.", obj[key]) \
                         if isinstance(obj[key], (dict, list)) else \
                         lines.append(f"{prefix}{key}\t{_fmt(obj[key])}")
             elif isinstance(obj, list):
@@ -159,17 +159,22 @@ def _sim_config(args, regime: str) -> SimConfig:
                      seed=args.seed, regime=regime)
 
 
-def _solve(p: ModelParams, args, regimes=REGIMES) -> RegimeSolutions:
-    return solve_all(p, gauss_hermite(args.rule_order), args.grid_size, regimes)
+def _record(label: str, regime: str, method: str, mean: float,
+            cond: Conditioning, est: PriceEstimate | None = None) -> dict:
+    """The price report's record of one (regime, method): a closed form has
+    no estimate, so its Monte Carlo fields are None."""
+    mc_fields = ("std_error", "truncation_bound", "n_paths", "horizon")
+    return {"stream": label, "regime": regime, "method": method, "mean": mean,
+            "conditioning": cond.record(),
+            **{name: getattr(est, name, None) for name in mc_fields}}
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_solve(args) -> int:
-    p = read_params_file(args.config)
-    sols = _solve(p, args)
+def cmd_solve(p: ModelParams, args) -> dict:
+    sols = solve_all(p, gauss_hermite(args.rule_order), args.grid_size)
     payload = {
         "version": __version__,
         "params": dict(zip(CONFIG_KEYS, vars(p).values())),
@@ -201,17 +206,15 @@ def cmd_solve(args) -> int:
         }
     else:
         payload["signal"] = None
-    _emit(payload, args.format, args.out)
-    return 0
+    return payload
 
 
-def cmd_price(args) -> int:
-    p = read_params_file(args.config)
+def cmd_price(p: ModelParams, args) -> dict:
     stream = parse_stream(args.stream)
     cond = Conditioning(t1=args.t1, eta0=args.eta0)
     regimes = REGIMES if args.regime == "all" else (args.regime,)
-    sols = _solve(p, args, regimes)
     rule = gauss_hermite(args.rule_order)
+    sols = solve_all(p, rule, args.grid_size, regimes)
     results = []
     rows = []
     for regime in regimes:
@@ -230,10 +233,10 @@ def cmd_price(args) -> int:
                 raise
             continue
         if cf is not None:
-            rows.append(estimate_to_dict(stream.label, regime, "closed_form",
-                                         cf, regime_cond))
-        rows.append(estimate_to_dict(stream.label, regime, "mc", est.mean,
-                                     regime_cond, est))
+            rows.append(_record(stream.label, regime, "closed_form", cf,
+                                regime_cond))
+        rows.append(_record(stream.label, regime, "mc", est.mean, regime_cond,
+                            est))
         results.append({
             "regime": regime,
             "conditioning": regime_cond.record(),
@@ -244,7 +247,7 @@ def cmd_price(args) -> int:
                 "truncation_bound": est.truncation_bound,
             },
         })
-    payload = {
+    return {
         "version": __version__,
         "stream": stream.label,
         "seed": args.seed,
@@ -253,15 +256,12 @@ def cmd_price(args) -> int:
         "prices": results,
         "records": rows,
     }
-    _emit(payload, args.format, args.out)
-    return 0
 
 
-def cmd_compare(args) -> int:
-    p = read_params_file(args.config)
+def cmd_compare(p: ModelParams, args) -> dict:
     stream = parse_stream(args.stream)
-    sols = _solve(p, args)
     rule = gauss_hermite(args.rule_order)
+    sols = solve_all(p, rule, args.grid_size)
     cfg = _sim_config(args, "uninformed")
     report = info_value_report(stream, p, cfg, sols=sols, rule=rule,
                                with_mc=args.with_mc)
@@ -274,7 +274,7 @@ def cmd_compare(args) -> int:
             "mc_mean": None if row.mc is None else row.mc.mean,
             "mc_std_error": None if row.mc is None else row.mc.std_error,
         })
-    payload = {
+    return {
         "version": __version__,
         "stream": report.stream,
         "rows": rows,
@@ -282,12 +282,9 @@ def cmd_compare(args) -> int:
         "signal_information_value": report.signal_information_value,
         "signal_conditional_values": [list(t) for t in report.signal_conditional_values],
     }
-    _emit(payload, args.format, args.out)
-    return 0
 
 
-def cmd_validate(args) -> int:
-    p = read_params_file(args.config)
+def cmd_validate(p: ModelParams, args) -> int:
     checks: list[tuple[str, bool, str]] = []
 
     def add(name: str, ok: bool, detail: str) -> None:
@@ -298,7 +295,6 @@ def cmd_validate(args) -> int:
         add(f"params.{flag.name}", flag.passed, flag.message)
     if not any(f.name in HARD_CHECKS for f in report.failures()):
         rule = gauss_hermite(args.rule_order)
-        from .quadrature import expect_gaussian, g_of_q
         # quadrature spot checks against closed moments
         add("quadrature.normalization",
             abs(expect_gaussian(lambda x: np.ones_like(x), 0.3, 0.02, rule) - 1.0) < 1e-12,
@@ -308,7 +304,7 @@ def cmd_validate(args) -> int:
             "E[Z^2] = var")
         add("quadrature.g_at_0", abs(g_of_q(0.0, p, rule) - 1.0) < 1e-12, "g(0) = 1")
 
-        sols = _solve(p, args)
+        sols = solve_all(p, rule, args.grid_size)
         if p.lam > 0:
             phi_resid = abs(sols.timing.f0 - sols.timing.g_at_a_star * sols.timing.A2)
             add("timing.fixed_point", phi_resid < 1e-9 * max(1.0, sols.timing.f0),
@@ -406,7 +402,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        p = read_params_file(args.config)
+        if args.func is cmd_validate:       # its PASS/FAIL lines are its report
+            return cmd_validate(p, args)
+        _emit(args.func(p, args), args.format, args.out)
+        return 0
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

@@ -79,7 +79,6 @@ __all__ = [
     "price_mc",
     "closed_form_price",
     "truncation_bound",
-    "estimate_to_dict",
     "info_value_report",
     "n_workers",
 ]
@@ -332,23 +331,6 @@ def closed_form_price(e: IncomeStream, regime: str, p: ModelParams,
 # ---------------------------------------------------------------------------
 # Information-value report
 # ---------------------------------------------------------------------------
-
-def estimate_to_dict(stream_label: str, regime: str, method: str,
-                     mean: float, conditioning: Conditioning = Conditioning(),
-                     est: PriceEstimate | None = None) -> dict:
-    """Canonical report record for one priced (stream, regime, method)."""
-    return {
-        "stream": stream_label,
-        "regime": regime,
-        "method": method,
-        "mean": mean,
-        "std_error": None if est is None else est.std_error,
-        "truncation_bound": None if est is None else est.truncation_bound,
-        "n_paths": None if est is None else est.n_paths,
-        "horizon": None if est is None else est.horizon,
-        "conditioning": conditioning.record(),
-    }
-
 
 @dataclass(frozen=True)
 class PriceRow:

@@ -124,10 +124,7 @@ def g_of_q(q: float, p: ModelParams, rule: QuadratureRule) -> float:
 
     The restriction q in [0, 1] keeps 1 + q(e^x - 1) > 0 for every x.
     """
-    q = _check_q(q)
-    jump_rel = np.expm1(rule.points(p.m, p.v))
-    values = (1.0 + q * jump_rel) ** (1.0 - p.R)
-    return float(rule.weights @ values) / _SQRT_PI
+    return float(g_of_q_many(_check_q(q), p, rule))
 
 
 def g_of_q_many(q: np.ndarray, p: ModelParams, rule: QuadratureRule) -> np.ndarray:
@@ -149,9 +146,7 @@ def phi2(q: float, m_prime: float, v_prime: float, p: ModelParams,
     q = _check_q(q)
     if not v_prime > 0.0:
         raise ValueError(f"v_prime must be > 0, got {v_prime}")
-    jump_rel = np.expm1(rule.points(m_prime, v_prime))
-    values = (1.0 + q * jump_rel) ** (1.0 - p.R)
-    return float(rule.weights @ values) / _SQRT_PI / (1.0 - p.R)
+    return float(phi2_many(q, m_prime, v_prime, p, rule))
 
 
 def phi2_many(q: np.ndarray, m_prime: float, v_prime: float, p: ModelParams,

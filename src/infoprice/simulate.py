@@ -241,31 +241,24 @@ def _scenarios(p: ModelParams, horizon: float, seed: int, ids: np.ndarray,
         counts = (times <= horizon).sum(axis=1) + 1
         times = times[:, :int(counts.max())]
     J = times.shape[1]
-    col = np.arange(J)
-    within = col < counts[:, None]
+    within = np.arange(J) < counts[:, None]
     times = np.where(within, times, math.inf)
 
-    ends = np.cumsum(counts)
-    z, zj = np.empty(2 * int(ends[-1])), np.empty(int(ends[-1]) - P)
-    for i, (pid, a, b) in enumerate(zip(ids, (ends - counts).tolist(), ends.tolist())):
-        _POOL.get_block(seed, pid, _PURPOSE_MARKS, 0).standard_normal(out=z[2 * a:2 * b])
-        if b - a > 1:
+    # each path's marks (size and noise normals interleaved) and jump
+    # normals go straight into its rows; the zeros beyond are padding
+    z, jnorms = np.zeros((P, 2 * J)), np.zeros((P, J))
+    for pid, n, z_row, j_row in zip(ids, counts.tolist(), z, jnorms):
+        _POOL.get_block(seed, pid, _PURPOSE_MARKS, 0).standard_normal(out=z_row[:2 * n])
+        if n > 1:
             _POOL.get_block(seed, pid, _PURPOSE_JUMPNORM, 0).standard_normal(
-                out=zj[a - i:b - i - 1])
-    sizes = p.m + math.sqrt(p.v) * z[0::2]
-    signals = sizes + math.sqrt(p.v_eps) * z[1::2]
+                out=j_row[:n - 1])
+    sizes = p.m + math.sqrt(p.v) * z[:, 0::2]
+    signals = np.where(within, sizes + math.sqrt(p.v_eps) * z[:, 1::2], p.m)
     if pin.eta0 is not None:
         m_post, v_post = posterior_of_jump(pin.eta0, p)
-        first = ends - counts
-        sizes[first] = m_post + math.sqrt(v_post) * z[2 * first]
-        signals[first] = pin.eta0
-    tables = []
-    for flat, fill, mask in ((sizes, 0.0, within), (signals, p.m, within),
-                             (zj, 0.0, col < counts[:, None] - 1)):
-        table = np.full((P, J), fill)
-        table[mask] = flat
-        tables.append(table)
-    return _Scenarios(times, *tables, counts)
+        sizes[:, 0] = m_post + math.sqrt(v_post) * z[:, 0]
+        signals[:, 0] = pin.eta0
+    return _Scenarios(times, np.where(within, sizes, 0.0), signals, jnorms, counts)
 
 
 def draw_scenario(p: ModelParams, cfg: SimConfig, path_index: int,

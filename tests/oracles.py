@@ -16,8 +16,10 @@ draw that the engine's batched tile draw is checked against, on fresh
 keyed Philox generators (path_rng). The timing insider's renewal function
 f and its closed-form consumption integral live here too: the engine steps
 log consumption, which moves at a constant rate between jumps, so only the
-hand replay integrates the consumption rate. beta_coef is not an oracle
-but a test helper: it reads the package's own batched value.
+hand replay integrates the consumption rate, and only the hand replay and
+the normalization tests evaluate the state-price density at a given wealth
+(deflator). beta_coef is not an oracle but a test helper: it reads the
+package's own batched value.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 import numpy as np
 
 from infoprice import agents
-from infoprice.agents import signal_terms
+from infoprice.agents import log_scale, signal_terms
 from infoprice.errors import ConvergenceError
 
 
@@ -200,6 +202,22 @@ def apply_jump(w: float, pi_at_jump: float, xi: float) -> float:
     if not 0.0 <= pi_at_jump <= 1.0:
         raise ValueError(f"jump exposure must be in [0, 1], got {pi_at_jump}")
     return w * (1.0 + pi_at_jump * math.expm1(xi))
+
+
+def deflator(sol, p, t: float, w: float, next_jump: float = math.inf,
+             signal: float | None = None) -> float:
+    """State-price density s e^(-rho t) w^(-R) at time t and wealth w, with
+    the value scale s of sol's regime (agents.log_scale): A1, A_M,
+    f(next_jump - t) or h(signal), the signal held at t; 1 at t = 0 for
+    w = s^(1/R). ValueError for w <= 0, next_jump <= t (timing) or no
+    signal (signal)."""
+    if not w > 0.0:
+        raise ValueError(f"wealth must be > 0, got {w}")
+    if sol.regime == "timing" and not next_jump > t:
+        raise ValueError("next_jump must exceed t")
+    if sol.regime == "signal" and signal is None:
+        raise ValueError("the signal insider's density needs its signal")
+    return math.exp(float(log_scale(sol, next_jump - t, signal)) - p.rho * t) * w ** (-p.R)
 
 
 def exposure_slope_allocating(q, h, lam_a3, jump_rel, w, p, base=None, xu=None):

@@ -22,7 +22,6 @@ from infoprice.agents import (
     RegimeSolutions,
     _MonotoneCubic,
     _renewal_excess,
-    deflator,
     g1_of_q,
     log_scale,
     posterior_of_jump,
@@ -49,6 +48,7 @@ from .oracles import (
     beta_coef,
     bisection_root,
     consumption_integral,
+    deflator,
     discretized_bayes_posterior,
     exposure_slope_allocating,
     gauss_laguerre_exp_average,
@@ -824,6 +824,30 @@ class TestSignalInsider:
         assert np.all((sol.q_bar_values >= 0.0) & (sol.q_bar_values <= 1.0))
         assert float(sol.residuals.max()) < 1e-8
         assert sol.A3 <= sol.a1 * (1 + 1e-8)
+
+    @pytest.mark.parametrize("fields", [
+        dict(mu=0.9020902195531264, r=0.028283934855836083,
+             sigma=0.5148737399356748, lam=0.9550946205624684,
+             m=0.23073492802190865, v=0.05197833065822411,
+             rho=0.278975753163548, R=6.090377167123646,
+             v_eps=0.0005606294000700017),
+        dict(mu=0.1270673046847357, r=0.00739712928934916,
+             sigma=0.17318180733154498, lam=0.016612602479615345,
+             m=0.21511492773220176, v=0.11747940284765565,
+             rho=0.0957948598030497, R=13.181676671264952,
+             v_eps=0.007614546902582018),
+    ], ids=["R6.09", "R13.18"])
+    def test_rows_left_of_the_minimum_of_r_solve(self, canon, rule64, fields):
+        # at high R some grid rows start left of the minimum of the convex
+        # r(h), where the Newton slope is negative; they double h until it
+        # is positive. h grows like A1 here (the R 13.18 set's absolute
+        # residual is 4.1e3), so the residual is taken relative to
+        # h^(1-1/R)/(1-1/R)
+        sol = solve_signal_insider(with_fields(canon, **fields), rule64)
+        one_m = 1.0 - 1.0 / fields["R"]
+        assert sol.A3 <= sol.a1 * (1 + 1e-8)
+        relative = sol.residuals / (sol.h_values ** one_m / one_m)
+        assert float(relative.max()) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,24 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert err.startswith(f"usage error: {flag[0][2:]} must be ")
 
+    @pytest.mark.parametrize("cmd,args,err", [
+        ("price", ("--config", "/nonexistent.cfg", "--stream", "bogus"),
+         "config error: cannot read config file '/nonexistent.cfg'"),
+        ("price", ("--stream", "bogus", "--t1", "inf"),
+         "config error: unknown stream kind 'bogus'\n"),
+        ("compare", ("--stream", "bogus"), "config error: unknown stream kind 'bogus'\n"),
+        ("price", ("--stream", "constant:1", "--t1", "inf"),
+         "usage error: t1 must be finite and > 0, got inf\n"),
+        ("solve", (), "usage error: order must be in [1, 200], got 0\n"),
+    ], ids=["config", "stream", "compare-stream", "pin", "rule"])
+    def test_first_bad_input_is_reported(self, cfg_path, cmd, args, err):
+        # the config, the stream, the pin and then the rule are checked, so
+        # with --rule-order 0 as well the first bad input is the one reported
+        code, out, got = run_cli(cmd, "--config", cfg_path, *args,
+                                 "--rule-order", "0")
+        assert (code, out) == (2, "")
+        assert got.startswith(err)
+
 
 class TestNonFiniteParams:
     @pytest.mark.parametrize("key,value", [("mu", "nan"), ("mu", "inf"),

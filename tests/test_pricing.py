@@ -11,6 +11,7 @@ import pytest
 
 from infoprice import pricing
 from infoprice.agents import (
+    REGIMES,
     RegimeSolutions,
     _MonotoneCubic,
     _pre_jump_rate,
@@ -325,6 +326,32 @@ class TestPriceMc:
         got = price_mc(scalar, sol, p, cfg, sols=sols, workers=1)
         assert want.std_error > 0.0
         assert (got.mean, got.std_error) == (want.mean, want.std_error)
+
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_sols_none_reads_sol_alone(self, canon, sols, regime):
+        # without sols the bound reads sol in its own slot: every applicable
+        # stream, unpinned and under the regime's pin, gives the estimate
+        # and bound of sols=
+        cfg = SimConfig(horizon=5.0, dt=0.1, n_paths=300, seed=9, regime=regime)
+        sol = sols.for_regime(regime)
+        pins = {"timing": Conditioning(t1=2.0), "signal": Conditioning(eta0=0.1)}
+        for stream in (ConstantStream(1.0), E2, E3):
+            if regime == "merton" and stream.jump_keyed:
+                continue
+            for cond in (None, pins.get(regime)):
+                want = price_mc(stream, sol, canon, cfg, cond, sols=sols)
+                got = price_mc(stream, sol, canon, cfg, cond)
+                assert (got.mean, got.std_error, got.truncation_bound) == \
+                    (want.mean, want.std_error, want.truncation_bound)
+
+    def test_one_path_has_zero_standard_error(self, canon, sols):
+        cfg = SimConfig(horizon=5.0, dt=0.1, n_paths=1, seed=9,
+                        regime="uninformed")
+        stream = ConstantStream(1.0)
+        est = price_mc(stream, sols.uninformed, canon, cfg, sols=sols)
+        assert (est.n_paths, est.std_error) == (1, 0.0)
+        assert est.mean == path_integrals(canon, sols.uninformed, cfg, stream)[0]
 
 
 class TestWorkerCount:

@@ -23,7 +23,6 @@ import pytest
 from infoprice import simulate
 from infoprice.agents import (
     REGIMES,
-    deflator,
     posterior_of_jump,
     solve_all,
     solve_signal_insider,
@@ -49,6 +48,7 @@ from infoprice.simulate import (
 from .oracles import (
     apply_jump,
     consumption_integral,
+    deflator,
     path_rng,
     scenario_reference,
     wealth_step_exact,
