@@ -102,9 +102,7 @@ class UninformedSolution:
 
 def g1_of_q(q: float, p: ModelParams, rule: QuadratureRule) -> float:
     """Jump-adjusted drift objective the uninformed agent maximizes."""
-    jump_term = 0.0
-    if p.lam > 0.0:
-        jump_term = p.lam * (g_of_q(q, p, rule) - 1.0) / (1.0 - p.R)
+    jump_term = p.lam * (g_of_q(q, p, rule) - 1.0) / (1.0 - p.R)
     return (
         p.r + q * (p.mu - p.r) - 0.5 * p.sigma**2 * p.R * q * q + jump_term
     )

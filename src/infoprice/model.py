@@ -50,7 +50,6 @@ __all__ = [
     "require_stream",
     "read_params_file",
     "CONFIG_KEYS",
-    "HARD_CHECKS",
 ]
 
 
@@ -90,6 +89,7 @@ class CheckFlag:
     name: str
     passed: bool
     message: str
+    hard: bool = True           # a failed hard check stops every solver
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,8 @@ def validate_params(p: ModelParams) -> ValidationReport:
     """
     flags: list[CheckFlag] = []
 
-    def check(name: str, ok: bool, message: str) -> None:
-        flags.append(CheckFlag(name, bool(ok), message))
+    def check(name: str, ok: bool, message: str, hard: bool = True) -> None:
+        flags.append(CheckFlag(name, bool(ok), message, hard))
 
     bad = [k for k, x in zip(CONFIG_KEYS, vars(p).values()) if not math.isfinite(x)]
     check("all_finite", not bad, "every parameter must be finite"
@@ -136,22 +136,16 @@ def validate_params(p: ModelParams) -> ValidationReport:
         pi_m = p.merton_fraction
         check("signal_regime_gate", p.R > 1.0 and 0.0 < pi_m < 1.0 and p.v_eps > 0.0,
               "signal-insider solve needs R > 1, (mu - r)/(sigma^2 R) in (0, 1) and "
-              f"v_eps > 0; got R={p.R:g}, fraction={pi_m:.6g}, v_eps={p.v_eps:g}")
+              f"v_eps > 0; got R={p.R:g}, fraction={pi_m:.6g}, v_eps={p.v_eps:g}",
+              hard=False)
     return ValidationReport(tuple(flags))
 
 
-# Checks that gate every solver; the signal solver raises GateError from the
-# signal_regime_gate flag of the report that require_valid_params returns.
-HARD_CHECKS = (
-    "all_finite", "no_arbitrage_sigma", "r_positive", "v_positive", "lambda_nonnegative",
-    "v_eps_nonnegative", "rho_positive", "utility_R", "finite_value_R_gt_1",
-)
-
-
 def require_valid_params(p: ModelParams) -> ValidationReport:
-    """Raise ParameterError if any hard check fails, else return the report."""
+    """Raise ParameterError if any hard check fails, else return the report;
+    the signal solver raises GateError from its signal_regime_gate flag."""
     report = validate_params(p)
-    bad = [f for f in report.failures() if f.name in HARD_CHECKS]
+    bad = [f for f in report.failures() if f.hard]
     if bad:
         raise ParameterError("; ".join(f"{f.name}: {f.message}" for f in bad))
     return report

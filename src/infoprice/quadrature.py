@@ -21,7 +21,7 @@ needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -151,11 +151,8 @@ def phi2(q: float, m_prime: float, v_prime: float, p: ModelParams,
 
 def phi2_many(q: np.ndarray, m_prime: float, v_prime: float, p: ModelParams,
               rule: QuadratureRule) -> np.ndarray:
-    """Vectorized phi2 over an array of exposures."""
-    q = np.asarray(q, dtype=float)
-    jump_rel = np.expm1(rule.points(m_prime, v_prime))
-    values = (1.0 + q[..., None] * jump_rel) ** (1.0 - p.R)
-    return (values @ rule.weights) / _SQRT_PI / (1.0 - p.R)
+    """Vectorized phi2 over exposures in [0, 1]: g under N(m', v'), / (1 - R)."""
+    return g_of_q_many(q, replace(p, m=m_prime, v=v_prime), rule) / (1.0 - p.R)
 
 
 def psi_double_integral(psi: Callable, a_coef: float, p: ModelParams,

@@ -207,39 +207,29 @@ def _scenarios(p: ModelParams, horizon: float, seed: int, ids: np.ndarray,
                           np.full((P, 1), p.m), np.zeros((P, 1)),
                           np.ones(P, dtype=np.int64))
     ids = ids.tolist()
-    # gaps come in blocks of 16 until one lands beyond the horizon; the
-    # first _gap_blocks (one block for a cut) are drawn in one call (scaling
-    # standard draws by 1/lam is exactly what exponential(1/lam) does)
+    # each path draws _gap_blocks blocks of 16 gaps (one block for a cut) in
+    # one call; while a path's last time is still in the horizon, or a cut
+    # finds a path without a jump in it, the tile draws again at twice the
+    # width. The gap stream is sequential, so a wider draw's prefix is the
+    # narrower one (scaling standard draws by 1/lam is exactly what
+    # exponential(1/lam) does)
     n_blocks = 1 if to_first_jump else _gap_blocks(p.lam * horizon)
-    gaps = np.empty((P, _GAP_BLOCK * n_blocks))
-    for row, pid in zip(gaps, ids):
-        _POOL.get_block(seed, pid, _PURPOSE_GAPS, 0).standard_exponential(out=row)
-    gaps *= 1.0 / p.lam
-    if pin.t1 is not None:
-        gaps[:, 0] = pin.t1
-    times = np.cumsum(gaps, axis=1)
-    if to_first_jump and np.all(times[:, 0] <= horizon):
-        times, counts = times[:, :2], np.full(P, 2)
-    else:
-        # the gap stream is sequential, so extending a shorter first draw
-        # gives the times a longer one would
-        longer = {}
-        for i in np.flatnonzero(~(times[:, -1] > horizon)).tolist():
-            gen = _POOL.get_block(seed, ids[i], _PURPOSE_GAPS, 0)
-            gen.standard_exponential(gaps.shape[1])      # the draws already made
-            row, t = gaps[i], times[i]
-            while not t[-1] > horizon:
-                row = np.append(row, gen.standard_exponential(_GAP_BLOCK) * (1.0 / p.lam))
-                t = np.cumsum(row)
-            longer[i] = t
-        if longer:
-            width = max(len(t) for t in longer.values())
-            times = np.pad(times, ((0, 0), (0, width - times.shape[1])),
-                           constant_values=math.inf)
-            for i, t in longer.items():
-                times[i, :len(t)] = t
-        counts = (times <= horizon).sum(axis=1) + 1
-        times = times[:, :int(counts.max())]
+    while True:
+        gaps = np.empty((P, _GAP_BLOCK * n_blocks))
+        for row, pid in zip(gaps, ids):
+            _POOL.get_block(seed, pid, _PURPOSE_GAPS, 0).standard_exponential(out=row)
+        gaps *= 1.0 / p.lam
+        if pin.t1 is not None:
+            gaps[:, 0] = pin.t1
+        times = np.cumsum(gaps, axis=1)
+        if to_first_jump and np.all(times[:, 0] <= horizon):
+            times, counts = times[:, :2], np.full(P, 2)
+            break
+        if np.all(times[:, -1] > horizon):
+            counts = (times <= horizon).sum(axis=1) + 1
+            times = times[:, :int(counts.max())]
+            break
+        n_blocks *= 2
     J = times.shape[1]
     within = np.arange(J) < counts[:, None]
     times = np.where(within, times, math.inf)

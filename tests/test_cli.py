@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 CANON_CFG = """\
@@ -21,6 +22,20 @@ v = 0.01
 rho = 0.10
 R = 2
 v_eps = 0.02
+"""
+
+# a high-R set where h grows like A1: the signal solve's worst absolute
+# residual is 4.1e3, 5e-16 relative to h^(1-1/R)/(1-1/R)
+HIGH_R_CFG = """\
+mu = 0.1270673046847357
+r = 0.00739712928934916
+sigma = 0.17318180733154498
+lambda = 0.016612602479615345
+m = 0.21511492773220176
+v = 0.11747940284765565
+rho = 0.0957948598030497
+R = 13.181676671264952
+v_eps = 0.007614546902582018
 """
 
 FAST = ["--paths", "2000", "--dt", "0.1", "--grid-size", "61",
@@ -46,6 +61,49 @@ def run_cli(*args, env=None):
                           capture_output=True, text=True, timeout=600,
                           env=None if env is None else {**os.environ, **env})
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def leaves(obj, prefix=""):
+    """(path, value) of every leaf of a JSON report: dict keys in sorted
+    order, list entries by index, joined with dots."""
+    if not isinstance(obj, (dict, list)):
+        return [(prefix[:-1], obj)]
+    keys = sorted(obj) if isinstance(obj, dict) else range(len(obj))
+    return [leaf for k in keys for leaf in leaves(obj[k], f"{prefix}{k}.")]
+
+
+class TestTableFormat:
+    """The table format prints the JSON report's leaves, one `path<TAB>value`
+    line each, floats by repr; reports with lists of records and nested
+    lists go through the same writer."""
+
+    @pytest.mark.parametrize("cmd,args,line", [
+        ("price", ("--stream", "constant:1", "--regime", "all", "--horizon", "5"),
+         "prices.0.regime\tmerton\n"),
+        ("price", ("--stream", "exp_until_jump", "--regime", "all", "--t1", "2.0",
+                   "--horizon", "3"), "prices.1.conditioning.t1\t2.0\n"),
+        ("compare", ("--stream", "exp_until_jump"), "rows.0.regime\tmerton\n"),
+        ("compare", ("--stream", "post_jump_signal:tanh", "--horizon", "5",
+                     "--with-mc"), "rows.0.mc_mean\tNone\n"),
+    ], ids=["price-all", "price-all-t1", "compare", "compare-with-mc"])
+    def test_table_lists_the_json_leaves(self, cfg_path, cmd, args, line):
+        code, out, err = run_cli(cmd, "--config", cfg_path, *args, *FAST)
+        assert (code, err) == (0, "")
+        want = "".join(f"{k}\t{v!r}\n" if isinstance(v, float) else f"{k}\t{v}\n"
+                       for k, v in leaves(json.loads(out)))
+        assert run_cli(cmd, "--config", cfg_path, *args, *FAST,
+                       "--format", "table") == (0, want, "")
+        assert line in want
+
+    def test_gated_signal_solve_reports_null(self, noiseless_cfg):
+        # v_eps = 0 gates the signal insider: solve reports the others
+        code, out, err = run_cli("solve", "--config", noiseless_cfg, *FAST)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["signal"] is None
+        code, out, err = run_cli("solve", "--config", noiseless_cfg, *FAST,
+                                 "--format", "table")
+        assert (code, err) == (0, "")
+        assert "\nsignal\tNone\ntiming.A2\t" in out
 
 
 class TestSolve:
@@ -262,6 +320,22 @@ class TestValidate:
         assert "PASS\toverall" in out
         assert "FAIL" not in out
 
+    def test_signal_residual_is_relative(self, tmp_path):
+        # the absolute residual of this set is 4.1e3; relative to
+        # h^(1-1/R)/(1-1/R) it passes. The Monte Carlo price check still
+        # fails here: the uninformed deflator's heavy right tail at R 13
+        cfg = tmp_path / "high_r.cfg"
+        cfg.write_text(HIGH_R_CFG)
+        code, out, err = run_cli("validate", "--config", str(cfg), "--paths", "2000")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        line, = [line for line in lines if "\tsignal.residual\t" in line]
+        assert re.fullmatch(r"PASS\tsignal\.residual\tmax relative pointwise "
+                            r"residual \S+", line)
+        assert float(line.split()[-1]) < 1e-14
+        assert [line.split("\t")[1] for line in lines if line.startswith("FAIL")] \
+            == ["price.constant_uninformed", "overall"]
+
     def test_noiseless_signal_fails_the_gate(self, noiseless_cfg):
         # the gate is one check, v_eps > 0 included; the rest still pass
         code, out, err = run_cli("validate", "--config", noiseless_cfg,
@@ -372,6 +446,39 @@ class TestErrorPaths:
         code, _, err = run_cli("solve", "--config", str(bad), *FAST)
         assert code == 2
         assert "unknown key" in err
+
+    def test_config_line_without_equals_exits_2(self, tmp_path):
+        bad = tmp_path / "bad3.cfg"
+        bad.write_text(CANON_CFG + "bogus line\n")
+        assert run_cli("solve", "--config", str(bad), *FAST) == (
+            2, "", f"config error: {bad}:10: expected 'key = value', "
+                   "got 'bogus line'\n")
+
+    @pytest.mark.parametrize("spec,table,err", [
+        ("constant:x", None, "bad constant level 'x'"),
+        ("post_jump_signal:nope", None,
+         "unknown psi 'nope'; known: indicator_pos, one, tanh or pwl@FILE"),
+        ("post_jump_signal:pwl@{}", "1.0\n2.0\n3.0\n",
+         "psi table must have two columns and at least two rows"),
+        ("post_jump_signal:pwl@{}", "1.0 0.0\n0.0 0.5\n",
+         "psi table abscissae must be strictly increasing"),
+    ], ids=["constant", "psi-name", "psi-one-column", "psi-decreasing"])
+    def test_bad_stream_spec_exits_2(self, cfg_path, tmp_path, spec, table, err):
+        path = tmp_path / "psi.tsv"
+        if table is not None:
+            path.write_text(table)
+        assert run_cli("price", "--config", cfg_path, "--stream", spec.format(path),
+                       "--regime", "uninformed", "--horizon", "5", *FAST) == (
+            2, "", f"config error: {err}\n")
+
+    def test_unreadable_psi_table_exits_2(self, cfg_path, tmp_path):
+        path = str(tmp_path / "missing.tsv")
+        with pytest.raises(OSError) as exc:     # the reader's own message
+            np.loadtxt(path)
+        assert run_cli("price", "--config", cfg_path, "--stream",
+                       f"post_jump_signal:pwl@{path}", "--regime", "uninformed",
+                       "--horizon", "5", *FAST) == (
+            2, "", f"config error: cannot read psi table {path!r}: {exc.value}\n")
 
     def test_missing_config_exits_2(self):
         code, _, _ = run_cli("solve", "--config", "/nonexistent.cfg")

@@ -75,6 +75,12 @@ class TestValidateParams:
         assert "v_eps > 0" in failures[0].message
         assert failures[0].message.endswith("v_eps=0")
 
+    @pytest.mark.parametrize("fields", [{}, {"R": 0.8}, {"v_eps": 0.0}, {"mu": math.nan}])
+    def test_only_the_signal_gate_is_not_hard(self, canon, fields):
+        # every other check gates the solvers; the gate rules out one regime
+        flags = validate_params(with_fields(canon, **fields)).flags
+        assert [f.name for f in flags if not f.hard] == ["signal_regime_gate"]
+
     def test_require_valid_params_returns_the_report(self, canon):
         # the signal solver reads its gate from this report
         assert require_valid_params(canon) == validate_params(canon)

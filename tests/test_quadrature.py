@@ -12,6 +12,7 @@ from infoprice.quadrature import (
     gauss_hermite,
     gauss_jacobi,
     phi2,
+    phi2_many,
     psi_double_integral,
 )
 
@@ -182,6 +183,12 @@ class TestPhi2:
             lhs = phi2(q, canon.m, canon.v, canon, rule64)
             rhs = g_of_q(q, canon, rule64) / (1.0 - canon.R)
             assert lhs == pytest.approx(rhs, rel=1e-13)
+
+    def test_many_rejects_out_of_range(self, canon, rule64):
+        # 1 + q (e^x - 1) can be negative outside [0, 1]
+        for q in (-0.01, 1.01):
+            with pytest.raises(ValueError):
+                phi2_many(np.array([0.5, q]), 0.0, 0.005, canon, rule64)
 
     def test_against_simpson_oracle(self, canon, rule64):
         got = phi2(0.3, 0.0, 0.005, canon, rule64)

@@ -587,6 +587,19 @@ class TestFirstJumpCut:
         assert [t.stop for t in tiles] == [20, 20, 17]
         self.assert_bits_kept(canon, sol, cfg)
 
+    @pytest.mark.parametrize("regime", ["uninformed", "timing", "signal"])
+    def test_fallback_tile_draws_again(self, canon, sols, regime, monkeypatch):
+        # two-gap blocks at lam H = 1.5: the cut's first draw finds paths
+        # without a jump in the horizon and falls back, and paths that need
+        # more than two times make the tile draw its gaps again, wider
+        monkeypatch.setattr(simulate, "_GAP_BLOCK", 2)
+        cfg = SimConfig(horizon=3.0, dt=0.05, n_paths=512, seed=11, regime=regime)
+        for lo in (0, 256):
+            scen = simulate._scenarios(canon, 3.0, 11, np.arange(lo, lo + 256),
+                                       None, None, True)
+            assert scen.counts.min() == 1 and scen.counts.max() > 2
+        self.assert_bits_kept(canon, sols.for_regime(regime), cfg)
+
     @pytest.mark.parametrize("regime", ["uninformed", "timing", "signal", "merton"])
     def test_no_jumps(self, canon, rule64, regime):
         p0 = with_fields(canon, lam=0.0)
