@@ -432,17 +432,6 @@ def _exposure_slope(q, h, lam_a3, jump_rel, w, p, base, xu):
     return f, fp
 
 
-def _corner_coefficients(jump_rel, w, p, work):
-    """(c0, c1) per row of jump_rel: F(0) = h (mu - r) + lam_a3 c0 and
-    F(1) = h ((mu - r) - sigma^2 R) + lam_a3 c1, by the operations of
-    _exposure_slope at q = 0 and q = 1. work is an array of jump_rel's
-    shape that receives (1 + x_k)^(-R) x_k."""
-    xu = np.add(jump_rel, 1.0, out=work)
-    np.power(xu, -p.R, out=xu)
-    xu *= jump_rel
-    return jump_rel @ w, xu @ w
-
-
 def _argmax_exposure(h, lam_a3, jump_rel, w, p, q_start, corners=None):
     """Maximizer over q in [0, 1] of h phi1(q) + lam_a3 phi2(q; row), per row.
 
@@ -451,16 +440,18 @@ def _argmax_exposure(h, lam_a3, jump_rel, w, p, q_start, corners=None):
     F(q) = 0 from q_start, where each step shrinks a bracket of the root and
     a step that leaves the bracket is replaced by its midpoint. F(0) and
     F(1) are affine in (h, lam_a3), so the corner tests take O(rows) work
-    from the rows' constants corners = (c0, c1) of _corner_coefficients,
-    which a caller solving one grid many times computes once; without them
-    this call computes them. Stops each row at a step below 1e-14; raises
-    ConvergenceError if some row needs more than _NEWTON_STEPS steps. The
-    (rows x nodes) terms of every Newton step go to two work arrays
-    allocated once per call, whose leading rows serve the shrinking set of
-    rows still iterating.
+    from the rows' constants corners = (c0, c1), F(0) and F(1) at h = 0 and
+    lam_a3 = 1, which a caller solving one grid many times computes once;
+    without them this call computes them. Stops each row at a step below
+    1e-14; raises ConvergenceError if some row needs more than _NEWTON_STEPS
+    steps. The (rows x nodes) terms of every Newton step go to two work
+    arrays allocated once per call, whose leading rows serve the shrinking
+    set of rows still iterating.
     """
     base, xu = np.empty_like(jump_rel), np.empty_like(jump_rel)
-    c0, c1 = corners if corners is not None else _corner_coefficients(jump_rel, w, p, xu)
+    c0, c1 = corners if corners is not None else [
+        _exposure_slope(np.full(len(h), q), 0.0, 1.0, jump_rel, w, p, base, xu)[0]
+        for q in (0.0, 1.0)]
     f0 = h * (p.mu - p.r) + lam_a3 * c0
     f1 = h * ((p.mu - p.r) - p.sigma**2 * p.R) + lam_a3 * c1
     q = np.where(f0 <= 0.0, 0.0,
@@ -512,8 +503,10 @@ class _SignalSystem:
         # jump_rel[i, k] = e^{x_k} - 1 at posterior nodes for grid signal i
         self.jump_rel = np.expm1(rule.points(*posterior_of_jump(eta_grid, p)))
         # the corner constants hold for every h and A3 on this grid
-        self.c0, self.c1 = _corner_coefficients(self.jump_rel, rule.probs, p,
-                                                np.empty_like(self.jump_rel))
+        base, xu = np.empty_like(self.jump_rel), np.empty_like(self.jump_rel)
+        self.c0, self.c1 = [_exposure_slope(np.full(len(eta_grid), q), 0.0, 1.0,
+                                            self.jump_rel, rule.probs, p, base, xu)[0]
+                            for q in (0.0, 1.0)]
 
     def _phi1(self, q):
         p = self.p

@@ -294,9 +294,10 @@ def cmd_validate(p: ModelParams, args) -> int:
 
         sols = solve_all(p, rule, args.grid_size)
         if p.lam > 0:
-            phi_resid = abs(sols.timing.f0 - sols.timing.g_at_a_star * sols.timing.A2)
-            add("timing.fixed_point", phi_resid < 1e-9 * max(1.0, sols.timing.f0),
-                f"|f0 - g(a*) A2| = {phi_resid:.3g}")
+            t = sols.timing
+            resid = abs(t.f0 - t.g_at_a_star * t.A2) / max(1.0, t.f0)
+            add("timing.fixed_point", resid < 1e-9,
+                f"|f0 - g(a*) A2| / max(1, f0) = {resid:.3g}")
         if sols.signal is not None:
             # h scales like A1: relative to h^(1-1/R)/(1-1/R), > 0 as R > 1
             one_m = 1.0 - 1.0 / p.R

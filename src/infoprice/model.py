@@ -11,9 +11,11 @@ Three income streams make up the stream API: ConstantStream,
 ExpUntilFirstJumpStream and PostFirstJumpSignalStream. Each has its report
 `label`, `jump_keyed`, `ends_at_first_jump` (its integrand is zero from the
 first jump on, so the engine need not simulate a path past it) and its
-integrand `values(r, t, jumps, psi0, out)`, e_t after `jumps` jumps, where
-only the post-jump stream reads psi0 (its psi_at) and a jump-keyed stream
-writes into the (values, mask) buffers `out` when it is given.
+integrand `values(r, t, jumps, psi0, out)`, e_t where `jumps` is nonzero
+exactly where the first jump is at or before t (a count of the jumps so far
+or a mask: every stream depends on the first jump alone), where only the
+post-jump stream reads psi0 (its psi_at) and a jump-keyed stream writes into
+the (values, mask) buffers `out` when it is given.
 Constructors reject a payoff scale that is not finite; solvers and pricing
 entry points raise ParameterError where validate_params fails a hard check.
 

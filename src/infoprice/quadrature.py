@@ -54,7 +54,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
@@ -77,7 +76,7 @@ def gauss_hermite(order: int) -> QuadratureRule:
     if not 1 <= order <= 200:
         raise ValueError(f"order must be in [1, 200], got {order}")
     nodes, weights = np.polynomial.hermite.hermgauss(int(order))
-    return QuadratureRule(nodes=nodes, weights=weights, order=int(order))
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def gauss_jacobi(c: float) -> tuple[np.ndarray, np.ndarray]:

@@ -30,23 +30,26 @@ array passes. A tile's set-up calls the generators per path (one reusable
 Philox per purpose and thread, re-keyed from Python ints) and draws
 straight into (paths, jumps) arrays; the times, counts, sizes, signals and
 padding are then one pass over the tile, and draw_scenario is its one-path
-case. A path's controls are constant between its jumps, so they are
-(paths, segments) tables gathered at each node by the jump count before it.
-Log consumption at the nodes is one cumsum of exact increments and the
-deflator one exp, with no per-node regime term. The tile's in-horizon jumps
-(events) are handled at once: a grid cell with jumps takes as its increment
-their sub-steps (on the jump normals), log1p(pi expm1(xi)) terms and steps
-of -log s/R, plus the remainder after its last jump (on the cell's step
+case. Only the signal insider's controls change at a jump, so they are
+(paths, segments) tables gathered at each node by the jump count before it;
+every stream depends on the first jump alone, so a jump-keyed one is given
+whether each path's first jump time t1 is at or before the node. Log
+consumption at the nodes is one cumsum of exact increments and the deflator
+one exp, with no per-node regime term. The tile's in-horizon jumps (events)
+are handled at once: a grid cell with jumps takes as its increment their
+sub-steps (on the jump normals), log1p(pi expm1(xi)) terms and steps of
+-log s/R, plus the remainder after its last jump (on the cell's step
 normal). The trapezoid is a weighted row sum with each jump cell's term
 replaced by its sub-intervals, from each right limit to the next left limit.
 
 Each call of path_integrals, deflator_at_times or simulate_path has one
 workspace, and every (paths, nodes) array of its block passes is written
-into it with out=: log consumption, the deflator, the segment index, the
-gathered controls, the jump counts and the stream's values and mask. A
-short last tile or block takes a contiguous view of the same buffers, so a
-call (a forked worker's job) faults its pages in once, not once per tile,
-and the arrays of a _Block are valid only until the next block.
+into it with out=: log consumption, the deflator, the signal insider's
+segment index and gathered controls, a jump-keyed stream's first-jump mask
+and its values and mask. A short last tile or block takes a contiguous view
+of the same buffers, so a call (a forked worker's job) faults its pages in
+once, not once per tile, and the arrays of a _Block are valid only until
+the next block.
 
 A stream that ends_at_first_jump (exp_until_jump) is zero from T1 on, so
 path_integrals cuts a tile where every path jumps in the horizon: it draws
@@ -281,12 +284,11 @@ def _check_regime(regime: str, sol) -> None:
 # ---------------------------------------------------------------------------
 
 # One tile over one step block: node times (column 0 repeats the last block's
-# end), log consumption and deflator there, the flat segment index at each
-# node (None if not needed), the block's events (indices into the tile's
-# event arrays), log consumption at their cells' left nodes and the deflator
-# at both limits of each jump. x, y and seg live in the call's workspace,
-# which the next block overwrites.
-_Block = namedtuple("_Block", "k0 t x y seg ev x_cell y_left y_right")
+# end), log consumption and deflator there, the block's events (indices into
+# the tile's event arrays), log consumption at their cells' left nodes and
+# the deflator at both limits of each jump. x and y live in the call's
+# workspace, which the next block overwrites.
+_Block = namedtuple("_Block", "k0 t x y ev x_cell y_left y_right")
 
 
 class _Workspace:
@@ -334,7 +336,8 @@ class _Tile:
     f(T_next - t)^(-1/R) w grows at that drift less gamma_M, so its cons is
     gamma_M. A jump adds its wealth term and -(log s_right - log s_left)/R.
     Tables are (paths, J) for the tile's most segments J, so row * J + s is
-    the flat index of segment s. Event arrays hold the in-horizon jumps.
+    the flat index of segment s. Event arrays hold the in-horizon jumps, and
+    t1 each path's first one (inf where there is none, and under merton).
     to_first_jump cuts the tile where every path jumps in the horizon: its
     events are the first jumps, and its blocks stop at node `stop`.
     """
@@ -405,6 +408,7 @@ class _Tile:
                         - _at(cons, nxt) * self.d_rem[li])
         self.rem_vol[li] = _at(self.volc, nxt) * np.sqrt(self.d_rem[li])
         self.er, self.ej, self.tau, self.cell = er, ej, tau, cell
+        self.t1 = np.where(n_jumps > 0, times[:, 0], math.inf)
         self.first, self.last, self.d = first, last, d
         # the last node simulated: the right node of the latest first-jump
         # cell when every path jumps, whose events are then the first jumps
@@ -413,11 +417,10 @@ class _Tile:
         if to_first_jump and n_jumps.min() > 0:
             self.stop = int(cell.max()) + 1
 
-    def blocks(self, ws: _Workspace, counts: bool = False):
+    def blocks(self, ws: _Workspace):
         """The tile's _Block for each step block in time order up to node
         stop (the last block cut there), its (paths, nodes) arrays in ws and
-        so valid until the next block; `counts` asks for the node segments
-        where the controls do not need them."""
+        so valid until the next block."""
         p, nodes, P = self.p, self.nodes, len(self.ids)
         x0, seg0 = np.zeros(P), self.row0
         for blk, k0 in enumerate(range(0, self.stop, _BLOCK_STEPS)):
@@ -428,7 +431,7 @@ class _Tile:
             er, ec, last = self.er[ev], self.cell[ev] - k0, self.last[ev]
             lr, lc = er[last], ec[last]
             seg = None
-            if self.segmented or counts:
+            if self.segmented:
                 seg = ws("seg", shape, np.int64)
                 seg.fill(0)
                 np.add.at(seg, (er, ec + 1), 1)
@@ -457,7 +460,7 @@ class _Tile:
             y -= p.rho * t
             np.exp(y, out=y)
             x_cell, c = x[er, ec], -p.rho * self.tau[ev]
-            yield _Block(k0, t, x, y, seg, ev, x_cell,
+            yield _Block(k0, t, x, y, ev, x_cell,
                          np.exp(c - p.R * (x_cell + self.pre[ev])),
                          np.exp(c - p.R * (x_cell + self.post[ev])))
 
@@ -470,15 +473,15 @@ class _Tile:
         if isinstance(stream, PostFirstJumpSignalStream):
             psi0 = stream.psi_at(self.eta0)
         acc = np.zeros(len(self.ids))
-        for b in self.blocks(ws, counts=keyed):
-            node_i, jc, out = b.y, None, None
+        for b in self.blocks(ws):
+            node_i, jumped, out = b.y, None, None
             if keyed:
-                # the block's seg and gathers are spent: they take the jump
-                # counts and the values
-                jc = b.seg
-                jc -= self.row0[:, None]
-                out = ws("gather", jc.shape), ws("mask", jc.shape, bool)
-            node_i *= stream.values(r, b.t, jc, psi0[:, None], out)
+                # whether the first jump is at or before each node; the
+                # block's gathers are spent and take the values
+                jumped = np.greater_equal(b.t, self.t1[:, None],
+                                          out=ws("jumped", b.y.shape, bool))
+                out = ws("gather", b.y.shape), ws("mask", b.y.shape, bool)
+            node_i *= stream.values(r, b.t, jumped, psi0[:, None], out)
             half = 0.5 * np.diff(b.t)
             if b.ev.size:
                 ev = b.ev
@@ -577,20 +580,20 @@ def simulate_path(p: ModelParams, sol, cfg: SimConfig, path_index: int,
     """Full record of a single path on its composite grid."""
     tile = _Tile(p, sol, cfg, _grid_nodes(cfg), np.array([path_index]),
                  pin_t1, pin_eta0)
-    parts = [(np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1, dtype=bool),
-              np.zeros(1, dtype=np.int64))]
-    for b in tile.blocks(_Workspace(), counts=True):
+    parts = [(np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1, dtype=bool))]
+    for b in tile.blocks(_Workspace()):
         parts.append((tile.tau[b.ev], b.x_cell + tile.post[b.ev], b.y_right,
-                      np.ones(len(b.ev), dtype=bool), tile.ej[b.ev] + 1))
-        # the next block overwrites b.x, b.y and b.seg
+                      np.ones(len(b.ev), dtype=bool)))
+        # the next block overwrites b.x and b.y
         parts.append((b.t[1:], b.x[0, 1:].copy(), b.y[0, 1:].copy(),
-                      np.zeros(len(b.t) - 1, dtype=bool), b.seg[0, 1:].copy()))
+                      np.zeros(len(b.t) - 1, dtype=bool)))
     # jumps come before a node at the same time; keep the later of the two
     cols = [np.concatenate(a) for a in zip(*parts)]
     order = np.argsort(cols[0], kind="stable")
     order = order[np.append(np.diff(cols[0][order]) != 0.0, True)]
-    grid, x_path, y, is_jump, seg = (a[order] for a in cols)
+    grid, x_path, y, is_jump = (a[order] for a in cols)
     times, sizes, signals = (a[0] for a in tile.scen[:3])
+    seg = np.searchsorted(tile.tau, grid, side="right")   # the jumps so far
     # w = c s^(1/R), with c_0 = 1 where the density starts at 1
     wealth = np.exp(x_path + log_scale(sol, times[seg] - grid, signals[seg]) / p.R)
     if p.lam == 0.0:        # drop the padding row, as draw_scenario does

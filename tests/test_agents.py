@@ -69,8 +69,9 @@ def average_excess(gamma, c0, R, c):
 
 
 # Parameter box of the uninformed and timing properties (r and rho as in
-# canon). The signal property uses the same ranges with R in [1.5, 6], since
-# its gate needs R > 1, and draws v_eps as well.
+# canon), and of test_pricing's pipeline property. The signal properties use
+# the same ranges with R in [1.5, 6] and in [1.5, 20], since the gate needs
+# R > 1, and draw v_eps as well.
 BOX = dict(mu=st.floats(0.06, 0.14), sigma=st.floats(0.15, 0.3),
            lam=st.floats(0.1, 4.0), m=st.floats(-0.1, 0.05),
            v=st.floats(0.005, 0.09), R=st.floats(0.3, 6.0))
@@ -823,6 +824,26 @@ class TestSignalInsider:
         assert np.all(np.isfinite(sol.h_values)) and np.all(sol.h_values > 0.0)
         assert np.all((sol.q_bar_values >= 0.0) & (sol.q_bar_values <= 1.0))
         assert float(sol.residuals.max()) < 1e-8
+        assert sol.A3 <= sol.a1 * (1 + 1e-8)
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(**{**BOX, "v_eps": st.floats(0.005, 1.0), "R": st.floats(1.5, 20.0)})
+    def test_high_risk_aversion_solves_to_a_relative_residual(
+            self, canon, rule64, mu, sigma, lam, m, v, v_eps, R):
+        """The property above with R in [1.5, 20]: h grows like A1 there, so
+        the grid residual is taken relative to h^(1-1/R)/(1-1/R), as
+        `infoprice validate` takes it, and must be below 1e-8."""
+        p = with_fields(canon, mu=mu, sigma=sigma, lam=lam, m=m, v=v,
+                        v_eps=v_eps, R=R)
+        try:
+            sol = solve_signal_insider(p, rule64, grid_size=81)
+        except DomainError:
+            return
+        assert np.all(np.isfinite(sol.h_values)) and np.all(sol.h_values > 0.0)
+        assert np.all((sol.q_bar_values >= 0.0) & (sol.q_bar_values <= 1.0))
+        one_m = 1.0 - 1.0 / R
+        relative = sol.residuals / (sol.h_values ** one_m / one_m)
+        assert float(relative.max()) < 1e-8
         assert sol.A3 <= sol.a1 * (1 + 1e-8)
 
     @pytest.mark.parametrize("fields", [

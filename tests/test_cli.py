@@ -336,6 +336,18 @@ class TestValidate:
         assert [line.split("\t")[1] for line in lines if line.startswith("FAIL")] \
             == ["price.constant_uninformed", "overall"]
 
+    def test_timing_fixed_point_prints_the_relative_residual(self, tmp_path):
+        # f0 is about 5e19 here: the line prints the residual it checks,
+        # relative to max(1, f0), not the absolute one (about 5e4)
+        cfg = tmp_path / "high_r.cfg"
+        cfg.write_text(HIGH_R_CFG)
+        code, out, err = run_cli("validate", "--config", str(cfg), "--paths", "2000")
+        assert (code, err) == (1, "")
+        line, = [line for line in out.splitlines() if "\ttiming.fixed_point\t" in line]
+        assert re.fullmatch(r"PASS\ttiming\.fixed_point\t\|f0 - g\(a\*\) A2\| "
+                            r"/ max\(1, f0\) = \S+", line)
+        assert float(line.split()[-1]) < 1e-9
+
     def test_noiseless_signal_fails_the_gate(self, noiseless_cfg):
         # the gate is one check, v_eps > 0 included; the rest still pass
         code, out, err = run_cli("validate", "--config", noiseless_cfg,

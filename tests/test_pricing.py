@@ -8,6 +8,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from infoprice import pricing
 from infoprice.agents import (
@@ -41,6 +42,7 @@ from infoprice.quadrature import gauss_hermite, psi_double_integral
 from infoprice.simulate import SimConfig, path_integrals
 
 from .oracles import beta_coef, signal_law_average
+from .test_agents import BOX, PROPERTY
 
 
 def with_fields(p, **kw):
@@ -629,6 +631,41 @@ class TestInfoValueReport:
             report.row("timing").closed_form - base
         assert report.signal_information_value == \
             report.row("signal").closed_form - base
+
+    @PROPERTY
+    @given(**BOX)
+    def test_pipeline_is_finite_or_raises_domain_error(self, canon, rule64, mu,
+                                                        sigma, lam, m, v, R):
+        """Property over the uninformed box: solve_all, then for each stream
+        info_value_report and truncation_bound under every solved regime,
+        each give finite numbers or raise a DomainError subclass."""
+        p = with_fields(canon, mu=mu, sigma=sigma, lam=lam, m=m, v=v, R=R)
+        cfg = SimConfig(horizon=25.0, dt=0.5, n_paths=10, seed=0)
+        try:
+            sols = solve_all(p, rule64, grid_size=81)
+        except DomainError:
+            return
+        regimes = [r for r in REGIMES if getattr(sols, r) is not None]
+        for stream in (ConstantStream(1.0), E2, E3):
+            try:
+                report = info_value_report(stream, p, cfg, sols=sols, rule=rule64)
+            except DomainError:
+                pass
+            else:
+                prices = [row.closed_form for row in report.rows
+                          if not (stream.jump_keyed and row.regime == "merton")]
+                prices += [price for _, price in report.signal_conditional_values]
+                prices.append(report.timing_information_value)
+                if sols.signal is not None:
+                    prices.append(report.signal_information_value)
+                assert all(math.isfinite(x) for x in prices)
+            for regime in regimes:
+                try:
+                    bound = truncation_bound(stream, regime, p, sols, cfg.horizon,
+                                             rule=rule64)
+                except DomainError:
+                    continue
+                assert math.isfinite(bound) and bound >= 0.0
 
 
 def _kappa(eta, q, p, rule):

@@ -628,8 +628,8 @@ class TestFirstJumpCut:
         ends = []
         blocks = _Tile.blocks
 
-        def spy(tile, ws, counts=False):
-            for b in blocks(tile, ws, counts):
+        def spy(tile, ws):
+            for b in blocks(tile, ws):
                 ends.append(b.t[-1])
                 yield b
 
