@@ -28,8 +28,8 @@ with h(eta), lam A3 and the posterior given eta; q_bar1 with h = 1, lam and
 the prior N(m, v) (g1 up to a constant); a_star with h = 0, 1 and the prior
 (g(a)/(1 - R)). CRRA utility makes this objective concave in q for every
 R > 0, so one kernel, _argmax_exposure, solves all three. Its corner tests
-F(0) <= 0 and F(1) >= 0 on the slope F are affine in (h, lam_a3) with
-per-row constants, which the signal system computes once per eta grid.
+F(0) <= 0 and F(1) >= 0 on the slope F are closed forms: at q = 0 and at
+q = 1 the jump term is a lognormal moment of the row's Gaussian jump law.
 signal_terms gives the signal insider's per-signal (q*, h, beta, kappa)
 that pricing uses.
 
@@ -432,32 +432,35 @@ def _exposure_slope(q, h, lam_a3, jump_rel, w, p, base, xu):
     return f, fp
 
 
-def _argmax_exposure(h, lam_a3, jump_rel, w, p, q_start, corners=None):
+def _corner_slopes(h, lam_a3, p, mean, var):
+    """F(0) and F(1) of _argmax_exposure in closed form for the rows' jump law
+    N(mean, var): with X = e^xi - 1 the jump term is lam_a3 E[X] at q = 0 and,
+    since 1 + X = e^xi, lam_a3 E[e^(-R xi) X] at q = 1, a product that does
+    not cancel."""
+    return (h * (p.mu - p.r) + lam_a3 * np.expm1(mean + 0.5 * var),
+            h * ((p.mu - p.r) - p.sigma**2 * p.R) + lam_a3
+            * np.exp(p.R * (0.5 * p.R * var - mean)) * np.expm1(mean + (0.5 - p.R) * var))
+
+
+def _argmax_exposure(h, lam_a3, jump_rel, w, p, q_start, mean, var):
     """Maximizer over q in [0, 1] of h phi1(q) + lam_a3 phi2(q; row), per row.
 
     F, the objective's q-derivative, decreases (see the module docstring):
-    q = 0 where F(0) <= 0, q = 1 where F(1) >= 0, and elsewhere Newton on
-    F(q) = 0 from q_start, where each step shrinks a bracket of the root and
-    a step that leaves the bracket is replaced by its midpoint. F(0) and
-    F(1) are affine in (h, lam_a3), so the corner tests take O(rows) work
-    from the rows' constants corners = (c0, c1), F(0) and F(1) at h = 0 and
-    lam_a3 = 1, which a caller solving one grid many times computes once;
-    without them this call computes them. Stops each row at a step below
-    1e-14; raises ConvergenceError if some row needs more than _NEWTON_STEPS
-    steps. The (rows x nodes) terms of every Newton step go to two work
-    arrays allocated once per call, whose leading rows serve the shrinking
-    set of rows still iterating.
+    q = 0 where F(0) <= 0, q = 1 where F(1) >= 0 (_corner_slopes, in the rows'
+    jump law N(mean, var), whose nodes give jump_rel), and elsewhere Newton
+    on F(q) = 0 from q_start, where each step shrinks a bracket of the root
+    and a step that leaves the bracket is replaced by its midpoint. Stops
+    each row at a step below 1e-14; raises ConvergenceError if some row needs
+    more than _NEWTON_STEPS steps. The (rows x nodes) terms of every Newton
+    step go to two work arrays allocated once per call, whose leading rows
+    serve the shrinking set of rows still iterating.
     """
-    base, xu = np.empty_like(jump_rel), np.empty_like(jump_rel)
-    c0, c1 = corners if corners is not None else [
-        _exposure_slope(np.full(len(h), q), 0.0, 1.0, jump_rel, w, p, base, xu)[0]
-        for q in (0.0, 1.0)]
-    f0 = h * (p.mu - p.r) + lam_a3 * c0
-    f1 = h * ((p.mu - p.r) - p.sigma**2 * p.R) + lam_a3 * c1
+    f0, f1 = _corner_slopes(h, lam_a3, p, mean, var)
     q = np.where(f0 <= 0.0, 0.0,
                  np.where(f1 >= 0.0, 1.0, np.clip(q_start, 0.0, 1.0)))
     rows = np.flatnonzero((f0 > 0.0) & (f1 < 0.0))
     lo, hi = np.zeros(rows.size), np.ones(rows.size)
+    base, xu = np.empty_like(jump_rel), np.empty_like(jump_rel)
     for _ in range(_NEWTON_STEPS):
         qa = q[rows]
         f, fp = _exposure_slope(qa, h[rows], lam_a3, jump_rel[rows], w, p,
@@ -479,7 +482,7 @@ def _prior_exposure(h: float, lam_a3: float, p: ModelParams,
     """_argmax_exposure on the one row of the prior N(m, v)."""
     jump_rel = np.expm1(rule.points([p.m], p.v))
     return float(_argmax_exposure(np.array([h]), lam_a3, jump_rel,
-                                  rule.probs, p, np.full(1, 0.5))[0])
+                                  rule.probs, p, np.full(1, 0.5), p.m, p.v)[0])
 
 
 class _SignalSystem:
@@ -500,13 +503,10 @@ class _SignalSystem:
         self.p = p
         self.rule = rule
         self.eta_grid = eta_grid
-        # jump_rel[i, k] = e^{x_k} - 1 at posterior nodes for grid signal i
-        self.jump_rel = np.expm1(rule.points(*posterior_of_jump(eta_grid, p)))
-        # the corner constants hold for every h and A3 on this grid
-        base, xu = np.empty_like(self.jump_rel), np.empty_like(self.jump_rel)
-        self.c0, self.c1 = [_exposure_slope(np.full(len(eta_grid), q), 0.0, 1.0,
-                                            self.jump_rel, rule.probs, p, base, xu)[0]
-                            for q in (0.0, 1.0)]
+        # the posterior N(mean_i, var) of the jump given grid signal i, and
+        # jump_rel[i, k] = e^{x_k} - 1 at its nodes
+        self.mean, self.var = posterior_of_jump(eta_grid, p)
+        self.jump_rel = np.expm1(rule.points(self.mean, self.var))
 
     def _phi1(self, q):
         p = self.p
@@ -521,10 +521,9 @@ class _SignalSystem:
         jump_rel = self.jump_rel[rows]
         probs = self.rule.probs
         q = _argmax_exposure(h, lam_a3, jump_rel, probs, self.p, q_start,
-                             (self.c0[rows], self.c1[rows]))
-        # phi2 enters V itself, so unlike the corner constants it is taken
-        # over this call's rows: a product over another row set rounds some
-        # rows differently
+                             self.mean[rows], self.var)
+        # phi2 enters V itself, so it is taken over this call's rows: a
+        # product over another row set rounds some rows differently
         phi2 = ((1.0 + q[:, None] * jump_rel) ** one_r) @ probs / one_r
         return h * self._phi1(q) + lam_a3 * phi2, q
 
@@ -653,9 +652,11 @@ def signal_terms(sol: SignalInsiderSolution, p: ModelParams, eta: np.ndarray,
     call started from the grid interpolant sol.q_bar_at, h(eta), the
     pre-jump rate beta of e^(rt) times the deflator, and the posterior mean
     kappa of (1 + q* (e^X - 1))^(-R)."""
-    jump_rel = np.expm1(rule.points(*posterior_of_jump(eta, p)))
+    mean, var = posterior_of_jump(eta, p)
+    jump_rel = np.expm1(rule.points(mean, var))
     h = sol.h_at(eta)
-    q = _argmax_exposure(h, p.lam * sol.A3, jump_rel, rule.probs, p, sol.q_bar_at(eta))
+    q = _argmax_exposure(h, p.lam * sol.A3, jump_rel, rule.probs, p, sol.q_bar_at(eta),
+                         mean, var)
     kappa = (1.0 + q[:, None] * jump_rel) ** (-p.R) @ rule.weights / math.sqrt(math.pi)
     return q, h, _pre_jump_rate(q, h, p), kappa
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .agents import REGIMES, solve_all
-from .errors import ConfigError, DomainError, GateError
+from .errors import ConfigError, DomainError, GateError, StreamGuardError
 from .model import (
     CONFIG_KEYS,
     ConstantStream,
@@ -93,7 +93,7 @@ def parse_stream(spec: str) -> IncomeStream:
     if kind == "constant":
         try:
             return ConstantStream(level=float(arg))
-        except ValueError as exc:
+        except (ValueError, StreamGuardError) as exc:   # not a number, not finite
             raise ConfigError(f"bad constant level {arg!r}") from exc
     if kind == "exp_until_jump":
         return ExpUntilFirstJumpStream()
@@ -347,44 +347,42 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_stream=False):
-        sp.add_argument("--config", required=True, help="model parameter file")
-        if with_stream:
-            sp.add_argument("--stream", required=True,
-                            help="constant:LEVEL | exp_until_jump | "
-                                 "post_jump_signal:{one,tanh,indicator_pos,pwl@FILE}")
-        sp.add_argument("--paths", type=int, default=DEFAULTS["n_paths"])
-        sp.add_argument("--horizon", type=float, default=None)
-        sp.add_argument("--dt", type=float, default=DEFAULTS["dt"])
-        sp.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-        sp.add_argument("--rule-order", type=int, default=DEFAULTS["rule_order"])
-        sp.add_argument("--grid-size", type=int, default=DEFAULTS["grid_size"])
-        sp.add_argument("--out", default=None, help="write the report here")
-        sp.add_argument("--format", choices=("json", "table"), default="json")
+    # each command registers only the flags it reads: argparse exits 2 on others
+    flags = {
+        "--config": dict(required=True, help="model parameter file"),
+        "--stream": dict(required=True, help="constant:LEVEL | exp_until_jump | "
+                         "post_jump_signal:{one,tanh,indicator_pos,pwl@FILE}"),
+        "--paths": dict(type=int, default=DEFAULTS["n_paths"]),
+        "--horizon": dict(type=float, default=None),
+        "--dt": dict(type=float, default=DEFAULTS["dt"]),
+        "--seed": dict(type=int, default=DEFAULTS["seed"]),
+        "--rule-order": dict(type=int, default=DEFAULTS["rule_order"]),
+        "--grid-size": dict(type=int, default=DEFAULTS["grid_size"]),
+        "--out": dict(default=None, help="write the report here"),
+        "--format": dict(choices=("json", "table"), default="json"),
+    }
 
-    sp = sub.add_parser("solve", help="solve all regimes and print constants")
-    common(sp)
-    sp.set_defaults(func=cmd_solve)
+    def command(name, func, help, *names):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func)
+        for flag in ("--config", *names, "--rule-order", "--grid-size"):
+            sp.add_argument(flag, **flags[flag])
+        return sp
 
-    sp = sub.add_parser("price", help="price one stream under one or all regimes")
-    common(sp, with_stream=True)
+    report = ("--out", "--format")
+    priced = ("--stream", "--paths", "--horizon", "--dt", "--seed", *report)
+    command("solve", cmd_solve, "solve all regimes and print constants", *report)
+    sp = command("price", cmd_price, "price one stream under one or all regimes", *priced)
     sp.add_argument("--regime", default="uninformed",
                     choices=(*REGIMES, "all"))
     sp.add_argument("--eta0", type=float, default=None,
                     help="condition the signal insider on this initial signal")
     sp.add_argument("--t1", type=float, default=None,
                     help="condition the timing insider on this first jump time")
-    sp.set_defaults(func=cmd_price)
-
-    sp = sub.add_parser("compare", help="information-value report for a stream")
-    common(sp, with_stream=True)
+    sp = command("compare", cmd_compare, "information-value report for a stream", *priced)
     sp.add_argument("--with-mc", action="store_true",
                     help="add Monte Carlo estimates next to the closed forms")
-    sp.set_defaults(func=cmd_compare)
-
-    sp = sub.add_parser("validate", help="run the built-in sanity suite")
-    common(sp)
-    sp.set_defaults(func=cmd_validate)
+    command("validate", cmd_validate, "run the built-in sanity suite", "--paths", "--seed")
     return ap
 
 

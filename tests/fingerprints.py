@@ -1,11 +1,13 @@
-"""Bit-identity fingerprints of the engine, the quadrature kernels and the
-solvers: one SHA-256 per case, so two trees can be compared line by line.
+"""Bit-identity fingerprints of the engine, the quadrature kernels, the
+solvers and the closed-form prices: one SHA-256 per case, so two trees can
+be compared line by line.
 
 Run from the repository root with
 
     PYTHONPATH=src python tests/fingerprints.py
 
-Each line is `<sha256>  <case>`; the last line hashes every line before it.
+Each line is `<sha256>  <case>`; a line whose case starts with `all`
+hashes every case line before it.
 A refactor that keeps the bits prints the same lines on both trees. Pytest
 does not collect this file (it is not named test_*.py).
 """
@@ -21,11 +23,13 @@ import numpy as np
 from infoprice import simulate
 from infoprice.agents import g1_of_q, posterior_of_jump, solve_all
 from infoprice.model import (
+    Conditioning,
     ConstantStream,
     ExpUntilFirstJumpStream,
     ModelParams,
     PostFirstJumpSignalStream,
 )
+from infoprice.pricing import closed_form_price, info_value_report, truncation_bound
 from infoprice.quadrature import g_of_q, g_of_q_many, gauss_hermite, phi2, phi2_many
 from infoprice.simulate import (
     SimConfig,
@@ -56,6 +60,14 @@ REGIME_PINS = [("merton", "none", (None, None)),
                ("timing", "none", (None, None)), ("timing", "t1=2", (2.0, None)),
                ("signal", "none", (None, None)), ("signal", "eta0=0.1", (None, 0.1))]
 SEED, PATHS = 7, 300
+# the closed forms' sets, and every regime under each pin, the signal
+# insider's at four signals
+PRICING_SETS = {**{name: PARAM_SETS[name] for name in ("canon", "interior", "dense")},
+                "R1.5": dataclasses.replace(CANON, R=1.5),
+                "R5": dataclasses.replace(CANON, R=5.0),
+                "lam4": dataclasses.replace(CANON, lam=4.0, m=0.0)}
+PRICING_PINS = [*REGIME_PINS[:-1], *(("signal", f"eta0={eta:g}", (None, eta))
+                                     for eta in (-0.3, -0.05, 0.1, 0.3))]
 
 
 def _feed(h, obj) -> None:
@@ -80,13 +92,18 @@ def _feed(h, obj) -> None:
         raise TypeError(f"cannot fingerprint {type(obj).__name__}")
 
 
-def digest(call) -> str:
-    """SHA-256 of call()'s result, or of the exception it raises."""
-    h = hashlib.sha256()
+def outcome(call):
+    """call()'s result, or the exception it raises as text."""
     try:
-        _feed(h, call())
+        return call()
     except Exception as exc:                # the error is part of the behaviour
-        _feed(h, f"{type(exc).__name__}: {exc}")
+        return f"{type(exc).__name__}: {exc}"
+
+
+def digest(call) -> str:
+    """SHA-256 of call()'s outcome."""
+    h = hashlib.sha256()
+    _feed(h, outcome(call))
     return h.hexdigest()
 
 
@@ -168,15 +185,42 @@ def _solutions(p, order, grid):
     return out
 
 
+def pricing_cases():
+    cfg = SimConfig(horizon=10.0, dt=0.1, n_paths=PATHS, seed=SEED)
+    for name, p in PRICING_SETS.items():
+        for order, grid in ((64, 201), (32, 61)):
+            rule = gauss_hermite(order)
+            sols = outcome(lambda: solve_all(p, rule, grid))
+            case = f"{name} order={order} grid={grid}"
+            if isinstance(sols, str):           # the solve raised
+                yield f"solve_all {case}", digest(lambda: sols)
+                continue
+            for label, stream in STREAMS.items():
+                for regime, pin, pins in PRICING_PINS:
+                    cond = Conditioning(*pins)
+                    yield (f"closed_form_price truncation_bound {case} {label} "
+                           f"{regime} {pin}"), digest(lambda: (
+                               outcome(lambda: closed_form_price(
+                                   stream, regime, p, sols, cond, rule)),
+                               outcome(lambda: truncation_bound(
+                                   stream, regime, p, sols, cfg.horizon, cond, rule))))
+                yield f"info_value_report {case} {label}", digest(
+                    lambda: repr(info_value_report(stream, p, cfg, sols, rule)))
+
+
 def main() -> int:
     total = hashlib.sha256()
-    for cases in (scenario_cases(), engine_cases(gauss_hermite(64)),
-                  moment_cases(), solve_cases()):
-        for case, sha in cases:
-            line = f"{sha}  {case}"
-            total.update(line.encode() + b"\n")
-            print(line, flush=True)
-    print(f"{total.hexdigest()}  all")
+    # "all" hashes the case lines before it; "all with pricing" adds the
+    # closed-form pricing cases
+    for label, groups in (("all", (scenario_cases(), engine_cases(gauss_hermite(64)),
+                                   moment_cases(), solve_cases())),
+                          ("all with pricing", (pricing_cases(),))):
+        for cases in groups:
+            for case, sha in cases:
+                line = f"{sha}  {case}"
+                total.update(line.encode() + b"\n")
+                print(line, flush=True)
+        print(f"{total.hexdigest()}  {label}")
     return 0
 
 

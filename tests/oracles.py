@@ -10,8 +10,8 @@ scalar wealth step and jump update that the hand replay of a path composes,
 the one-signal-at-a-time loop that the batched signal-law averages of
 the closed forms are checked against, the allocating exposure kernel that
 the in-place one is checked against, the exposure maximizer that evaluates
-its corner tests by the slope in every call (which the per-grid corner
-constants are checked against), and the one-path-at-a-time scenario
+its corner tests by the slope in every call (which the closed-form corner
+tests are checked against), and the one-path-at-a-time scenario
 draw that the engine's batched tile draw is checked against, on fresh
 keyed Philox generators (path_rng). The timing insider's renewal function
 f and its closed-form consumption integral live here too: the engine steps
@@ -232,11 +232,11 @@ def exposure_slope_allocating(q, h, lam_a3, jump_rel, w, p, base=None, xu=None):
     return f, fp
 
 
-def argmax_exposure_slope_corners(h, lam_a3, jump_rel, w, p, q_start, corners=None):
+def argmax_exposure_slope_corners(h, lam_a3, jump_rel, w, p, q_start, mean, var):
     """agents._argmax_exposure with F(0) and F(1) from _exposure_slope at
-    q = 0 and 1 on the rows of this call, as before the corner constants
-    (which this ignores) were computed once per grid: the reference whose
-    bits the constant-based corner tests must keep."""
+    q = 0 and 1 on the rows of this call instead of their closed forms in
+    the rows' jump law N(mean, var), which this ignores: the reference whose
+    bits the closed-form corner tests must keep."""
     n = len(h)
     base, xu = np.empty_like(jump_rel), np.empty_like(jump_rel)
     f0 = agents._exposure_slope(np.zeros(n), h, lam_a3, jump_rel, w, p, base, xu)[0]

@@ -39,9 +39,16 @@ from infoprice.errors import (
     GateError,
     IllPosedError,
 )
-from infoprice.model import validate_params
+from infoprice.model import (
+    ConstantStream,
+    ExpUntilFirstJumpStream,
+    PostFirstJumpSignalStream,
+    validate_params,
+)
 from infoprice.optimize import maximize_bounded
+from infoprice.pricing import info_value_report
 from infoprice.quadrature import g_of_q, g_of_q_many, gauss_jacobi, phi2_many
+from infoprice.simulate import SimConfig
 
 from .oracles import (
     argmax_exposure_slope_corners,
@@ -541,25 +548,84 @@ CORNER_SETS = {**SIGNAL_SETS, "R1.5": dict(R=1.5), "R3": dict(R=3.0),
                "R8_mu0.2": dict(R=8.0, mu=0.2), "lam3_R1.5": dict(lam=3.0, R=1.5, m=0.0)}
 
 
-class TestCornerCoefficients:
-    """The corner tests F(0) <= 0 and F(1) >= 0 read per-row constants that
-    the signal system computes once per grid."""
+def corner_slope_gaps(h, lam_a3, p, mean, var, rule):
+    """|closed form - _exposure_slope| of F(0) and F(1) per row, each over
+    the scale of its terms: |h| (|mu - r| + sigma^2 R q) plus the node sum
+    of lam_a3 |x_k| (1 + q x_k)^(-R)."""
+    got = agents._corner_slopes(h, lam_a3, p, mean, var)
+    jump_rel = np.expm1(rule.points(mean, var))
+    base, xu = np.empty_like(jump_rel), np.empty_like(jump_rel)
+    gaps = []
+    for q, closed in zip((0.0, 1.0), got):
+        qs = np.full(len(jump_rel), q)
+        slope = agents._exposure_slope(qs, h, lam_a3, jump_rel, rule.probs, p,
+                                       base, xu)[0]
+        scale = (np.abs(h) * (abs(p.mu - p.r) + p.sigma**2 * p.R * q) + lam_a3
+                 * (np.abs(jump_rel) * (1.0 + q * jump_rel) ** -p.R) @ rule.probs)
+        gaps.append(np.abs(closed - slope) / scale)
+    return gaps
 
-    @pytest.mark.parametrize("fields", SIGNAL_SETS.values(), ids=SIGNAL_SETS)
+
+class TestCornerCoefficients:
+    """The corner tests F(0) <= 0 and F(1) >= 0 are closed forms in each
+    row's Gaussian jump law."""
+
+    @pytest.mark.parametrize("fields", CORNER_SETS.values(), ids=CORNER_SETS)
     def test_corners_are_the_slope_at_zero_and_one(self, canon, rule64, fields):
         p = with_fields(canon, **fields)
         sol = solve_signal_insider(p, rule64)
-        system = agents._SignalSystem(p, rule64, sol.eta_grid)
-        h, lam_a3, n = sol.h_values, p.lam * sol.A3, len(sol.eta_grid)
-        base, xu = np.empty_like(system.jump_rel), np.empty_like(system.jump_rel)
+        mean, var = posterior_of_jump(sol.eta_grid, p)
+        for gap in corner_slope_gaps(sol.h_values, p.lam * sol.A3, p, mean, var,
+                                     rule64):
+            assert gap.max() <= 1e-12
 
-        def slope_at(q):
-            return agents._exposure_slope(np.full(n, q), h, lam_a3, system.jump_rel,
-                                          rule64.probs, p, base, xu)[0]
+    def test_corners_hold_at_high_risk_aversion(self, canon, rule64):
+        """R 20 and a jump variance of 0.09: at the F(1) corner e^(-R xi)
+        has a log-sd of R sqrt(v') = 6."""
+        p = with_fields(canon, R=20.0)
+        mean = np.array([-0.2, -0.05, 0.0, 0.1])
+        for gap in corner_slope_gaps(np.full(4, 3.0), 1.5, p, mean, 0.09, rule64):
+            assert gap.max() <= 1e-12
 
-        assert np.array_equal(h * (p.mu - p.r) + lam_a3 * system.c0, slope_at(0.0))
-        assert np.array_equal(h * ((p.mu - p.r) - p.sigma**2 * p.R)
-                              + lam_a3 * system.c1, slope_at(1.0))
+    def test_cancelling_zero_corner_converges_to_zero(self, canon, rule64):
+        """Rows whose F(0) = h (mu - r) + lam_a3 expm1(m' + v'/2) cancels to
+        rounding, on either side of 0: the rows sent to Newton stop within
+        1e-14 of 0 (the quadrature root may lie just below it)."""
+        p, var = canon, 0.01
+        centre = math.log(1.0 - (p.mu - p.r)) - 0.5 * var      # F(0) = 0 at h = lam_a3 = 1
+        mean = centre + np.arange(-20, 21) * np.spacing(centre)
+        f0 = agents._corner_slopes(1.0, 1.0, p, mean, var)[0]
+        assert (f0 > 0.0).any() and (f0 <= 0.0).any()
+        jump_rel = np.expm1(rule64.points(mean, var))
+        for start in (0.0, 0.5, 1.0):
+            q = agents._argmax_exposure(np.ones(len(mean)), 1.0, jump_rel, rule64.probs,
+                                        p, np.full(len(mean), start), mean, var)
+            assert np.all((q >= 0.0) & (q <= 1e-14))
+
+    def test_solve_pass_evaluates_the_slope_only_in_newton(self, canon, rule64,
+                                                           monkeypatch):
+        """Every regime solve and the closed-form reports of the three
+        streams at canon, interior and dense (the benchmark's solve pass)
+        call _exposure_slope only from _argmax_exposure's Newton loop: at the
+        rows still iterating, with their own h, never at a corner."""
+        calls = []
+        slope = agents._exposure_slope
+
+        def spy(q, h, *args):
+            calls.append((sys._getframe(1).f_code.co_name, np.shape(h) == np.shape(q)))
+            return slope(q, h, *args)
+
+        monkeypatch.setattr(agents, "_exposure_slope", spy)
+        cfg = SimConfig(horizon=25.0, dt=0.05, n_paths=1, seed=1)
+        streams = (ConstantStream(1.0), ExpUntilFirstJumpStream(),
+                   PostFirstJumpSignalStream(psi=np.tanh, psi_bound=1.0, psi_name="tanh"))
+        for fields in SIGNAL_SETS.values():
+            p = with_fields(canon, **fields)
+            sols = solve_all(p, rule64)
+            for stream in streams:
+                info_value_report(stream, p, cfg, sols=sols, rule=rule64)
+        assert calls
+        assert set(calls) == {("_argmax_exposure", True)}
 
     @pytest.mark.parametrize("fields", CORNER_SETS.values(), ids=CORNER_SETS)
     def test_bits_match_the_slope_evaluated_corners(self, canon, rule64, fields,

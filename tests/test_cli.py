@@ -38,8 +38,9 @@ R = 13.181676671264952
 v_eps = 0.007614546902582018
 """
 
-FAST = ["--paths", "2000", "--dt", "0.1", "--grid-size", "61",
-        "--rule-order", "32"]
+# solve reads only the solver's flags; price and compare read them all
+SOLVER_FAST = ["--grid-size", "61", "--rule-order", "32"]
+FAST = ["--paths", "2000", "--dt", "0.1", *SOLVER_FAST]
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +98,10 @@ class TestTableFormat:
 
     def test_gated_signal_solve_reports_null(self, noiseless_cfg):
         # v_eps = 0 gates the signal insider: solve reports the others
-        code, out, err = run_cli("solve", "--config", noiseless_cfg, *FAST)
+        code, out, err = run_cli("solve", "--config", noiseless_cfg, *SOLVER_FAST)
         assert (code, err) == (0, "")
         assert json.loads(out)["signal"] is None
-        code, out, err = run_cli("solve", "--config", noiseless_cfg, *FAST,
+        code, out, err = run_cli("solve", "--config", noiseless_cfg, *SOLVER_FAST,
                                  "--format", "table")
         assert (code, err) == (0, "")
         assert "\nsignal\tNone\ntiming.A2\t" in out
@@ -108,7 +109,7 @@ class TestTableFormat:
 
 class TestSolve:
     def test_solve_json(self, cfg_path):
-        code, out, err = run_cli("solve", "--config", cfg_path, *FAST)
+        code, out, err = run_cli("solve", "--config", cfg_path, *SOLVER_FAST)
         assert code == 0, err
         payload = json.loads(out)
         assert payload["uninformed"]["q_bar1"] == pytest.approx(0.30547, abs=2e-4)
@@ -117,14 +118,14 @@ class TestSolve:
         assert payload["merton"]["merton_fraction"] == pytest.approx(0.625)
 
     def test_solve_table_format(self, cfg_path):
-        code, out, _ = run_cli("solve", "--config", cfg_path, *FAST,
+        code, out, _ = run_cli("solve", "--config", cfg_path, *SOLVER_FAST,
                                "--format", "table")
         assert code == 0
         assert "uninformed.q_bar1\t" in out
 
     def test_solve_deterministic_bytes(self, cfg_path):
-        a = run_cli("solve", "--config", cfg_path, *FAST)
-        b = run_cli("solve", "--config", cfg_path, *FAST)
+        a = run_cli("solve", "--config", cfg_path, *SOLVER_FAST)
+        b = run_cli("solve", "--config", cfg_path, *SOLVER_FAST)
         assert a == b
 
 
@@ -439,11 +440,18 @@ class TestColdStart:
         assert scipy_modules_after(call) == [0, []]
 
 
+# flags that solve and validate do not read ({} is a file path)
+UNREAD_FLAGS = [("solve", "--paths", "10"), ("solve", "--horizon", "5"),
+                ("solve", "--dt", "0.1"), ("solve", "--seed", "1"),
+                ("validate", "--horizon", "5"), ("validate", "--dt", "0.1"),
+                ("validate", "--out", "{}"), ("validate", "--format", "table")]
+
+
 class TestErrorPaths:
     def test_bad_sigma_exits_1(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text(CANON_CFG.replace("sigma = 0.20", "sigma = 0"))
-        code, _, err = run_cli("solve", "--config", str(bad), *FAST)
+        code, _, err = run_cli("solve", "--config", str(bad), *SOLVER_FAST)
         assert code == 1
         assert "sigma" in err
 
@@ -455,26 +463,29 @@ class TestErrorPaths:
     def test_unknown_config_key_exits_2(self, tmp_path):
         bad = tmp_path / "bad2.cfg"
         bad.write_text(CANON_CFG + "extra = 1\n")
-        code, _, err = run_cli("solve", "--config", str(bad), *FAST)
+        code, _, err = run_cli("solve", "--config", str(bad), *SOLVER_FAST)
         assert code == 2
         assert "unknown key" in err
 
     def test_config_line_without_equals_exits_2(self, tmp_path):
         bad = tmp_path / "bad3.cfg"
         bad.write_text(CANON_CFG + "bogus line\n")
-        assert run_cli("solve", "--config", str(bad), *FAST) == (
+        assert run_cli("solve", "--config", str(bad), *SOLVER_FAST) == (
             2, "", f"config error: {bad}:10: expected 'key = value', "
                    "got 'bogus line'\n")
 
     @pytest.mark.parametrize("spec,table,err", [
         ("constant:x", None, "bad constant level 'x'"),
+        ("constant:nan", None, "bad constant level 'nan'"),
+        ("constant:inf", None, "bad constant level 'inf'"),
         ("post_jump_signal:nope", None,
          "unknown psi 'nope'; known: indicator_pos, one, tanh or pwl@FILE"),
         ("post_jump_signal:pwl@{}", "1.0\n2.0\n3.0\n",
          "psi table must have two columns and at least two rows"),
         ("post_jump_signal:pwl@{}", "1.0 0.0\n0.0 0.5\n",
          "psi table abscissae must be strictly increasing"),
-    ], ids=["constant", "psi-name", "psi-one-column", "psi-decreasing"])
+    ], ids=["constant", "constant-nan", "constant-inf", "psi-name", "psi-one-column",
+            "psi-decreasing"])
     def test_bad_stream_spec_exits_2(self, cfg_path, tmp_path, spec, table, err):
         path = tmp_path / "psi.tsv"
         if table is not None:
@@ -514,6 +525,16 @@ class TestErrorPaths:
             " and > 0" if name == "t1" else "") + f", got {float(pin[1])}\n"
 
 
+    @pytest.mark.parametrize("cmd,flag,value", UNREAD_FLAGS,
+                             ids=[f"{cmd}{flag}" for cmd, flag, _ in UNREAD_FLAGS])
+    def test_flag_the_command_does_not_read_exits_2(self, cfg_path, tmp_path, cmd,
+                                                   flag, value):
+        dest = tmp_path / "report"
+        code, out, err = run_cli(cmd, "--config", cfg_path, flag, value.format(dest))
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag} " in err
+        assert not dest.exists()
+
     @pytest.mark.parametrize("flag", [("--horizon", "inf"), ("--seed", "-1"),
                                       ("--seed", str(2**64))])
     def test_bad_horizon_or_seed_exits_2(self, cfg_path, flag):
@@ -549,9 +570,10 @@ class TestNonFiniteParams:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", CANON_CFG,
                               flags=re.M))
-        for args in (("solve",), ("price", "--stream", "constant:1",
-                                  "--regime", "uninformed", "--horizon", "5")):
-            code, out, err = run_cli(*args, "--config", str(cfg), *FAST)
+        for args in (("solve", *SOLVER_FAST),
+                     ("price", "--stream", "constant:1", "--regime", "uninformed",
+                      "--horizon", "5", *FAST)):
+            code, out, err = run_cli(*args, "--config", str(cfg))
             assert (code, out) == (1, "")
             assert err == ("domain error: all_finite: every parameter must be "
                            f"finite; not finite: {key}\n")
