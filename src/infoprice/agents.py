@@ -9,7 +9,7 @@ Four agents are supported.
 * ``timing`` -- learns, immediately after each jump, the exact time of the
   next one. Between jumps it invests the diffusion-only fraction and consumes
   at rate f(T_next - t)^(-1/R); at a jump it holds fraction a_star. f(0) is
-  the root, found by bracketed Newton, of a renewal equation whose Exp(lam)
+  the root, found by Newton from below, of a renewal equation whose Exp(lam)
   average of f is Euler's integral for a Gauss hypergeometric function
   (DLMF 15.6.1), summed on a 32-node Gauss-Jacobi rule; every solution has
   gamma_M > 0.
@@ -248,15 +248,20 @@ def solve_timing_insider(p: ModelParams, rule: QuadratureRule) -> TimingInsiderS
     gamma_M > 0 on every return: R > 1 gives gamma_M > rho/R, and for R < 1
     the gate above fails whenever gamma_M <= 0 because g(a_star) >= g(0) = 1.
     f0 is the root of x = g(a_star) E[f(T)](x), T ~ Exp(lam), found by
-    Newton's method in log x, kept inside a bracket grown from the Merton
-    A_M, to a relative step of 1e-15; a bracket that cannot be found raises
-    ConvergenceError.
+    Newton's method in log x to a step of 1e-15. The residual is decreasing
+    and convex in log x for every R > 0, so Newton climbs to the root
+    monotonically from a start below it: x = gamma_M^(-R), the Merton
+    scale, when g(a_star) >= 1, else the x at which Jensen's inequality
+    makes the residual >= 0. An iterate that is not positive and finite,
+    or 200 steps without convergence, raise ConvergenceError.
     """
     require_valid_params(p)
     a_star = _prior_exposure(0.0, 1.0, p, rule)
     if a_star < INTERIOR_TOL:
         a_star = 0.0
-    g_star = g_of_q(a_star, p, rule)
+    # g(0) = 1 exactly, while a rule's sum can round off it (1 + 2.2e-16 at
+    # order 32), an error the renewal root amplifies by about lam/gamma_M
+    g_star = g_of_q(a_star, p, rule) if a_star > 0.0 else 1.0
     gamma_m = _merton_rate(p)
     if p.R < 1.0:
         gate_den = p.lam + p.R * gamma_m
@@ -285,38 +290,25 @@ def solve_timing_insider(p: ModelParams, rule: QuadratureRule) -> TimingInsiderS
         excess, slope = _renewal_excess(gamma_m, x ** (1.0 / p.R), p.R, tail, probs)
         return (g_star - 1.0) + g_star * excess, g_star * slope
 
-    # residual > 0 near x = 0 and < 0 for large x, with one sign change:
-    # E[f(T)] grows like lam/(lam + R gamma_M) x < x/g(a*)
-    lo = hi = solve_merton(p).A_M
+    # With u = 1/(gamma_M x^(1/R)) and B = t + (1 - t) u the residual is
+    # g(a*) E[B^R] - 1, increasing and convex in log u (second derivative
+    # R E[z B^(R-2) (t + R z)] > 0, z = (1 - t) u), so decreasing and convex
+    # in log x = -R log u: Newton climbs monotonically to the root from any
+    # x below it. u = 1 is below it when g(a*) >= 1; else R > 1, and by
+    # Jensen (E[B^R] >= E[B]^R) the residual is >= 0 where E[B] = g(a*)^(-1/R)
+    m1 = float(probs @ nodes)
+    u0 = 1.0 if g_star >= 1.0 else (g_star ** (-1.0 / p.R) - m1) / (1.0 - m1)
+    f0 = (gamma_m * u0) ** (-p.R)
     for _ in range(200):
-        if residual(lo)[0] > 0.0:
+        if not 0.0 < f0 < math.inf:
+            raise ConvergenceError(f"renewal root search left (0, inf): x={f0:.6g}")
+        r, slope = residual(f0)
+        step = -r / slope                       # slope < 0
+        if step <= 1e-15:                       # r <= 0 only by rounding at the root
             break
-        lo *= 0.5
+        f0 *= math.exp(step)
     else:
-        raise ConvergenceError(f"renewal root not bracketed below x={lo:.3g}")
-    for _ in range(200):
-        if residual(hi)[0] < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError(f"renewal root not bracketed above x={hi:.3g}")
-    # Newton in log x; each step shrinks the bracket, and a step that leaves
-    # it is replaced by the bracket's midpoint
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        r, slope = residual(x)
-        if r > 0.0:
-            lo = x
-        else:
-            hi = x
-        f0 = x * math.exp(-r / slope)           # slope < 0
-        if not lo < f0 < hi:
-            f0 = 0.5 * (lo + hi)
-        if abs(f0 - x) <= 1e-15 * x:
-            break
-        x = f0
-    else:
-        raise ConvergenceError(f"renewal root not converged on [{lo:.6g}, {hi:.6g}]")
+        raise ConvergenceError(f"renewal root not converged in 200 steps: x={f0:.6g}")
     a2 = f0 * (1.0 + _renewal_excess(gamma_m, f0 ** (1.0 / p.R), p.R, tail, probs)[0])
     return TimingInsiderSolution(a_star=a_star, gamma_M=gamma_m, f0=f0, A2=a2,
                                  g_at_a_star=g_star, R=p.R)

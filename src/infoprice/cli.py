@@ -273,6 +273,8 @@ def cmd_compare(p: ModelParams, args) -> dict:
 
 
 def cmd_validate(p: ModelParams, args) -> int:
+    if args.paths < 2:      # its Monte Carlo checks need a standard error
+        raise ValueError(f"--paths must be >= 2 for validate, got {args.paths}")
     checks: list[tuple[str, bool, str]] = []
 
     def add(name: str, ok: bool, detail: str) -> None:

@@ -1,4 +1,4 @@
-"""Gauss-Hermite kernels for the Gaussian expectations used by every solver.
+"""Gauss-Hermite kernels for the Gaussian expectations of the model.
 
 All integrals in the model are expectations of smooth functions under a
 normal law: the jump-utility moment g(q), the posterior utility moment
@@ -6,6 +6,10 @@ phi2(q; m', v'), and the bivariate payoff integral for streams keyed to the
 first jump and its signal. A fixed-order Gauss-Hermite rule (physicists'
 convention, weight exp(-x^2)) is accurate far beyond the tolerances needed
 here because the integrands are analytic with Gaussian decay.
+
+g_of_q serves the uninformed and timing solves; the signal insider takes
+phi2 and kappa in agents over its posterior nodes, so phi2 and phi2_many
+have no caller in the package.
 
 For X ~ N(mean, var) and nodes/weights (x_i, w_i), every module takes the
 points mean + sqrt(2 var) x_i and probabilities w_i / sqrt(pi) from

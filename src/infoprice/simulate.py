@@ -27,7 +27,7 @@ unconditional runs.
 
 The engine advances tiles of at most 256 paths over 2048-step blocks with
 array passes. A tile's set-up calls the generators per path (one reusable
-Philox per purpose and thread, re-keyed from Python ints) and draws
+Philox per thread, re-keyed from Python ints before each draw) and draws
 straight into (paths, jumps) arrays; the times, counts, sizes, signals and
 padding are then one pass over the tile, and draw_scenario is its one-path
 case. Only the signal insider's controls change at a jump, so they are
@@ -149,7 +149,7 @@ class PathRecord:
 
 
 class _RngPool(threading.local):
-    """Reusable Philox generators, one per purpose, re-keyed per path.
+    """One reusable Philox generator per thread, re-keyed for each draw.
 
     get_block writes the Philox state from Python ints: key (seed,
     (4 i + purpose) mod 2^64), counter (0, 0, block, 0) and an empty buffer,
@@ -157,28 +157,28 @@ class _RngPool(threading.local):
     (tests/oracles.py builds those for the reference draws). The draws are
     the same as a fresh generator's, without the construction cost (about
     20 us; each construction also pulls OS entropy).
-    Purposes get separate instances, made on first use, so interleaved use
-    cannot cross streams. Every draw follows its re-key at once, so the
-    engine shares one pool, _POOL, which is local to each thread.
+    Every draw follows its re-key at once, so all purposes share the one
+    generator, made on first use, and the engine shares one pool, _POOL,
+    which is local to each thread.
     """
 
     def __init__(self):
-        self._gens = [None] * 4
+        self._gen = None
 
     def get_block(self, seed: int, path_index: int, purpose: int,
                   block: int) -> np.random.Generator:
         """Stream segment at counter word 2 = block: disjoint 2^128-draw
         segments of the same keyed stream, one per step block. Block 0 is
         the start of the stream, which a fresh keyed generator draws from."""
-        if self._gens[purpose] is None:     # the seed is overwritten below
-            self._gens[purpose] = np.random.Generator(np.random.Philox(0))
-        self._gens[purpose].bit_generator.state = {
+        if self._gen is None:       # the seed is overwritten below
+            self._gen = np.random.Generator(np.random.Philox(0))
+        self._gen.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {"counter": (0, 0, block, 0),
                       "key": (seed, (4 * path_index + purpose) % 2**64)},
             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
-        return self._gens[purpose]
+        return self._gen
 
 
 _POOL = _RngPool()

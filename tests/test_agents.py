@@ -10,6 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,7 +48,13 @@ from infoprice.model import (
 )
 from infoprice.optimize import maximize_bounded
 from infoprice.pricing import info_value_report
-from infoprice.quadrature import g_of_q, g_of_q_many, gauss_jacobi, phi2_many
+from infoprice.quadrature import (
+    g_of_q,
+    g_of_q_many,
+    gauss_hermite,
+    gauss_jacobi,
+    phi2_many,
+)
 from infoprice.simulate import SimConfig
 
 from .oracles import (
@@ -258,7 +265,7 @@ class TestTimingInsider:
             return (g - 1.0) + g * average_excess(
                 sol.gamma_M, x ** (1.0 / p.R), p.R, p.lam / sol.gamma_M)
 
-        # the solver's bracket: halve and double from the Merton A_M
+        # a bracket: halve and double from the Merton A_M
         lo = hi = solve_merton(p).A_M
         while residual(lo) <= 0.0:
             lo *= 0.5
@@ -313,6 +320,26 @@ class TestTimingInsider:
         assert abs(sol.f0 - sol.g_at_a_star * sol.A2) <= 1e-9 * max(1.0, sol.f0)
         assert sol.gamma_M > 0.0
 
+    @PROPERTY
+    @given(**BOX)
+    def test_newton_climbs_to_the_root(self, canon, rule64, mu, sigma, lam, m,
+                                       v, R):
+        """Property over the box of the uninformed one: the residual is
+        convex in log x and the solve starts below its root, so the x at
+        which it evaluates the renewal average never decrease, and there are
+        at most 25 of them."""
+        p = with_fields(canon, mu=mu, sigma=sigma, lam=lam, m=m, v=v, R=R)
+        with mock.patch.object(agents, "_renewal_excess",
+                               wraps=agents._renewal_excess) as spy:
+            try:
+                solve_timing_insider(p, rule64)
+            except DomainError:
+                return
+        # each call is passed c0 = x^(1/R), which orders the calls as x does
+        c0s = [call.args[1] for call in spy.call_args_list]
+        assert 0 < len(c0s) <= 25
+        assert all(b >= a for a, b in zip(c0s, c0s[1:])), c0s
+
     def test_renewal_identity_at_high_risk_aversion(self, canon, rule64):
         p = with_fields(canon, mu=-0.049050456331459706, sigma=0.28781961554920016,
                         lam=4.909742250504175, m=0.2438480834766812,
@@ -338,6 +365,11 @@ class TestTimingInsider:
                 continue
             if not abs(sol.f0 - sol.g_at_a_star * sol.A2) <= 1e-9 * max(1.0, sol.f0):
                 misses.append(p)
+            # a* = 0 makes the timing insider the Merton investor
+            merton = sol.gamma_M ** (-p.R)
+            if sol.a_star == 0.0 and not (abs(sol.f0 - merton) <= 1e-14 * merton
+                                          and abs(sol.A2 - merton) <= 1e-14 * merton):
+                misses.append(p)
         assert misses == []
 
     @pytest.mark.parametrize("lam", [20.0, 50.0])
@@ -349,6 +381,18 @@ class TestTimingInsider:
         assert sol.a_star == 0.0
         assert abs(sol.f0 - sol.g_at_a_star * sol.A2) <= 1e-9 * max(1.0, sol.f0)
         assert sol.f0 == pytest.approx(sol.gamma_M ** (-p.R), rel=1e-12)
+
+    @pytest.mark.parametrize("order", [32, 64])
+    def test_corner_is_exactly_the_merton_investor(self, canon, order):
+        # g(0) = 1 exactly, although the 32-point rule's quadrature of it
+        # gives 1 + 2.2e-16; c = lam/gamma_M is 229 here, which would
+        # amplify that
+        p = with_fields(canon, lam=20.0, R=0.5)
+        sol = solve_timing_insider(p, gauss_hermite(order))
+        merton = sol.gamma_M ** (-p.R)
+        assert (sol.a_star, sol.g_at_a_star) == (0.0, 1.0)
+        assert abs(sol.f0 - merton) <= 1e-14 * merton
+        assert abs(sol.A2 - merton) <= 1e-14 * merton
 
     def test_interior_optimum_fixture(self, canon, rule64):
         p = with_fields(canon, **INTERIOR_TIMING)

@@ -349,6 +349,14 @@ class TestValidate:
                             r"/ max\(1, f0\) = \S+", line)
         assert float(line.split()[-1]) < 1e-9
 
+    @pytest.mark.parametrize("paths", ["1", "0"])
+    def test_fewer_than_two_paths_is_a_usage_error(self, cfg_path, paths):
+        # one path has no standard error: the checks would compare against
+        # nan and fail on a correct program
+        code, out, err = run_cli("validate", "--config", cfg_path, "--paths", paths)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: --paths must be >= 2 for validate, got {paths}\n"
+
     def test_noiseless_signal_fails_the_gate(self, noiseless_cfg):
         # the gate is one check, v_eps > 0 included; the rest still pass
         code, out, err = run_cli("validate", "--config", noiseless_cfg,
