@@ -46,7 +46,7 @@ slot in RegimeSolutions; evaluation helpers are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -58,7 +58,8 @@ from .errors import (
     IllPosedError,
 )
 from .model import ModelParams, require_valid_params
-from .quadrature import QuadratureRule, g_of_q, gauss_jacobi
+from .quadrature import (QuadratureRule, g_of_q, gauss_jacobi, posterior_of_jump,
+                         signal_grid, signal_law)
 
 __all__ = [
     "UninformedSolution",
@@ -318,16 +319,6 @@ def solve_timing_insider(p: ModelParams, rule: QuadratureRule) -> TimingInsiderS
 # Signal insider (noisy observation of the next jump size)
 # ---------------------------------------------------------------------------
 
-def posterior_of_jump(eta: float, p: ModelParams) -> tuple[float, float]:
-    """Gaussian posterior of the jump size xi given the signal eta.
-
-    Returns (mean, var) of N((v eta + v_eps m)/(v + v_eps), v v_eps/(v + v_eps)),
-    which is (eta, 0) for a noiseless signal (v_eps = 0).
-    """
-    denom = p.v + p.v_eps
-    return ((p.v * eta + p.v_eps * p.m) / denom, p.v * p.v_eps / denom)
-
-
 class _MonotoneCubic:
     """Piecewise-cubic Hermite interpolant with PCHIP slopes: the
     Fritsch-Butland weighted harmonic mean of the neighbouring secants inside
@@ -385,6 +376,7 @@ class SignalInsiderSolution:
     q_bar_values: np.ndarray
     A3: float
     a1: float                       # uninformed A1 used as the upper anchor
+    law: tuple = field(repr=False)  # (eta, probs, *signal_terms): signal_law on eta_grid
     residuals: np.ndarray = field(repr=False)
     outer_trace: tuple = field(repr=False)
     _h_interp: _MonotoneCubic = field(repr=False)
@@ -399,12 +391,10 @@ class SignalInsiderSolution:
         return np.clip(self._q_interp(eta), 0.0, 1.0)
 
 
-# Step cap of the batched Newton solves of the signal system, the relative
-# tolerance and step cap of its outer A3 iteration, and the half-width of
-# its eta grid in sd of the signal law.
+# Step cap of the batched Newton solves of the signal system, and the
+# relative tolerance and step cap of its outer A3 iteration.
 _NEWTON_STEPS = 100
 _OUTER_TOL, _OUTER_STEPS = 1e-10, 200
-_GRID_HALFWIDTH_SD = 6.0
 
 
 def _exposure_slope(q, h, lam_a3, jump_rel, w, p, base, xu):
@@ -499,6 +489,7 @@ class _SignalSystem:
         # jump_rel[i, k] = e^{x_k} - 1 at its nodes
         self.mean, self.var = posterior_of_jump(eta_grid, p)
         self.jump_rel = np.expm1(rule.points(self.mean, self.var))
+        self.law = signal_law(p, eta_grid)
 
     def _phi1(self, q):
         p = self.p
@@ -546,10 +537,10 @@ class _SignalSystem:
                                f"steps at {rows.size} grid signals")
 
     def average_h(self, h_values: np.ndarray) -> float:
-        """A3 candidate: E[h(eta)] under eta ~ N(m, v + v_eps)."""
-        p = self.p
-        interp = _MonotoneCubic(self.eta_grid, h_values)
-        return float(self.rule.probs @ interp(self.rule.points(p.m, p.v + p.v_eps)))
+        """A3 candidate: E[h(eta)] under eta ~ N(m, v + v_eps), on the
+        signal_law whose cell edges are the knots of h's interpolant."""
+        eta, probs = self.law
+        return float(probs @ _MonotoneCubic(self.eta_grid, h_values)(eta))
 
 
 def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
@@ -573,9 +564,7 @@ def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
         uninformed = solve_uninformed(p, rule)
     a1 = uninformed.A1
 
-    sd = math.sqrt(p.v + p.v_eps)
-    eta_grid = np.linspace(p.m - _GRID_HALFWIDTH_SD * sd,
-                           p.m + _GRID_HALFWIDTH_SD * sd, grid_size)
+    eta_grid = signal_grid(p, grid_size)
     system = _SignalSystem(p, rule, eta_grid)
 
     h = np.full(grid_size, a1)
@@ -624,44 +613,37 @@ def solve_signal_insider(p: ModelParams, rule: QuadratureRule,
     val, q_bar_values = system.sup_values(h, a3_final, q)
     residuals = np.abs(h ** one_m / one_m - val)
 
-    return SignalInsiderSolution(
+    sol = SignalInsiderSolution(
         eta_grid=eta_grid,
         h_values=h,
         q_bar_values=q_bar_values,
         A3=a3_final,
         a1=a1,
+        law=(),
         residuals=residuals,
         outer_trace=tuple(trace),
         _h_interp=_MonotoneCubic(eta_grid, h),
         _q_interp=_MonotoneCubic(eta_grid, q_bar_values),
     )
+    return replace(sol, law=(*system.law, *signal_terms(sol, p, system.law[0], rule)))
 
 
 def signal_terms(sol: SignalInsiderSolution, p: ModelParams, eta: np.ndarray,
                  rule: QuadratureRule) -> tuple[np.ndarray, ...]:
-    """(q*, h, beta, kappa) at an array of signals, from one matrix of
-    jump-size posterior nodes: the exposure q* from one _argmax_exposure
-    call started from the grid interpolant sol.q_bar_at, h(eta), the
-    pre-jump rate beta of e^(rt) times the deflator, and the posterior mean
-    kappa of (1 + q* (e^X - 1))^(-R)."""
+    """(q*, h, beta, kappa) at an array of signals: the exposure q* =
+    sol.q_bar_at, the control the engine simulates, h(eta), the pre-jump
+    rate beta of e^(rt) times the deflator, and the posterior mean kappa of
+    (1 + q* (e^X - 1))^(-R) on the rule's posterior nodes."""
+    q, h = sol.q_bar_at(eta), sol.h_at(eta)
     mean, var = posterior_of_jump(eta, p)
-    jump_rel = np.expm1(rule.points(mean, var))
-    h = sol.h_at(eta)
-    q = _argmax_exposure(h, p.lam * sol.A3, jump_rel, rule.probs, p, sol.q_bar_at(eta),
-                         mean, var)
-    kappa = (1.0 + q[:, None] * jump_rel) ** (-p.R) @ rule.weights / math.sqrt(math.pi)
+    kappa = (1.0 + q[:, None] * np.expm1(rule.points(mean, var))) ** (-p.R) @ rule.probs
     return q, h, _pre_jump_rate(q, h, p), kappa
 
 
 def q_bar_signal(sol: SignalInsiderSolution, p: ModelParams, eta: float,
                  rule: QuadratureRule) -> float:
-    """Exposure maximizing h(eta) phi1(q) + lam A3 phi2(q; posterior(eta)).
-
-    Solves the maximization afresh with the interpolated h(eta), by the
-    same corner rule and guarded Newton root as the grid solve, started from
-    the grid interpolant sol.q_bar_at (the fast path used in simulation).
-    """
-    return float(signal_terms(sol, p, np.array([float(eta)]), rule)[0][0])
+    """sol.q_bar_at(eta), the exposure the engine simulates; p and the rule are not read."""
+    return float(sol.q_bar_at(float(eta)))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ DEFAULTS = {
     "dt": 0.01,             # trapezoid grid step, years
     "n_paths": 100_000,
     "seed": 20_240,
-    "rule_order": 64,       # Gauss-Hermite points
+    "rule_order": 64,       # Gauss-Hermite points of the jump-size laws
     "grid_size": 201,       # signal-insider eta grid over +-6 sd
     "horizon": {            # per --stream prefix, years; truncation bound:
         "constant": 200.0,          # e^(-rH)/r per unit level, 9.1e-4 at r 0.05
@@ -59,15 +59,16 @@ DEFAULTS = {
     },
 }
 
+# name: (psi, psi_bound, psi_breaks)
 PSI_REGISTRY = {
-    "one": (lambda x: np.ones_like(np.asarray(x, dtype=float)), 1.0),
-    "tanh": (np.tanh, 1.0),
-    "indicator_pos": (lambda x: (np.asarray(x, dtype=float) > 0.0).astype(float), 1.0),
+    "one": (lambda x: np.ones_like(np.asarray(x, dtype=float)), 1.0, ()),
+    "tanh": (np.tanh, 1.0, ()),
+    "indicator_pos": (lambda x: (np.asarray(x, dtype=float) > 0.0).astype(float), 1.0, (0.0,)),
 }
 
 
 def _load_pwl_psi(path: str):
-    """Piecewise-linear psi from a two-column table, flat beyond the knots."""
+    """(psi, bound, knots) of a two-column piecewise-linear table, flat beyond the knots."""
     try:
         table = np.loadtxt(path)
     except OSError as exc:
@@ -83,7 +84,7 @@ def _load_pwl_psi(path: str):
     def psi(x):
         return np.interp(np.asarray(x, dtype=float), xs, ys)
 
-    return psi, float(np.max(np.abs(ys)))
+    return psi, float(np.max(np.abs(ys))), tuple(xs)
 
 
 def parse_stream(spec: str) -> IncomeStream:
@@ -99,15 +100,15 @@ def parse_stream(spec: str) -> IncomeStream:
         return ExpUntilFirstJumpStream()
     if kind == "post_jump_signal":
         if arg.startswith("pwl@"):
-            psi, bound = _load_pwl_psi(arg[4:])
-            return PostFirstJumpSignalStream(psi=psi, psi_bound=bound,
-                                             psi_name=arg)
-        if arg not in PSI_REGISTRY:
+            psi, bound, breaks = _load_pwl_psi(arg[4:])
+        elif arg in PSI_REGISTRY:
+            psi, bound, breaks = PSI_REGISTRY[arg]
+        else:
             raise ConfigError(
                 f"unknown psi {arg!r}; known: {', '.join(sorted(PSI_REGISTRY))} "
                 "or pwl@FILE")
-        psi, bound = PSI_REGISTRY[arg]
-        return PostFirstJumpSignalStream(psi=psi, psi_bound=bound, psi_name=arg)
+        return PostFirstJumpSignalStream(psi=psi, psi_bound=bound, psi_name=arg,
+                                         psi_breaks=breaks)
     raise ConfigError(f"unknown stream kind {kind!r}")
 
 

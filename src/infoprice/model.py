@@ -250,18 +250,24 @@ class PostFirstJumpSignalStream:
     """e_t = exp((r - 1) t) * Psi(eta_0) on [T1, infinity).
 
     The payoff scale is fixed at T1 by the initial signal eta_0; psi must be
-    bounded by psi_bound in absolute value.
+    bounded by psi_bound in absolute value. The closed forms cut their cells
+    of the signal law at psi_breaks, the increasing signals where psi steps or kinks.
     """
 
     psi: Callable[[float], float]
     psi_bound: float
     psi_name: str = "psi"
+    psi_breaks: tuple[float, ...] = ()
     jump_keyed: ClassVar[bool] = True
     ends_at_first_jump: ClassVar[bool] = False
 
     def __post_init__(self):
         if not (math.isfinite(self.psi_bound) and self.psi_bound >= 0.0):
             raise StreamGuardError("psi_bound must be a finite nonnegative constant")
+        breaks = tuple(map(float, self.psi_breaks))
+        if not all(math.isfinite(a) and a < b for a, b in zip(breaks, breaks[1:] + (math.inf,))):
+            raise StreamGuardError("psi_breaks must be finite and strictly increasing")
+        object.__setattr__(self, "psi_breaks", breaks)
 
     @property
     def label(self) -> str:

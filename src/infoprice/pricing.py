@@ -12,7 +12,7 @@ cross-checked against:
   insider given T1 (1/lam on average), 1/(lam - alpha) to the uninformed
   agent, and 1/(lam - beta(eta0)) to the signal insider given eta0;
 * the post-first-jump stream exp((r-1) t) 1[t >= T1] Psi(eta0) reduces to
-  Gaussian integrals of Psi against the jump and signal laws.
+  averages of Psi over the signal law times posterior moments of the jump.
 
 These three streams are the whole stream API (see `model`). The pre-jump
 stream's closed form and its truncation bound are one tail integral of the
@@ -31,10 +31,12 @@ loses mean where the bound q* <= 1 binds, so M_1 is not A3 but the Laplace
 transform at rate 1 of E[e^(rt) Y_t] after a fresh signal:
 M_1 = E_p0[h/(1 + lam - beta)] / (1 - lam E_p0[kappa/(1 + lam - beta)]),
 with p0 the signal law N(m, v + v_eps) and kappa(eta) the posterior mean of
-(1 + q* (e^X - 1))^(-R); agents.signal_terms gives h, beta and kappa. Every
-average over the signal law is one array pass over the Gauss-Hermite nodes of
-p0 (a pinned eta0 is the one-node case). A Conditioning pins the regime its
-`regime` property names, and any other regime rejects it with ValueError.
+(1 + q* (e^X - 1))^(-R); agents.signal_terms gives h, beta and kappa at the
+q_bar that the engine simulates. Every average over the signal law is one
+array pass over quadrature.signal_law's nodes (the signal insider's on its
+eta grid; a pinned eta0 is the one-node case), cut at psi_breaks for Psi. A
+Conditioning pins the regime its `regime` property names, and any other
+regime rejects it with ValueError.
 The merton benchmark prices neither jump-keyed stream (it has no jump).
 
 info_value_report takes the information values as price differences between
@@ -68,7 +70,7 @@ from .model import (
     require_stream,
     require_valid_params,
 )
-from .quadrature import QuadratureRule, default_rule, psi_double_integral
+from .quadrature import QuadratureRule, default_rule, psi_double_integral, signal_law
 from .simulate import SimConfig, _check_regime, path_integrals
 
 __all__ = [
@@ -126,25 +128,25 @@ def _check_entry(e: IncomeStream, regime: str, p: ModelParams,
     return cond
 
 
-def _signal_law(p: ModelParams, rule: QuadratureRule, cond: Conditioning):
-    """Signals and weights of an average over the first signal: the pinned
-    eta0 alone, else the rule's nodes of the signal law N(m, v + v_eps)."""
-    if cond.eta0 is not None:
-        return np.array([cond.eta0]), np.ones(1)
-    return rule.points(p.m, p.v + p.v_eps), rule.probs
+def _law_terms(p: ModelParams, sol: SignalInsiderSolution, cond: Conditioning,
+               rule: QuadratureRule, breaks=()):
+    """(eta, weights, *signal_terms) over the first signal: the pinned eta0
+    alone, else the signal law cut at `breaks` (sol.law, solved once, if none)."""
+    if cond.eta0 is None and not breaks:
+        return sol.law
+    eta, w = ((np.array([cond.eta0]), np.ones(1)) if cond.eta0 is not None
+              else signal_law(p, sol.eta_grid, breaks))
+    return (eta, w, *signal_terms(sol, p, eta, rule))
 
 
-def _signal_rates(sol: SignalInsiderSolution, p: ModelParams, eta: np.ndarray,
-                  rule: QuadratureRule, s: float):
-    """(h, s + lam - beta, kappa) at each signal; raises DomainError, naming
-    the first signal where s + lam - beta <= 0 (the value diverges)."""
-    _, h, beta, kappa = signal_terms(sol, p, eta, rule)
+def _decay_rates(eta: np.ndarray, beta: np.ndarray, p: ModelParams, s: float):
+    """s + lam - beta at each signal; DomainError names the first one <= 0 (divergent)."""
     rate = s + p.lam - beta
-    for x, r in zip(eta, rate):
-        if r <= 0.0:
-            raise DomainError(f"lam{' + 1' if s else ''} - beta({x:.4g}) = "
-                              f"{r:.6g} <= 0: value diverges")
-    return h, rate, kappa
+    if (rate <= 0.0).any():
+        i = np.argmax(rate <= 0.0)          # the first signal where it fails
+        raise DomainError(f"lam{' + 1' if s else ''} - beta({eta[i]:.4g}) = "
+                          f"{rate[i]:.6g} <= 0: value diverges")
+    return rate
 
 
 def _pre_jump_tail(regime: str, p: ModelParams, sol, cond: Conditioning,
@@ -169,8 +171,8 @@ def _pre_jump_tail(regime: str, p: ModelParams, sol, cond: Conditioning,
         if p.lam <= 0.0:
             raise DomainError("lam = 0: the pre-jump stream never terminates")
         return math.exp(-p.lam * horizon) / p.lam
-    eta, w = _signal_law(p, rule, cond)
-    rate = _signal_rates(sol, p, eta, rule, 0.0)[1]
+    eta, w, _, _, beta, _ = _law_terms(p, sol, cond, rule)
+    rate = _decay_rates(eta, beta, p, 0.0)
     return float(w @ (np.exp(-rate * horizon) / rate))
 
 
@@ -180,19 +182,17 @@ def _post_jump_signal(e: PostFirstJumpSignalStream, p: ModelParams,
     """The signal insider's price of exp((r-1) t) 1[t >= T1] Psi(eta0):
     Psi(eta0) (M_1/h(eta0)) lam kappa(eta0)/(lam + 1 - beta(eta0)) given
     eta0, averaged over the signal law unless eta0 is pinned."""
-    eta0, w0 = _signal_law(p, rule, cond)
-    nodes, w = _signal_law(p, rule, Conditioning())
-    # a pinned eta0 goes first, so its divergence is the one reported
-    eta = nodes if cond.eta0 is None else np.append(eta0, nodes)
-    h, rate, kappa = _signal_rates(sol, p, eta, rule, 1.0)
-    resolvent = 1.0 - p.lam * float(w @ (kappa / rate)[-len(w):])
+    eta0, w0, _, h0, beta0, kappa0 = _law_terms(p, sol, cond, rule, e.psi_breaks)
+    # Psi's own signals are checked first, so their divergence is the one reported
+    rate0 = _decay_rates(eta0, beta0, p, 1.0)
+    eta, w, _, h, beta, kappa = sol.law
+    rate = _decay_rates(eta, beta, p, 1.0)
+    resolvent = 1.0 - p.lam * float(w @ (kappa / rate))
     if resolvent <= 0.0:
         raise DomainError(f"1 - lam E[kappa/(lam + 1 - beta)] = {resolvent:.6g}"
                           " <= 0: value diverges")
-    m1 = float(w @ (h / rate)[-len(w):]) / resolvent
-    k = len(eta0)
-    psi = e.psi_at(eta0)
-    return float(w0 @ (psi * (m1 / h[:k]) * p.lam / rate[:k] * kappa[:k]))
+    m1 = float(w @ (h / rate)) / resolvent
+    return float(w0 @ (e.psi_at(eta0) * (m1 / h0) * p.lam / rate0 * kappa0))
 
 
 def truncation_bound(e: IncomeStream, regime: str, p: ModelParams,
@@ -317,11 +317,11 @@ def closed_form_price(e: IncomeStream, regime: str, p: ModelParams,
         denom = p.lam + 1.0 - sol.alpha
         if denom <= 0.0:
             raise DomainError(f"lam + 1 - alpha = {denom:.6g} <= 0: value diverges")
-        dbl = psi_double_integral(e.psi_at, sol.q_bar1, p, rule)
+        dbl = psi_double_integral(e.psi_at, sol.q_bar1, p, rule, e.psi_breaks)
         return p.lam / denom * dbl
     if regime == "timing":
         # e^(-T1) averages to lam/(lam + 1) over T1 ~ Exp(lam)
-        dbl = psi_double_integral(e.psi_at, sol.a_star, p, rule)
+        dbl = psi_double_integral(e.psi_at, sol.a_star, p, rule, e.psi_breaks)
         weight = (math.exp(-cond.t1) if cond.t1 is not None
                   else p.lam / (p.lam + 1.0))
         return weight * (sol.A2 / sol.f0) * dbl

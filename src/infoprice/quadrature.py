@@ -1,25 +1,23 @@
-"""Gauss-Hermite kernels for the Gaussian expectations of the model.
+"""Quadrature rules for the expectations of the model.
 
-All integrals in the model are expectations of smooth functions under a
-normal law: the jump-utility moment g(q), the posterior utility moment
-phi2(q; m', v'), and the bivariate payoff integral for streams keyed to the
-first jump and its signal. A fixed-order Gauss-Hermite rule (physicists'
-convention, weight exp(-x^2)) is accurate far beyond the tolerances needed
-here because the integrands are analytic with Gaussian decay.
-
-g_of_q serves the uninformed and timing solves; the signal insider takes
-phi2 and kappa in agents over its posterior nodes, so phi2 and phi2_many
-have no caller in the package.
-
-For X ~ N(mean, var) and nodes/weights (x_i, w_i), every module takes the
-points mean + sqrt(2 var) x_i and probabilities w_i / sqrt(pi) from
+Under a jump-size law N(mean, var) every integrand is smooth: the
+jump-utility moment g(q), the posterior utility moment phi2(q; m', v') and
+the posterior moments of pricing. A fixed-order Gauss-Hermite rule
+(physicists' convention, weight exp(-x^2)) is accurate far beyond the
+tolerances needed here for these. For X ~ N(mean, var) every module takes
+the points mean + sqrt(2 var) x_i and probabilities w_i / sqrt(pi) from
 QuadratureRule.points and QuadratureRule.probs:
 
     E[f(X)] ~= sum_i w_i f(mean + sqrt(2 var) x_i) / sqrt(pi)
 
-gauss_jacobi gives the one non-Gaussian rule, for averages under the
-density c t^(c-1) on [0, 1] that the timing insider's renewal equation
-needs.
+Under the signal law N(m, v + v_eps) a psi may step or kink, and the signal
+insider's h and q_bar are piecewise cubics on its eta grid. signal_law is
+the one rule for every average over it: 2-point Gauss-Legendre on the cells
+of a signal grid whose edges include every point where the integrand is not
+smooth, with the normal density times the weights as probabilities.
+g_of_q serves the uninformed and timing solves, and phi2 and phi2_many have
+no caller in the package. gauss_jacobi gives the rule for averages under
+the density c t^(c-1) on [0, 1] that the timing insider's renewal needs.
 """
 
 from __future__ import annotations
@@ -44,10 +42,15 @@ __all__ = [
     "phi2",
     "phi2_many",
     "psi_double_integral",
+    "posterior_of_jump",
+    "signal_grid",
+    "signal_law",
 ]
 
 DEFAULT_ORDER = 64
 JACOBI_ORDER = 32
+# signal_grid's half-width and signal_law's tail cells a side, in sd
+_GRID_HALFWIDTH_SD, _TAIL_CELLS, _TAIL_SD = 6.0, 12, 9.0
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -58,10 +61,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
     def points(self, mean, var: float) -> np.ndarray:
         """N(mean, var) nodes mean + sqrt(2 var) x_i, a row per entry of mean."""
@@ -86,18 +85,22 @@ def gauss_hermite(order: int) -> QuadratureRule:
 def gauss_jacobi(c: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes t_k and probabilities w_k (summing to 1) of the JACOBI_ORDER-point
     Gauss rule for the density c t^(c-1) on [0, 1], c > 0: the Jacobi rule
-    with exponents (0, c - 1) moved to [0, 1], from the eigenvectors of its
-    three-term recurrence matrix (Golub and Welsch 1969). With b = c - 1 the
-    matrix has diagonal c/(c+1), then 1/2 + b^2/(2 s (s+2)) with s = 2n + b,
-    and off-diagonal n (n+b) / (s sqrt((s-1)(s+1))) for n = 1, 2, ...
-    """
+    with exponents (0, c - 1) moved to [0, 1]. Its nodes are the eigenvalues
+    of the recurrence matrix (Golub and Welsch 1969) with diagonal a_0 =
+    c/(c+1), then 1/2 + b^2/(2 s (s+2)), and off-diagonal b_n = n (n+b) /
+    (s sqrt((s-1)(s+1))), b = c - 1, s = 2n + b; its weights 1/sum_j p_j^2
+    over the orthonormal p_(n+1) = ((t - a_n) p_n - b_n p_(n-1))/b_(n+1)."""
     b = c - 1.0
     n = np.arange(1.0, JACOBI_ORDER)
     s = 2.0 * n + b
     diag = np.concatenate(([c / (c + 1.0)], 0.5 + 0.5 * b * b / (s * (s + 2.0))))
     off = n * (n + b) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
-    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    probs = vectors[0] ** 2
+    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    p_prev, p, total = 0.0, np.ones(JACOBI_ORDER), np.ones(JACOBI_ORDER)
+    for k in range(JACOBI_ORDER - 1):
+        p_prev, p = p, ((nodes - diag[k]) * p - off[k - 1] * p_prev) / off[k]
+        total += p * p
+    probs = 1.0 / total
     return nodes, probs / probs.sum()
 
 
@@ -158,22 +161,50 @@ def phi2_many(q: np.ndarray, m_prime: float, v_prime: float, p: ModelParams,
     return g_of_q_many(q, replace(p, m=m_prime, v=v_prime), rule) / (1.0 - p.R)
 
 
-def psi_double_integral(psi: Callable, a_coef: float, p: ModelParams,
-                        rule: QuadratureRule) -> float:
-    """E[psi(X1 + X2) (1 + a (e^X1 - 1))^(-R)], X1 ~ N(m, v), X2 ~ N(0, v_eps).
+def posterior_of_jump(eta, p: ModelParams):
+    """(mean, var) of the jump size's posterior N(eta + v_eps (m - eta)/(v + v_eps),
+    v v_eps/(v + v_eps)) given the signal eta: exactly (eta, 0) at v_eps = 0."""
+    denom = p.v + p.v_eps
+    return eta + p.v_eps * (p.m - eta) / denom, p.v * p.v_eps / denom
 
-    Nested Gauss-Hermite: outer over the jump size X1, inner over the signal
-    noise X2. With noiseless signals (v_eps = 0) every noise node is 0, so
-    this is the one-dimensional integral over X1.
-    """
+
+def signal_grid(p: ModelParams, size: int = 201) -> np.ndarray:
+    """`size` evenly spaced signals over m +- 6 sd of the signal law."""
+    half = _GRID_HALFWIDTH_SD * math.sqrt(p.v + p.v_eps)
+    return np.linspace(p.m - half, p.m + half, size)
+
+
+def signal_law(p: ModelParams, edges: np.ndarray, breaks=()):
+    """Increasing signals and probabilities (summing to 1) of the signal law
+    N(m, v + v_eps): 2-point Gauss-Legendre nodes on each cell of the grid
+    `edges` and of twelve more cells a side out to m +- 9 sd, every cell cut at
+    the `breaks` inside, with the normal density times the weights."""
+    sd = math.sqrt(p.v + p.v_eps)
+    cuts = np.concatenate((
+        np.linspace(p.m - _TAIL_SD * sd, edges[0], _TAIL_CELLS + 1)[:-1], edges,
+        np.linspace(edges[-1], p.m + _TAIL_SD * sd, _TAIL_CELLS + 1)[1:]))
+    breaks = np.asarray(breaks, dtype=float)
+    # np.sort, not np.union1d: np.unique's first call imports numpy.ma (~10 ms)
+    cuts = np.sort(np.concatenate((cuts, breaks[(breaks > cuts[0]) & (breaks < cuts[-1])])))
+    mid, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * np.diff(cuts)
+    eta = (mid[:, None] + half[:, None] * np.array([-1.0, 1.0]) / math.sqrt(3.0)).ravel()
+    probs = np.repeat(half, 2) * np.exp(-0.5 * ((eta - p.m) / sd) ** 2)
+    return eta, probs / probs.sum()
+
+
+def psi_double_integral(psi: Callable, a_coef: float, p: ModelParams,
+                        rule: QuadratureRule, breaks=()) -> float:
+    """E[psi(X1 + X2) k(X1)], k(x) = (1 + a (e^x - 1))^(-R), X1 ~ N(m, v),
+    X2 ~ N(0, v_eps): E[psi(eta) E[k(X1) | eta]] over the signal eta = X1 +
+    X2 on signal_law (signal_grid cut at psi's `breaks`), with the posterior
+    moment on `rule` (the point eta at v_eps = 0)."""
     a_coef = float(a_coef)
     if not 0.0 <= a_coef <= 1.0:
         raise ValueError(f"a_coef must be in [0, 1], got {a_coef}")
-    x1 = rule.points(p.m, p.v)                  # jump sizes
-    x2 = rule.points(0.0, p.v_eps)              # noise
-    psi_grid = _values_at(psi, x1[:, None] + x2[None, :])
-    if not np.all(np.isfinite(psi_grid)):
+    eta, probs = signal_law(p, signal_grid(p), breaks)
+    psi_values = _values_at(psi, eta)
+    if not np.all(np.isfinite(psi_values)):
         raise ValueError("psi is non-finite at a quadrature node")
-    inner = psi_grid @ rule.weights / _SQRT_PI               # E over X2, per x1
-    outer = (1.0 + a_coef * np.expm1(x1)) ** (-p.R) * inner
-    return float(rule.weights @ outer) / _SQRT_PI
+    mean, var = posterior_of_jump(eta, p)
+    k = (1.0 + a_coef * np.expm1(rule.points(mean, var))) ** (-p.R) @ rule.probs
+    return float(probs @ (psi_values * k))

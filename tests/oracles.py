@@ -3,8 +3,11 @@
 Everything here is deliberately implemented without touching the package's
 own quadrature/optimizer code paths, so a test comparing the two is a real
 cross-check: adaptive Simpson for one-dimensional integrals, a tensor
-Simpson grid for the bivariate payoff integral, Newton's method on the
-Hermite three-term recurrence for quadrature nodes, a discretized Bayes rule
+Simpson grid for the bivariate payoff integral, a fine trapezoid split at
+every point where the integrand is not smooth for the closed forms'
+averages over the signal law (closed_form_reference), Newton's method on the
+Hermite three-term recurrence for quadrature nodes, the Gauss-Jacobi rule by
+the eigenvectors of its recurrence matrix, a discretized Bayes rule
 for the signal posterior, brute-force grids for argmax checks, the
 scalar wealth step and jump update that the hand replay of a path composes,
 the one-signal-at-a-time loop that the batched signal-law averages of
@@ -19,7 +22,8 @@ log consumption, which moves at a constant rate between jumps, so only the
 hand replay integrates the consumption rate, and only the hand replay and
 the normalization tests evaluate the state-price density at a given wealth
 (deflator). beta_coef is not an oracle but a test helper: it reads the
-package's own batched value.
+package's own batched value. signal_law_average takes its nodes from the
+package's signal_law, so the loop it drives checks the batching alone.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 from infoprice import agents
 from infoprice.agents import log_scale, signal_terms
 from infoprice.errors import ConvergenceError
+from infoprice.quadrature import signal_law
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-12,
@@ -115,6 +120,22 @@ def hermite_nodes_newton(order: int) -> np.ndarray:
                                         tol=1e-14))
     assert len(roots) == order, f"found {len(roots)} roots for order {order}"
     return np.sort(np.array(roots))
+
+
+def gauss_jacobi_eigenvectors(c: float, order: int = 32):
+    """The Gauss rule for the density c t^(c-1) on [0, 1] by Golub and
+    Welsch with eigenvectors: nodes the eigenvalues of the Jacobi matrix,
+    probabilities the squared first components of its eigenvectors (as
+    quadrature.gauss_jacobi built it before it took its weights from the
+    three-term recurrence)."""
+    b = c - 1.0
+    n = np.arange(1.0, order)
+    s = 2.0 * n + b
+    diag = np.concatenate(([c / (c + 1.0)], 0.5 + 0.5 * b * b / (s * (s + 2.0))))
+    off = n * (n + b) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    probs = vectors[0] ** 2
+    return nodes, probs / probs.sum()
 
 
 def discretized_bayes_posterior(eta: float, m: float, v: float, v_eps: float,
@@ -266,12 +287,96 @@ def beta_coef(eta0: float, sol, p, rule) -> float:
     return float(signal_terms(sol, p, np.array([float(eta0)]), rule)[2][0])
 
 
-def signal_law_average(f, p, rule) -> float:
+def signal_law_average(f, p, sol) -> float:
     """Average of the scalar function f(eta) under the signal law
-    N(m, v + v_eps): one call of f per node of the Gauss-Hermite rule."""
-    pts = p.m + math.sqrt(2.0 * (p.v + p.v_eps)) * rule.nodes
-    vals = np.array([f(float(e)) for e in pts])
-    return float(rule.weights @ vals) / math.sqrt(math.pi)
+    N(m, v + v_eps): one call of f per node of quadrature.signal_law on the
+    signal insider's eta grid, in node order."""
+    eta, probs = signal_law(p, sol.eta_grid)
+    return float(probs @ np.array([f(float(e)) for e in eta]))
+
+
+def split_trapezoid(f, cuts, n: int = 8) -> float:
+    """Integral of the vectorized f over [cuts[0], cuts[-1]]: on each piece
+    between consecutive cuts the trapezoid rule on n and on 2n panels, with
+    one Richardson step (4 T_2n - T_n)/3, so f need be smooth only between
+    cuts. The end points of each piece are moved inward by 1e-12 of its
+    width, so a step at a cut is read from the piece's own side."""
+    cuts = np.asarray(cuts, dtype=float)
+    a, b = cuts[:-1, None], cuts[1:, None]
+    s = np.linspace(0.0, 1.0, 2 * n + 1)
+    s[0], s[-1] = 1e-12, 1.0 - 1e-12
+    vals = np.asarray(f(a + (b - a) * s), dtype=float)
+    width = (b - a)[:, 0]
+    t_fine = (vals[:, 1:-1].sum(axis=1) + 0.5 * (vals[:, 0] + vals[:, -1])) / (2 * n)
+    t_coarse = (vals[:, 2:-2:2].sum(axis=1) + 0.5 * (vals[:, 0] + vals[:, -1])) / n
+    return float(width @ (4.0 * t_fine - t_coarse) / 3.0)
+
+
+def signal_law_reference(f, p, knots=(), pieces: int = 400) -> float:
+    """E[f(eta)] under the signal law N(m, v + v_eps) by split_trapezoid on
+    m +- 10 sd, cut every 20/pieces sd and at the `knots` inside, the points
+    where f is not smooth."""
+    sd = math.sqrt(p.v + p.v_eps)
+    cuts = np.linspace(p.m - 10.0 * sd, p.m + 10.0 * sd, pieces + 1)
+    knots = np.asarray(knots, dtype=float)
+    cuts = np.union1d(cuts, knots[(knots > cuts[0]) & (knots < cuts[-1])])
+
+    def weighted(eta):
+        return f(eta) * np.exp(-0.5 * ((eta - p.m) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+
+    return split_trapezoid(weighted, cuts)
+
+
+def posterior_moment_reference(k, eta, p, order: int = 64):
+    """E[k(X) | eta] for the jump X given the signal eta, vectorized over
+    eta: the Bayes posterior N((v eta + v_eps m)/(v + v_eps),
+    v v_eps/(v + v_eps)) on numpy's own Gauss-Hermite nodes."""
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    mean = (p.v * eta + p.v_eps * p.m) / (p.v + p.v_eps)
+    sd = math.sqrt(2.0 * p.v * p.v_eps / (p.v + p.v_eps))
+    return k(mean[..., None] + sd * nodes) @ weights / math.sqrt(math.pi)
+
+
+def closed_form_reference(stream, regime: str, p, sols) -> float:
+    """The unconditional closed-form price of a jump-keyed stream with every
+    average over the signal law taken by signal_law_reference, cut at the
+    stream's psi_breaks and, for the signal insider, at the knots of its
+    interpolants h and q_bar: the formulas of pricing, on another rule."""
+    post_jump = hasattr(stream, "psi_at")
+    if regime in ("uninformed", "timing") and post_jump:
+        sol = sols.for_regime(regime)
+        a = sol.q_bar1 if regime == "uninformed" else sol.a_star
+        dbl = signal_law_reference(
+            lambda eta: stream.psi(eta) * posterior_moment_reference(
+                lambda x: (1.0 + a * np.expm1(x)) ** -p.R, eta, p),
+            p, stream.psi_breaks)
+        if regime == "uninformed":
+            return p.lam / (p.lam + 1.0 - sol.alpha) * dbl
+        return p.lam / (p.lam + 1.0) * sol.A2 / sol.f0 * dbl
+    if regime == "uninformed":
+        return 1.0 / (p.lam - sols.uninformed.alpha)
+    if regime == "timing":
+        return 1.0 / p.lam
+    sol = sols.signal
+
+    def terms(eta):
+        q, h = sol.q_bar_at(eta), sol.h_at(eta)
+        kappa = posterior_moment_reference(
+            lambda x: (1.0 + q[..., None] * np.expm1(x)) ** -p.R, eta, p)
+        return h, p.lam - agents._pre_jump_rate(q, h, p), kappa
+
+    knots = sol.eta_grid
+    if not post_jump:
+        return signal_law_reference(lambda eta: 1.0 / terms(eta)[1], p, knots)
+    m1 = signal_law_reference(lambda eta: terms(eta)[0] / (1.0 + terms(eta)[1]), p, knots)
+    m1 /= 1.0 - p.lam * signal_law_reference(
+        lambda eta: terms(eta)[2] / (1.0 + terms(eta)[1]), p, knots)
+
+    def conditional(eta):
+        h, rate, kappa = terms(eta)
+        return stream.psi(eta) * (m1 / h) * p.lam * kappa / (1.0 + rate)
+
+    return signal_law_reference(conditional, p, np.union1d(knots, stream.psi_breaks))
 
 
 def _philox_key(seed: int, path_index: int, purpose: int) -> np.ndarray:

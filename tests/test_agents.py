@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infoprice import agents
+from infoprice import agents, quadrature
 from infoprice.agents import (
     REGIMES,
     RegimeSolutions,
@@ -513,8 +513,8 @@ class TestExposureKernel:
 # arrays, recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64 (AVX-512).
 SIGNAL_SETS = {"canon": {}, "interior": INTERIOR_TIMING,
                "dense": dict(lam=2.0, m=0.0, v=0.01)}
-SIGNAL_FINGERPRINTS = {"canon": "145d2c8810888237", "interior": "ba0ae7799bbfc8e5",
-                       "dense": "df835ed0e267aa37"}
+SIGNAL_FINGERPRINTS = {"canon": "c3fee78f99be433b", "interior": "f07afac70aa10a28",
+                       "dense": "61fe770203f48479"}
 
 
 def signal_fingerprint(sol) -> str:
@@ -730,10 +730,17 @@ class TestPosterior:
 
     @pytest.mark.parametrize("eta", [-0.3, 0.0, 0.1])
     def test_noiseless_posterior_is_the_signal(self, canon, eta):
-        # N(eta, 0) up to the rounding of v eta / v
         mean, var = posterior_of_jump(eta, with_fields(canon, v_eps=0.0))
-        assert mean == pytest.approx(eta, rel=1e-15, abs=0.0)
-        assert var == 0.0
+        assert (mean, var) == (eta, 0.0)
+
+    def test_noiseless_posterior_mean_is_exact(self, canon):
+        # (v eta + 0)/v would miss eta by an ulp at 306 of these 2001 signals
+        eta = np.linspace(-1.0, 1.0, 2001)
+        mean, _ = posterior_of_jump(eta, with_fields(canon, v_eps=0.0))
+        assert np.array_equal(mean, eta)
+
+    def test_one_owner(self):
+        assert agents.posterior_of_jump is quadrature.posterior_of_jump
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +748,17 @@ class TestPosterior:
 # ---------------------------------------------------------------------------
 
 class TestSignalInsider:
+    @pytest.mark.parametrize("fields", [{}, INTERIOR_TIMING, dict(lam=2.0, m=0.0, v=0.01)],
+                             ids=["canon", "interior", "dense"])
+    def test_a3_does_not_depend_on_the_rule_order(self, canon, fields):
+        # the rule sets only the jump-size laws, whose integrands are smooth;
+        # on Gauss-Hermite nodes over the signal law A3 moved by 2.8e-6,
+        # 2.9e-5 and 4.2e-4 between orders 64 and 128
+        p = with_fields(canon, **fields)
+        a64 = solve_signal_insider(p, gauss_hermite(64)).A3
+        a128 = solve_signal_insider(p, gauss_hermite(128)).A3
+        assert abs(a64 - a128) <= 1e-12 * a64
+
     def test_gate_rejects_low_risk_aversion(self, canon, rule64):
         with pytest.raises(GateError):
             solve_signal_insider(with_fields(canon, R=0.8), rule64, grid_size=41)
@@ -1027,7 +1045,7 @@ class TestSignalTerms:
             assert q == q_bar_signal(sol, p, x, rule64)
             assert beta == beta_coef(x, sol, p, rule64)
             assert h == sol.h_at(x)
-        # a batch of signals solves every row to the same 1e-14 step stop
+        # a batch of signals reads the same interpolants
         q, h, beta, _ = signal_terms(sol, p, eta, rule64)
         assert q == pytest.approx([q_bar_signal(sol, p, x, rule64) for x in eta],
                                   rel=1e-12, abs=1e-13)

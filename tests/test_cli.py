@@ -12,6 +12,11 @@ import sys
 import numpy as np
 import pytest
 
+from infoprice.agents import solve_all
+from infoprice.model import PostFirstJumpSignalStream, read_params_file
+from infoprice.pricing import Conditioning, closed_form_price
+from infoprice.quadrature import gauss_hermite
+
 CANON_CFG = """\
 mu = 0.10
 r = 0.05
@@ -287,6 +292,37 @@ class TestCompare:
         timing_row = next(r for r in payload["rows"] if r["regime"] == "timing")
         assert timing_row["closed_form"] is not None
         assert timing_row["mc_mean"] is None
+
+    @pytest.mark.parametrize("spec,psi,breaks", [
+        ("post_jump_signal:indicator_pos",
+         lambda x: (np.asarray(x) > 0.0).astype(float), (0.0,)),
+        ("post_jump_signal:pwl@{}",
+         lambda x: np.interp(x, (-0.3, 0.0, 0.1, 0.4), (-1.0, 0.2, 0.9, 0.5)),
+         (-0.3, 0.0, 0.1, 0.4)),
+    ], ids=["indicator_pos", "kinked-table"])
+    def test_psi_breaks_reach_the_closed_forms(self, cfg_path, tmp_path, spec, psi,
+                                               breaks):
+        # every closed form of the report is the library's for the stream
+        # with its breaks declared: the step at 0, the table's knots
+        table = tmp_path / "kinked.tsv"
+        table.write_text("-0.3 -1.0\n0.0 0.2\n0.1 0.9\n0.4 0.5\n")
+        code, out, err = run_cli("compare", "--config", cfg_path, "--stream",
+                                 spec.format(table), *SOLVER_FAST)
+        assert code == 0, err
+        p = read_params_file(cfg_path)
+        rule = gauss_hermite(32)
+        sols = solve_all(p, rule, 61)
+        stream = PostFirstJumpSignalStream(psi=psi, psi_bound=1.0, psi_breaks=breaks)
+        smooth = PostFirstJumpSignalStream(psi=psi, psi_bound=1.0)
+        for row in json.loads(out)["rows"]:
+            if row["regime"] == "merton":
+                continue
+            cond = Conditioning(eta0=row["eta0"])
+            want = closed_form_price(stream, row["regime"], p, sols, cond, rule)
+            assert row["closed_form"] == pytest.approx(want, rel=1e-13, abs=1e-15)
+            if cond.eta0 is None:   # the breaks move every unconditional price
+                assert want != closed_form_price(smooth, row["regime"], p, sols,
+                                                 cond, rule)
 
     def test_psi_table_stream_label(self, cfg_path, tmp_path):
         table = tmp_path / "psi.tsv"

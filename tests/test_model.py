@@ -97,6 +97,19 @@ class TestStreamGuard:
         with pytest.raises(StreamGuardError):
             PostFirstJumpSignalStream(psi=math.tanh, psi_bound=math.nan)
 
+    @pytest.mark.parametrize("breaks", [(0.0, math.nan), (-math.inf, 0.0),
+                                        (0.1, 0.1), (0.2, -0.1)])
+    def test_psi_breaks_must_be_finite_and_increasing(self, breaks):
+        with pytest.raises(StreamGuardError, match="psi_breaks"):
+            PostFirstJumpSignalStream(psi=np.tanh, psi_bound=1.0, psi_breaks=breaks)
+
+    def test_psi_breaks_are_a_tuple_of_floats(self):
+        e = PostFirstJumpSignalStream(psi=np.tanh, psi_bound=1.0,
+                                      psi_breaks=np.array([-1.0, 0.0, 2.5]))
+        assert e.psi_breaks == (-1.0, 0.0, 2.5)
+        assert all(type(x) is float for x in e.psi_breaks)
+        assert PostFirstJumpSignalStream(psi=np.tanh, psi_bound=1.0).psi_breaks == ()
+
 
 class TestStreamValues:
     # e_t at times t after `jumps` jumps; psi0 is each path's psi(eta_0)

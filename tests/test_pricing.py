@@ -18,6 +18,7 @@ from infoprice.agents import (
     _pre_jump_rate,
     posterior_of_jump,
     q_bar_signal,
+    signal_terms,
     solve_all,
     solve_merton,
     solve_signal_insider,
@@ -41,7 +42,7 @@ from infoprice.pricing import (
 from infoprice.quadrature import gauss_hermite, psi_double_integral
 from infoprice.simulate import SimConfig, path_integrals
 
-from .oracles import beta_coef, signal_law_average
+from .oracles import beta_coef, closed_form_reference, signal_law_average
 from .test_agents import BOX, PROPERTY
 
 
@@ -51,6 +52,15 @@ def with_fields(p, **kw):
 
 E2 = ExpUntilFirstJumpStream()
 E3 = PostFirstJumpSignalStream(psi=np.tanh, psi_bound=1.0, psi_name="tanh")
+INDICATOR = PostFirstJumpSignalStream(
+    psi=lambda x: (np.asarray(x, dtype=float) > 0.0).astype(float), psi_bound=1.0,
+    psi_name="indicator_pos", psi_breaks=(0.0,))
+PWL_KNOTS = (-0.3, 0.0, 0.1, 0.4)
+KINKED = PostFirstJumpSignalStream(
+    psi=lambda x: np.interp(x, PWL_KNOTS, (-1.0, 0.2, 0.9, 0.5)), psi_bound=1.0,
+    psi_name="kinked", psi_breaks=PWL_KNOTS)
+ONE = PostFirstJumpSignalStream(psi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                                psi_bound=1.0, psi_name="one")
 
 # the parameter sets of the solver benchmark
 SETS = {"canon": {}, "interior": dict(m=0.02, v=0.04),
@@ -278,6 +288,16 @@ class TestPriceMc:
             est = price_mc(E3, sols.signal, p, cfg, cond, sols=sols)
             want = closed_form_price(E3, "signal", p, sols, cond)
             assert abs(est.mean - want) <= 3 * est.std_error + est.truncation_bound
+
+    def test_indicator_pos_under_the_signal_insider(self, canon, sols):
+        """psi = 1[eta > 0] steps beside the mode of the signal law; with the
+        step declared as a break the closed form meets the engine (it read
+        0.1290 against 0.1268 +- 0.0014; Gauss-Hermite nodes gave 0.1156)."""
+        cfg = SimConfig(horizon=22.0, dt=0.05, n_paths=32_768, seed=5,
+                        regime="signal")
+        est = price_mc(INDICATOR, sols.signal, canon, cfg, sols=sols)
+        want = closed_form_price(INDICATOR, "signal", canon, sols)
+        assert abs(est.mean - want) <= 3 * est.std_error + est.truncation_bound
 
     @pytest.mark.parametrize("regime,cond", [
         ("uninformed", None), ("timing", None), ("timing", Conditioning(t1=1.0)),
@@ -685,7 +705,7 @@ def pre_jump_tail_loop(sol, p, rule, horizon, eta0=None):
         return math.exp(-rate * horizon) / rate
     if eta0 is not None:
         return conditional(eta0)
-    return signal_law_average(conditional, p, rule)
+    return signal_law_average(conditional, p, sol)
 
 
 def post_jump_loop(sol, p, rule, psi, eta0=None):
@@ -709,15 +729,37 @@ def post_jump_loop(sol, p, rule, psi, eta0=None):
 
     if eta0 is not None:
         parts(eta0)             # a divergent eta0 is reported first
-    m1 = signal_law_average(h_over_rate, p, rule) / (
-        1.0 - p.lam * signal_law_average(kappa_over_rate, p, rule))
+    m1 = signal_law_average(h_over_rate, p, sol) / (
+        1.0 - p.lam * signal_law_average(kappa_over_rate, p, sol))
 
     def conditional(eta):
         h, rate, kappa = parts(eta)
         return float(psi(eta)) * (m1 / h) * p.lam / rate * kappa
     if eta0 is not None:
         return conditional(eta0)
-    return signal_law_average(conditional, p, rule)
+    return signal_law_average(conditional, p, sol)
+
+
+class TestSignalLawAccuracy:
+    """Every closed form that averages over the signal law against the same
+    formula on a fine trapezoid split at every point where its integrand is
+    not smooth (oracles.closed_form_reference): psi's breaks, and for the
+    signal insider every knot of its interpolants."""
+
+    @pytest.mark.parametrize("v_eps", [0.02, 10.0, 100.0])
+    @pytest.mark.parametrize("name", SETS)
+    def test_closed_forms_match_the_split_trapezoid(self, canon, rule64, name, v_eps):
+        p = with_fields(canon, v_eps=v_eps, **SETS[name])
+        sols = solve_all(p, rule64)
+        for regime in ("uninformed", "timing", "signal"):
+            scale = closed_form_price(ONE, regime, p, sols, rule=rule64)
+            for stream in (ONE, E3, INDICATOR, KINKED):
+                got = closed_form_price(stream, regime, p, sols, rule=rule64)
+                want = closed_form_reference(stream, regime, p, sols)
+                assert abs(got - want) <= 1e-6 * scale, (regime, stream.label)
+            got = closed_form_price(E2, regime, p, sols, rule=rule64)
+            want = closed_form_reference(E2, regime, p, sols)
+            assert abs(got - want) <= 1e-6 * want, regime
 
 
 class TestSignalLawOracle:
@@ -751,6 +793,10 @@ class TestSignalLawOracle:
         shrink = np.where(sol.eta_grid > canon.m, 1e-6, 1.0)
         fake = dataclasses.replace(
             sol, _h_interp=_MonotoneCubic(sol.eta_grid, sol.h_values * shrink))
+        # sol.law carries the solve's signal_terms on the law: recompute them
+        eta, probs = sol.law[:2]
+        fake = dataclasses.replace(
+            fake, law=(eta, probs, *signal_terms(fake, canon, eta, rule64)))
         bad = dataclasses.replace(sols, signal=fake)
         sd = math.sqrt(canon.v + canon.v_eps)
         for eta0 in (None, canon.m + sd):
